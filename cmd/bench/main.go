@@ -19,11 +19,9 @@ import (
 	"os"
 	"time"
 
-	"systolicdb/internal/bitset"
-	"systolicdb/internal/dedup"
-	"systolicdb/internal/division"
-	"systolicdb/internal/intersect"
 	"systolicdb/internal/join"
+	"systolicdb/internal/kernel"
+	"systolicdb/internal/relation"
 	"systolicdb/internal/workload"
 )
 
@@ -49,6 +47,9 @@ type report struct {
 	Results []result           `json:"results"`
 	Speedup map[string]float64 `json:"speedup_bitset_over_pulse"`
 }
+
+// opFn runs one benchmarked operator on the given backend's kernel.
+type opFn = func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error)
 
 // measure runs f -iters times and returns the fastest wall time, checking
 // every run returns the same cardinality.
@@ -114,12 +115,23 @@ func run(n, m int, seed int64, iters, divideN int, out string) error {
 		fmt.Printf("%-10s %-7s %9.3fms  %12.1f ns/tuple  %d rows\n",
 			op, backend, secs*1000, float64(d.Nanoseconds())/float64(tuples), rows)
 	}
-	both := func(op string, tuples int, pulse, bits func() (int, error)) error {
-		dp, rp, err := measure(iters, pulse)
+	// both measures one operator on each backend's kernel over the same
+	// inputs.
+	both := func(op string, tuples int, f opFn) error {
+		on := func(k kernel.Kernel) func() (int, error) {
+			return func() (int, error) {
+				rel, _, err := f(k)
+				if err != nil {
+					return 0, err
+				}
+				return rel.Cardinality(), nil
+			}
+		}
+		dp, rp, err := measure(iters, on(kernel.Pulse{}))
 		if err != nil {
 			return fmt.Errorf("%s pulse: %w", op, err)
 		}
-		db, rb, err := measure(iters, bits)
+		db, rb, err := measure(iters, on(kernel.Bitset{}))
 		if err != nil {
 			return fmt.Errorf("%s bitset: %w", op, err)
 		}
@@ -136,111 +148,36 @@ func run(n, m int, seed int64, iters, divideN int, out string) error {
 	if err != nil {
 		return err
 	}
-	if err := both("intersect", 2*n,
-		func() (int, error) {
-			r, err := intersect.Intersection(ia, ib)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-		func() (int, error) {
-			r, err := bitset.Intersection(ia, ib)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-	); err != nil {
-		return err
-	}
-	if err := both("difference", 2*n,
-		func() (int, error) {
-			r, err := intersect.Difference(ia, ib)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-		func() (int, error) {
-			r, err := bitset.Difference(ia, ib)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-	); err != nil {
-		return err
-	}
-
 	ja, jb, err := workload.JoinPair(seed, n, n, m, 1)
 	if err != nil {
 		return err
 	}
-	spec := join.Spec{ACols: []int{0}, BCols: []int{0}}
-	if err := both("join", 2*n,
-		func() (int, error) {
-			r, err := join.Join(ja, jb, spec)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-		func() (int, error) {
-			r, err := bitset.Join(ja, jb, spec)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-	); err != nil {
-		return err
-	}
-
 	da, err := workload.WithDuplicates(seed, n, m, 0.5)
 	if err != nil {
 		return err
 	}
-	if err := both("dedup", n,
-		func() (int, error) {
-			r, err := dedup.RemoveDuplicates(da)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-		func() (int, error) {
-			r, err := bitset.RemoveDuplicates(da)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-	); err != nil {
-		return err
-	}
-
 	va, vb, err := workload.DivisionCase(seed, divideN, 16, 0.5)
 	if err != nil {
 		return err
 	}
-	if err := both("divide", divideN+vb.Cardinality(),
-		func() (int, error) {
-			r, err := division.DivideBinary(va, vb)
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-		func() (int, error) {
-			r, err := bitset.Divide(va, vb, []int{0}, []int{1}, []int{0})
-			if err != nil {
-				return 0, err
-			}
-			return r.Rel.Cardinality(), nil
-		},
-	); err != nil {
-		return err
+	for _, o := range []struct {
+		op     string
+		tuples int
+		f      opFn
+	}{
+		{"intersect", 2 * n, func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Intersect(ia, ib) }},
+		{"difference", 2 * n, func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Difference(ia, ib) }},
+		{"join", 2 * n, func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) {
+			return k.Join(ja, jb, join.Spec{ACols: []int{0}, BCols: []int{0}})
+		}},
+		{"dedup", n, func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Dedup(da) }},
+		{"divide", divideN + vb.Cardinality(), func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) {
+			return k.Divide(va, vb, []int{0}, []int{1}, []int{0})
+		}},
+	} {
+		if err := both(o.op, o.tuples, o.f); err != nil {
+			return err
+		}
 	}
 
 	if out != "" {

@@ -43,11 +43,9 @@ import (
 
 	"systolicdb/internal/bitset"
 	"systolicdb/internal/cells"
-	"systolicdb/internal/dedup"
-	"systolicdb/internal/division"
 	"systolicdb/internal/fault"
-	"systolicdb/internal/intersect"
 	"systolicdb/internal/join"
+	"systolicdb/internal/kernel"
 	"systolicdb/internal/lptdisk"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/obs"
@@ -180,226 +178,60 @@ func parseTheta(theta string) (cells.Op, error) {
 	return 0, fmt.Errorf("unknown θ operator %q", theta)
 }
 
-func run(op string, backend machine.Backend, n, m int, seed int64, overlap, dup, match float64, theta string, divisorN int, coverage float64, quiet bool) error {
-	if backend == machine.BackendBitset {
-		return runBitset(op, n, m, seed, overlap, dup, match, theta, divisorN, coverage, quiet)
-	}
-	switch op {
-	case "intersect", "difference":
-		a, b, err := workload.OverlapPair(seed, n, m, overlap)
-		if err != nil {
-			return err
-		}
-		var res *intersect.Result
-		if op == "intersect" {
-			res, err = intersect.Intersection(a, b)
-		} else {
-			res, err = intersect.Difference(a, b)
-		}
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("B", b, quiet)
-		dump("result", res.Rel, quiet)
-		printStats(res.Stats)
-
-	case "union":
-		a, b, err := workload.OverlapPair(seed, n, m, overlap)
-		if err != nil {
-			return err
-		}
-		res, err := dedup.Union(a, b)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("B", b, quiet)
-		dump("A ∪ B", res.Rel, quiet)
-		printStats(res.Stats)
-
-	case "dedup":
-		a, err := workload.WithDuplicates(seed, n, m, dup)
-		if err != nil {
-			return err
-		}
-		res, err := dedup.RemoveDuplicates(a)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("dedup(A)", res.Rel, quiet)
-		printStats(res.Stats)
-
-	case "project":
-		a, err := workload.Uniform(seed, n, m, 4)
-		if err != nil {
-			return err
-		}
-		cols := []int{0}
-		if m > 1 {
-			cols = []int{0, 1}
-		}
-		res, err := dedup.Project(a, cols)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump(fmt.Sprintf("π%v(A)", cols), res.Rel, quiet)
-		printStats(res.Stats)
-
-	case "join":
-		a, b, err := workload.JoinPair(seed, n, n, m, match)
-		if err != nil {
-			return err
-		}
-		res, err := join.Equi(a, b, 0, 0)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("B", b, quiet)
-		dump("A ⋈ B", res.Rel, quiet)
-		fmt.Printf("matches: %d of %d candidate pairs\n", res.Pairs, a.Cardinality()*b.Cardinality())
-		printStats(res.Stats)
-
-	case "theta-join":
-		thetaOp, err := parseTheta(theta)
-		if err != nil {
-			return err
-		}
-		a, b, err := workload.JoinPair(seed, n, n, m, match)
-		if err != nil {
-			return err
-		}
-		res, err := join.Theta(a, b, 0, 0, thetaOp)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("B", b, quiet)
-		dump(fmt.Sprintf("A ⋈[%s] B", theta), res.Rel, quiet)
-		printStats(res.Stats)
-
-	case "select":
-		a, err := workload.Uniform(seed, n, m, 10)
-		if err != nil {
-			return err
-		}
-		d, err := lptdisk.New(32, perf.Disk1980)
-		if err != nil {
-			return err
-		}
-		if err := d.Store(a); err != nil {
-			return err
-		}
-		q := lptdisk.Query{{Col: 0, Op: cells.LT, Value: 5}}
-		res, st, err := d.Select(q)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("σ[c0 < 5](A)", res, quiet)
-		fmt.Printf("logic-per-track scan: %d tracks, %d revolution(s), %v\n",
-			st.TracksScanned, st.Revolutions, st.Time)
-
-	case "divide":
-		a, b, err := workload.DivisionCase(seed, n, divisorN, coverage)
-		if err != nil {
-			return err
-		}
-		res, err := division.DivideBinary(a, b)
-		if err != nil {
-			return err
-		}
-		dump("A (dividend)", a, quiet)
-		dump("B (divisor)", b, quiet)
-		dump("A ÷ B", res.Rel, quiet)
-		printStats(res.Stats)
-
-	default:
-		return fmt.Errorf("unknown operation %q (valid: %s)", op, validOps)
-	}
-	return nil
-}
-
-func printWordStats(st bitset.Stats) {
-	fmt.Printf("word ops:     %d (up to %d T-matrix lanes per word op)\n", st.WordOps, bitset.Lanes)
-}
-
-// runBitset runs one plain operation on the word-parallel backend over the
-// same deterministic workloads as run, so the two backends are directly
+// run runs one plain operation over a deterministic generated workload on
+// the selected backend's kernel, so the two backends are directly
 // comparable from the command line: identical flags, identical inputs,
-// identical result rows — only the cost unit differs (word ops, not
-// pulses).
-func runBitset(op string, n, m int, seed int64, overlap, dup, match float64, theta string, divisorN int, coverage float64, quiet bool) error {
+// identical result rows — only the cost unit differs (pulses or word ops).
+func run(op string, backend machine.Backend, n, m int, seed int64, overlap, dup, match float64, theta string, divisorN int, coverage float64, quiet bool) error {
+	var kern kernel.Kernel = kernel.Pulse{}
+	if backend == machine.BackendBitset {
+		kern = kernel.Bitset{}
+	}
+	var (
+		a, b  *relation.Relation // b stays nil for the one-operand operations
+		res   *relation.Relation
+		cost  kernel.Cost
+		label = "result"
+		aName = "A"
+		bName = "B"
+		err   error
+	)
 	switch op {
-	case "intersect", "difference":
-		a, b, err := workload.OverlapPair(seed, n, m, overlap)
-		if err != nil {
+	case "intersect", "difference", "union":
+		if a, b, err = workload.OverlapPair(seed, n, m, overlap); err != nil {
 			return err
 		}
-		var res *bitset.Result
-		if op == "intersect" {
-			res, err = bitset.Intersection(a, b)
-		} else {
-			res, err = bitset.Difference(a, b)
+		switch op {
+		case "intersect":
+			res, cost, err = kern.Intersect(a, b)
+		case "difference":
+			res, cost, err = kern.Difference(a, b)
+		default:
+			label = "A ∪ B"
+			res, cost, err = kern.Union(a, b)
 		}
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("B", b, quiet)
-		dump("result", res.Rel, quiet)
-		printWordStats(res.Stats)
-
-	case "union":
-		a, b, err := workload.OverlapPair(seed, n, m, overlap)
-		if err != nil {
-			return err
-		}
-		res, err := bitset.Union(a, b)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("B", b, quiet)
-		dump("A ∪ B", res.Rel, quiet)
-		printWordStats(res.Stats)
 
 	case "dedup":
-		a, err := workload.WithDuplicates(seed, n, m, dup)
-		if err != nil {
+		if a, err = workload.WithDuplicates(seed, n, m, dup); err != nil {
 			return err
 		}
-		res, err := bitset.RemoveDuplicates(a)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("dedup(A)", res.Rel, quiet)
-		printWordStats(res.Stats)
+		label = "dedup(A)"
+		res, cost, err = kern.Dedup(a)
 
 	case "project":
-		a, err := workload.Uniform(seed, n, m, 4)
-		if err != nil {
+		if a, err = workload.Uniform(seed, n, m, 4); err != nil {
 			return err
 		}
 		cols := []int{0}
 		if m > 1 {
 			cols = []int{0, 1}
 		}
-		res, err := bitset.Project(a, cols)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump(fmt.Sprintf("π%v(A)", cols), res.Rel, quiet)
-		printWordStats(res.Stats)
+		label = fmt.Sprintf("π%v(A)", cols)
+		res, cost, err = kern.Project(a, cols)
 
 	case "join", "theta-join":
 		spec := join.Spec{ACols: []int{0}, BCols: []int{0}}
-		label := "A ⋈ B"
+		label = "A ⋈ B"
 		if op == "theta-join" {
 			thetaOp, err := parseTheta(theta)
 			if err != nil {
@@ -408,40 +240,71 @@ func runBitset(op string, n, m int, seed int64, overlap, dup, match float64, the
 			spec.Ops = []cells.Op{thetaOp}
 			label = fmt.Sprintf("A ⋈[%s] B", theta)
 		}
-		a, b, err := workload.JoinPair(seed, n, n, m, match)
-		if err != nil {
+		if a, b, err = workload.JoinPair(seed, n, n, m, match); err != nil {
 			return err
 		}
-		res, err := bitset.Join(a, b, spec)
-		if err != nil {
-			return err
-		}
-		dump("A", a, quiet)
-		dump("B", b, quiet)
-		dump(label, res.Rel, quiet)
-		fmt.Printf("matches: %d of %d candidate pairs\n", res.Pairs, a.Cardinality()*b.Cardinality())
-		printWordStats(res.Stats)
+		res, cost, err = kern.Join(a, b, spec)
 
 	case "divide":
-		a, b, err := workload.DivisionCase(seed, n, divisorN, coverage)
-		if err != nil {
+		if a, b, err = workload.DivisionCase(seed, n, divisorN, coverage); err != nil {
 			return err
 		}
-		res, err := bitset.Divide(a, b, []int{0}, []int{1}, []int{0})
-		if err != nil {
-			return err
-		}
-		dump("A (dividend)", a, quiet)
-		dump("B (divisor)", b, quiet)
-		dump("A ÷ B", res.Rel, quiet)
-		printWordStats(res.Stats)
+		aName, bName, label = "A (dividend)", "B (divisor)", "A ÷ B"
+		res, cost, err = kern.Divide(a, b, []int{0}, []int{1}, []int{0})
 
-	case "select", "match":
-		return fmt.Errorf("-backend bitset does not apply to -op %s: it runs on dedicated hardware (no word-parallel analogue)", op)
+	case "select":
+		if backend == machine.BackendBitset {
+			return fmt.Errorf("-backend bitset does not apply to -op select: it runs on dedicated hardware (no word-parallel analogue)")
+		}
+		return runSelect(n, m, seed, quiet)
 
 	default:
 		return fmt.Errorf("unknown operation %q (valid: %s)", op, validOps)
 	}
+	if err != nil {
+		return err
+	}
+	dump(aName, a, quiet)
+	if b != nil {
+		dump(bName, b, quiet)
+	}
+	dump(label, res, quiet)
+	if op == "join" {
+		// One result row per TRUE t_ij of the match matrix.
+		fmt.Printf("matches: %d of %d candidate pairs\n", res.Cardinality(), a.Cardinality()*b.Cardinality())
+	}
+	if backend == machine.BackendBitset {
+		fmt.Printf("word ops:     %d (up to %d T-matrix lanes per word op)\n", cost.Units, bitset.Lanes)
+		return nil
+	}
+	fmt.Printf("pulses:       %d\n", cost.Units)
+	fmt.Printf("modeled time: %v (conservative 1980 NMOS, %v per pulse)\n",
+		perf.Conservative1980.PulseTime(cost.Units), perf.Conservative1980.ComparisonTime)
+	return nil
+}
+
+// runSelect is -op select: a constant-comparison selection evaluated by
+// the heads of a logic-per-track disk (§9), not by a systolic array.
+func runSelect(n, m int, seed int64, quiet bool) error {
+	a, err := workload.Uniform(seed, n, m, 10)
+	if err != nil {
+		return err
+	}
+	d, err := lptdisk.New(32, perf.Disk1980)
+	if err != nil {
+		return err
+	}
+	if err := d.Store(a); err != nil {
+		return err
+	}
+	res, st, err := d.Select(lptdisk.Query{{Col: 0, Op: cells.LT, Value: 5}})
+	if err != nil {
+		return err
+	}
+	dump("A", a, quiet)
+	dump("σ[c0 < 5](A)", res, quiet)
+	fmt.Printf("logic-per-track scan: %d tracks, %d revolution(s), %v\n",
+		st.TracksScanned, st.Revolutions, st.Time)
 	return nil
 }
 

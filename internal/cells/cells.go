@@ -18,58 +18,21 @@ import (
 	"systolicdb/internal/systolic"
 )
 
-// Op is a binary comparison operator for θ-joins (paper §6.3.2: "this
-// notion can be generalized to allow any sort of binary comparison (e.g. <,
-// >, etc.)").
-type Op int
+// Op is the binary comparison operator a θ-join cell applies. The type
+// lives in relation (selection predicates use it too, and relation cannot
+// import this package); the alias keeps cells.Op and cells.EQ… the names
+// the array code is written in.
+type Op = relation.Op
 
 // Comparison operators.
 const (
-	EQ Op = iota
-	NE
-	LT
-	LE
-	GT
-	GE
+	EQ = relation.EQ
+	NE = relation.NE
+	LT = relation.LT
+	LE = relation.LE
+	GT = relation.GT
+	GE = relation.GE
 )
-
-// String returns the operator's conventional symbol.
-func (o Op) String() string {
-	switch o {
-	case EQ:
-		return "="
-	case NE:
-		return "!="
-	case LT:
-		return "<"
-	case LE:
-		return "<="
-	case GT:
-		return ">"
-	case GE:
-		return ">="
-	}
-	return "op?"
-}
-
-// Apply evaluates "a o b".
-func (o Op) Apply(a, b relation.Element) bool {
-	switch o {
-	case EQ:
-		return a == b
-	case NE:
-		return a != b
-	case LT:
-		return a < b
-	case LE:
-		return a <= b
-	case GT:
-		return a > b
-	case GE:
-		return a >= b
-	}
-	return false
-}
 
 // Compare is the comparison processor of Figure 3-2. Per pulse:
 //

@@ -177,7 +177,7 @@ func peel(n query.Node) (query.Node, wrapper) {
 
 // scatterSame ships one identical plan to every shard and gathers.
 func (e *Engine) scatterSame(ctx context.Context, n query.Node, p Part) (*relation.Relation, error) {
-	return e.scatter(ctx, func(int) query.Node { return n }, p, opName(n))
+	return e.scatter(ctx, func(int) query.Node { return n }, p, query.OpName(n))
 }
 
 // scatter ships mkNode(i) to shard i (bounded fan-out), concatenates the
@@ -483,7 +483,7 @@ func (e *Engine) execDivide(ctx context.Context, op query.Divide, w wrapper) (*r
 // still evaluated through the cluster, but the top operator runs on the
 // coordinator's own engine.
 func (e *Engine) execLocal(ctx context.Context, n query.Node) (*relation.Relation, error) {
-	e.reg.Counter("cluster_local_fallback_total", obs.Labels{"op": opName(n)}).Inc()
+	e.reg.Counter("cluster_local_fallback_total", obs.Labels{"op": query.OpName(n)}).Inc()
 	switch op := n.(type) {
 	case query.Intersect:
 		return e.localPair(ctx, op.L, op.R, func(l, r query.Node) query.Node {
@@ -535,30 +535,4 @@ func (e *Engine) localSingle(ctx context.Context, child query.Node, mk func(c qu
 	cat := query.Catalog{"__local_c": crel}
 	return query.ExecuteCtx(ctx, mk(query.Scan{Name: "__local_c"}), cat,
 		&query.Options{Metrics: e.reg, Backend: e.opt.Backend})
-}
-
-// opName mirrors the query package's stable operator naming for metric
-// labels.
-func opName(n query.Node) string {
-	switch n.(type) {
-	case query.Scan:
-		return "scan"
-	case query.Select:
-		return "select"
-	case query.Intersect:
-		return "intersect"
-	case query.Difference:
-		return "difference"
-	case query.Union:
-		return "union"
-	case query.Dedup:
-		return "dedup"
-	case query.Project:
-		return "project"
-	case query.Join:
-		return "join"
-	case query.Divide:
-		return "divide"
-	}
-	return fmt.Sprintf("%T", n)
 }

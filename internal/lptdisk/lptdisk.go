@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"systolicdb/internal/cells"
 	"systolicdb/internal/perf"
 	"systolicdb/internal/relation"
 )
@@ -25,39 +24,14 @@ import (
 // Predicate is one comparison a track head can evaluate on the fly:
 // tuple[Col] op Value. Track logic is deliberately minimal (1970s
 // head-per-track hardware), so only constant comparisons are supported —
-// anything richer belongs on the systolic arrays.
-type Predicate struct {
-	Col   int
-	Op    cells.Op
-	Value relation.Element
-}
+// anything richer belongs on the systolic arrays. The type is the plan
+// layer's selection predicate (relation.Predicate); the aliases keep this
+// package's historical names source-compatible.
+type Predicate = relation.Predicate
 
 // Query is a conjunction of predicates, the richest filter the track logic
 // evaluates in a single revolution.
-type Query []Predicate
-
-// Matches evaluates the conjunction against a tuple.
-func (q Query) Matches(t relation.Tuple) bool {
-	for _, p := range q {
-		if p.Col < 0 || p.Col >= len(t) {
-			return false
-		}
-		if !p.Op.Apply(t[p.Col], p.Value) {
-			return false
-		}
-	}
-	return true
-}
-
-// Validate checks the predicates against a schema.
-func (q Query) Validate(s *relation.Schema) error {
-	for i, p := range q {
-		if p.Col < 0 || p.Col >= s.Width() {
-			return fmt.Errorf("lptdisk: predicate %d references column %d of a %d-column schema", i, p.Col, s.Width())
-		}
-	}
-	return nil
-}
+type Query = relation.Query
 
 // Stats describes the cost of one logic-per-track operation.
 type Stats struct {

@@ -1,11 +1,6 @@
 package machine
 
-import (
-	"fmt"
-
-	"systolicdb/internal/bitset"
-	"systolicdb/internal/relation"
-)
+import "fmt"
 
 // Backend selects the execution engine device operations run on.
 type Backend int
@@ -51,120 +46,4 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendBitset, nil
 	}
 	return 0, fmt.Errorf("machine: unknown backend %q (valid: pulse, bitset)", s)
-}
-
-// executeBitset computes a task's result on the word-parallel backend.
-// Tiling does not apply — the bitset engine holds the whole T row in
-// packed words — so every operation reports one "tile" whose pulse count
-// is the backend's word-operation count (one word op evaluates up to
-// bitset.Lanes T-matrix lanes, the backend's analogue of a pulse).
-func (m *Machine) executeBitset(t Task, rels map[string]*relation.Relation) (opResult, error) {
-	in := func(i int) (*relation.Relation, error) {
-		if i >= len(t.Inputs) {
-			return nil, fmt.Errorf("machine: task %q needs input %d", t.ID, i)
-		}
-		r, ok := rels[t.Inputs[i]]
-		if !ok {
-			return nil, fmt.Errorf("machine: task %q input %q not materialised", t.ID, t.Inputs[i])
-		}
-		return r, nil
-	}
-	one := func(rel *relation.Relation, st bitset.Stats) opResult {
-		return opResult{rel: rel, pulses: st.WordOps, tiles: 1, tilePulses: []int{st.WordOps}}
-	}
-	switch t.Op {
-	case OpIntersect, OpDifference:
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return opResult{}, err
-		}
-		var res *bitset.Result
-		if t.Op == OpIntersect {
-			res, err = bitset.Intersection(a, b)
-		} else {
-			res, err = bitset.Difference(a, b)
-		}
-		if err != nil {
-			return opResult{}, err
-		}
-		return one(res.Rel, res.Stats), nil
-
-	case OpDedup:
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		res, err := bitset.RemoveDuplicates(a)
-		if err != nil {
-			return opResult{}, err
-		}
-		return one(res.Rel, res.Stats), nil
-
-	case OpUnion:
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return opResult{}, err
-		}
-		res, err := bitset.Union(a, b)
-		if err != nil {
-			return opResult{}, err
-		}
-		return one(res.Rel, res.Stats), nil
-
-	case OpProject:
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		res, err := bitset.Project(a, t.Cols)
-		if err != nil {
-			return opResult{}, err
-		}
-		return one(res.Rel, res.Stats), nil
-
-	case OpJoin:
-		if t.Join == nil {
-			return opResult{}, fmt.Errorf("machine: task %q has no join spec", t.ID)
-		}
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return opResult{}, err
-		}
-		res, err := bitset.Join(a, b, *t.Join)
-		if err != nil {
-			return opResult{}, err
-		}
-		return one(res.Rel, res.Stats), nil
-
-	case OpDivide:
-		if t.Divide == nil {
-			return opResult{}, fmt.Errorf("machine: task %q has no divide spec", t.ID)
-		}
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return opResult{}, err
-		}
-		res, err := bitset.Divide(a, b, t.Divide.AQuot, t.Divide.ADiv, t.Divide.BCols)
-		if err != nil {
-			return opResult{}, err
-		}
-		return one(res.Rel, res.Stats), nil
-	}
-	return opResult{}, fmt.Errorf("machine: task %q: op %v does not run on a device", t.ID, t.Op)
 }

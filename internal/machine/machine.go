@@ -29,17 +29,13 @@ import (
 	"time"
 
 	"systolicdb/internal/decompose"
-	"systolicdb/internal/division"
 	"systolicdb/internal/fault"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
+	"systolicdb/internal/kernel"
 	"systolicdb/internal/obs"
 	"systolicdb/internal/perf"
 	"systolicdb/internal/relation"
 )
-
-// defaultTracks is the cylinder width of the modelled logic-per-track disk.
-const defaultTracks = 32
 
 // OpKind identifies a transaction step.
 type OpKind int
@@ -221,7 +217,7 @@ type Task struct {
 	Output string
 
 	Base   *relation.Relation // OpLoad: the relation on disk
-	Select lptdisk.Query      // OpLoad: optional logic-per-track selection (§9)
+	Select relation.Query     // OpLoad: optional logic-per-track selection (§9)
 	Cols   []int              // OpProject: columns to keep
 	Join   *join.Spec         // OpJoin
 	Divide *DivideSpec        // OpDivide
@@ -451,150 +447,73 @@ type opResult struct {
 	tilePulses []int // per-tile pulse counts for tile-parallel scheduling
 }
 
-// execute computes a task's result on the (tiled) systolic arrays. When
-// the fault layer is enabled every tile goes through the kind's executor,
-// which injects, verifies, retries and quarantines per the configuration.
-func (m *Machine) execute(t Task, size decompose.ArraySize, rels map[string]*relation.Relation) (opResult, error) {
+// kernel selects the back end one task runs on: the word-parallel engine,
+// or the pulse arrays tiled to the device's capacity. When the fault layer
+// is enabled every tile goes through the kind's executor, which injects,
+// verifies, retries and quarantines per the configuration.
+func (m *Machine) kernel(op OpKind, size decompose.ArraySize) kernel.Kernel {
 	if m.cfg.Backend == BackendBitset {
-		return m.executeBitset(t, rels)
+		return kernel.Bitset{}
 	}
-	var tiler decompose.Tiler
-	tiler.Size = size
-	if kind, ok := deviceFor(t.Op); ok {
+	tiler := decompose.Tiler{Size: size}
+	if kind, ok := deviceFor(op); ok {
 		tiler.Runner = m.runner(kind)
 	}
-	in := func(i int) (*relation.Relation, error) {
-		if i >= len(t.Inputs) {
-			return nil, fmt.Errorf("machine: task %q needs input %d", t.ID, i)
-		}
-		r, ok := rels[t.Inputs[i]]
-		if !ok {
-			return nil, fmt.Errorf("machine: task %q input %q not materialised", t.ID, t.Inputs[i])
-		}
-		return r, nil
+	return kernel.Tiled{Tiler: tiler}
+}
+
+// execute computes a task's result and simulated cost on a device of the
+// given size.
+func (m *Machine) execute(t Task, size decompose.ArraySize, rels map[string]*relation.Relation) (opResult, error) {
+	need := 2
+	if t.Op == OpDedup || t.Op == OpProject {
+		need = 1
 	}
+	if len(t.Inputs) < need {
+		return opResult{}, fmt.Errorf("machine: task %q needs input %d", t.ID, len(t.Inputs))
+	}
+	in := make([]*relation.Relation, 2) // in[1] stays nil for the unary operators
+	for i, name := range t.Inputs[:need] {
+		r, ok := rels[name]
+		if !ok {
+			return opResult{}, fmt.Errorf("machine: task %q input %q not materialised", t.ID, name)
+		}
+		in[i] = r
+	}
+	var (
+		k    = m.kernel(t.Op, size)
+		rel  *relation.Relation
+		cost kernel.Cost
+		err  error
+	)
 	switch t.Op {
-	case OpIntersect, OpDifference:
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return opResult{}, err
-		}
-		var (
-			rel *relation.Relation
-			st  decompose.Stats
-		)
-		if t.Op == OpIntersect {
-			rel, st, err = tiler.Intersection(a, b)
-		} else {
-			rel, st, err = tiler.Difference(a, b)
-		}
-		if err != nil {
-			return opResult{}, err
-		}
-		return opResult{rel: rel, pulses: st.Pulses, tiles: st.Tiles, tilePulses: st.PerTilePulses}, nil
-
-	case OpDedup:
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		rel, st, err := tiler.RemoveDuplicates(a)
-		if err != nil {
-			return opResult{}, err
-		}
-		return opResult{rel: rel, pulses: st.Pulses, tiles: st.Tiles, tilePulses: st.PerTilePulses}, nil
-
+	case OpIntersect:
+		rel, cost, err = k.Intersect(in[0], in[1])
+	case OpDifference:
+		rel, cost, err = k.Difference(in[0], in[1])
 	case OpUnion:
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return opResult{}, err
-		}
-		cat, err := a.Concat(b)
-		if err != nil {
-			return opResult{}, err
-		}
-		rel, st, err := tiler.RemoveDuplicates(cat)
-		if err != nil {
-			return opResult{}, err
-		}
-		return opResult{rel: rel, pulses: st.Pulses, tiles: st.Tiles, tilePulses: st.PerTilePulses}, nil
-
+		rel, cost, err = k.Union(in[0], in[1])
+	case OpDedup:
+		rel, cost, err = k.Dedup(in[0])
 	case OpProject:
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		multi, err := a.ProjectColumns(t.Cols)
-		if err != nil {
-			return opResult{}, err
-		}
-		rel, st, err := tiler.RemoveDuplicates(multi)
-		if err != nil {
-			return opResult{}, err
-		}
-		return opResult{rel: rel, pulses: st.Pulses, tiles: st.Tiles, tilePulses: st.PerTilePulses}, nil
-
+		rel, cost, err = k.Project(in[0], t.Cols)
 	case OpJoin:
 		if t.Join == nil {
 			return opResult{}, fmt.Errorf("machine: task %q has no join spec", t.ID)
 		}
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return opResult{}, err
-		}
-		spec := *t.Join
-		if err := spec.Validate(a, b); err != nil {
-			return opResult{}, err
-		}
-		tm, st, err := tiler.JoinT(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), spec.Ops)
-		if err != nil {
-			return opResult{}, err
-		}
-		rel, _, err := join.Materialize(a, b, spec, tm)
-		if err != nil {
-			return opResult{}, err
-		}
-		return opResult{rel: rel, pulses: st.Pulses, tiles: st.Tiles, tilePulses: st.PerTilePulses}, nil
-
+		rel, cost, err = k.Join(in[0], in[1], *t.Join)
 	case OpDivide:
 		if t.Divide == nil {
 			return opResult{}, fmt.Errorf("machine: task %q has no divide spec", t.ID)
 		}
-		a, err := in(0)
-		if err != nil {
-			return opResult{}, err
-		}
-		b, err := in(1)
-		if err != nil {
-			return opResult{}, err
-		}
-		p, err := division.Prepare(a, b, t.Divide.AQuot, t.Divide.ADiv, t.Divide.BCols)
-		if err != nil {
-			return opResult{}, err
-		}
-		bits, st, err := tiler.Division(p.Pairs, p.Xs, p.Divisor)
-		if err != nil {
-			return opResult{}, err
-		}
-		rel, err := p.Materialize(bits)
-		if err != nil {
-			return opResult{}, err
-		}
-		return opResult{rel: rel, pulses: st.Pulses + p.Dedup.Pulses, tiles: st.Tiles, tilePulses: st.PerTilePulses}, nil
+		rel, cost, err = k.Divide(in[0], in[1], t.Divide.AQuot, t.Divide.ADiv, t.Divide.BCols)
+	default:
+		return opResult{}, fmt.Errorf("machine: task %q: op %v does not run on a device", t.ID, t.Op)
 	}
-	return opResult{}, fmt.Errorf("machine: task %q: op %v does not run on a device", t.ID, t.Op)
+	if err != nil {
+		return opResult{}, err
+	}
+	return opResult{rel: rel, pulses: cost.Units, tiles: cost.Tiles, tilePulses: cost.PerTile}, nil
 }
 
 // Run executes a transaction: a list of tasks forming a DAG through their
@@ -693,21 +612,23 @@ func (m *Machine) Run(tasks []Task) (*Result, error) {
 					// §9: "Disks with 'logic-per-track' capabilities can
 					// of course be incorporated into the system, so that
 					// some simple queries never have to be processed
-					// outside the disks." The selection is evaluated by
-					// the track heads during a single revolution.
-					ld, err := lptdisk.New(defaultTracks, m.cfg.Disk)
-					if err != nil {
-						return nil, err
+					// outside the disks." Every track head filters its own
+					// track in parallel, so the selection costs exactly one
+					// revolution whatever the relation's size, and the
+					// matches come off in stored order.
+					if err := t.Select.Validate(t.Base.Schema()); err != nil {
+						return nil, fmt.Errorf("machine: load task %q: %w", t.ID, err)
 					}
-					if err := ld.Store(t.Base); err != nil {
-						return nil, err
+					keep := make([]bool, t.Base.Cardinality())
+					for i := range keep {
+						keep[i] = t.Select.Matches(t.Base.Tuple(i))
 					}
-					sel, st, err := ld.Select(t.Select)
+					sel, err := t.Base.Select(keep, true)
 					if err != nil {
 						return nil, fmt.Errorf("machine: load task %q: %w", t.ID, err)
 					}
 					loaded = sel
-					dur = st.Time
+					dur = m.cfg.Disk.RevolutionTime()
 					decompose.RecordPrefilter(t.Base.Cardinality(), sel.Cardinality())
 				}
 				end := start + dur

@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"systolicdb/internal/machine"
@@ -110,5 +112,71 @@ func TestDivisionBackendEquivalence(t *testing.T) {
 	}
 	if !pulseRel.EqualAsMultiset(bitRel) {
 		t.Errorf("division backends disagree:\npulse:\n%s\nbitset:\n%s", pulseRel, bitRel)
+	}
+}
+
+// TestStreamingHonoursBackend: streaming and backend compose. A Divide is
+// a pipeline breaker, so under Streaming it runs on the selected backend's
+// kernel — pulses on the pulse arrays, word ops on the bitset engine, never
+// quietly on the other — and, being a blocking node, records its span.
+func TestStreamingHonoursBackend(t *testing.T) {
+	a, b, err := workload.DivisionCase(11, 16, 4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := Catalog{"A": a, "B": b}
+	plan, err := Parse("divide(scan(A), scan(B), quot=0, div=1, by=0)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ExecuteCtx(context.Background(), plan, cat, &Options{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []machine.Backend{machine.BackendPulse, machine.BackendBitset} {
+		reg := obs.NewRegistry()
+		var st ExecStats
+		got, err := ExecuteCtx(context.Background(), plan, cat,
+			&Options{Metrics: reg, Stats: &st, Backend: backend, Streaming: true})
+		if err != nil {
+			t.Fatalf("%v: %v", backend, err)
+		}
+		if !got.EqualAsMultiset(want) {
+			t.Errorf("%v: streaming divide differs from the materializing run", backend)
+		}
+		own, other := st.Pulses, st.WordOps
+		if backend == machine.BackendBitset {
+			own, other = other, own
+		}
+		if own == 0 || other != 0 {
+			t.Errorf("%v: stats %+v: want the backend's own cost unit only", backend, st)
+		}
+		if st.MaterializedNodes != 1 {
+			t.Errorf("%v: %d materialized nodes, want 1 (the divide)", backend, st.MaterializedNodes)
+		}
+		// Open is the same tree handed to the caller: it honours the
+		// same options.
+		var ost ExecStats
+		it, err := Open(context.Background(), plan, cat, &Options{Metrics: obs.NewRegistry(), Stats: &ost, Backend: backend})
+		if err != nil {
+			t.Fatalf("%v: Open: %v", backend, err)
+		}
+		rows := 0
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+			rows++
+		}
+		it.Close()
+		if it.Err() != nil || rows != want.Cardinality() || ost.Pulses != st.Pulses || ost.WordOps != st.WordOps {
+			t.Errorf("%v: Open yielded %d rows (err %v), stats %+v; ExecuteCtx gave %d rows, stats %+v",
+				backend, rows, it.Err(), ost, want.Cardinality(), st)
+		}
+		var text strings.Builder
+		if err := reg.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		span := fmt.Sprintf("query_node_host_seconds_count{backend=%q,node=\"divide\"} 1\n", backend.String())
+		if !strings.Contains(text.String(), span) {
+			t.Errorf("%v: no breaker span %q in:\n%s", backend, span, text.String())
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // PlanCache is an LRU of prepared plans keyed by canonical plan text
-// (Render of the parsed tree) + backend + optimize flag, each entry
+// (lossless: Format of the parsed tree) + backend + optimize flag, each entry
 // stamped with the catalog version it was built against. A hit skips
 // Parse and Optimize, and — once the entry has been run on the machine
 // once — Compile as well (the lowered task list is memoized lazily).
@@ -42,7 +42,7 @@ type planEntry struct {
 	aliasKeys []string
 	version   uint64
 	plan      Node   // optimized (or raw, when the entry was built with optimize off)
-	canonical string // Render of the parsed tree (pre-optimization)
+	canonical string // display text of the parsed tree (pre-optimization)
 	rendered  string // Render of plan
 	compiled  bool
 	tasks     []machine.Task
@@ -141,16 +141,28 @@ func (c *PlanCache) lookupLocked(key string, version uint64) (*CachedPlan, bool)
 	return &CachedPlan{Plan: e.plan, Canonical: e.canonical, Rendered: e.rendered, cache: c, entry: e}, true
 }
 
-// Insert records a freshly prepared plan and returns its handle. The
-// entry replaces any existing one under the same key (e.g. one built at
-// a stale version).
+// Insert records a freshly prepared plan under its canonical text and
+// returns its handle. The canonical text is both the index key and what
+// hits report as CachedPlan.Canonical, so it must be lossless: two plans
+// that may not share an entry must not share a canonical text. Render is
+// not (it omits predicates and join columns) — callers that display Render
+// use InsertKeyed.
 func (c *PlanCache) Insert(raw, canonical string, backend machine.Backend, optimize bool, version uint64, plan Node) *CachedPlan {
+	return c.InsertKeyed(raw, canonical, canonical, backend, optimize, version, plan)
+}
+
+// InsertKeyed is Insert with the index key given apart from the display
+// text: key is what LookupCanonical will be asked for (the lossless Format
+// text, for the server), canonical only what hits report. The entry
+// replaces any existing one under the same key (e.g. one built at a stale
+// version).
+func (c *PlanCache) InsertKeyed(raw, key, canonical string, backend machine.Backend, optimize bool, version uint64, plan Node) *CachedPlan {
 	cp := &CachedPlan{Plan: plan, Canonical: canonical, Rendered: Render(plan)}
 	if c == nil || c.cap <= 0 {
 		return cp
 	}
 	e := &planEntry{
-		key:       cacheKey(canonical, backend, optimize),
+		key:       cacheKey(key, backend, optimize),
 		version:   version,
 		plan:      plan,
 		canonical: canonical,

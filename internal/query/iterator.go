@@ -1,31 +1,44 @@
-// Streaming (pull-based) executor: composable tuple iterators that move
-// one tuple at a time between plan operators, the way §4's pipelined
-// operator chaining moves tuples between arrays every pulse. Host-only
-// chains — select, project, dedup, union, and the probe side of join /
-// intersect / difference — never hold a full intermediate relation;
-// pipeline-breaking operators (a join's build side, membership sets,
-// Divide) are the only explicit materialization points, and ExecStats
-// reports their footprint via PeakTuples / MaterializedNodes.
+// The executor: one tree of pull-based tuple iterators per plan, driven
+// the same way whether or not the caller asked for streaming. Two kinds
+// of node make up a tree:
+//
+//   - kernelIter, the one blocking operator: it takes its children's whole
+//     relations, runs a kernel (internal/kernel) once, and streams the
+//     result out. Without Options.Streaming every plan node is one — that is
+//     the materializing executor. With it, only the operators that cannot
+//     pipeline are (scans, which already hold their relation, and Divide).
+//   - the pipelined hash iterators — select, project, dedup, union, and the
+//     probe side of join / intersect / difference — which move one tuple at
+//     a time between operators, the way §4's operator chaining moves tuples
+//     between arrays every pulse, and never hold a full intermediate
+//     relation. Their build sides and seen-sets are the only other
+//     materialization points.
+//
+// Spans, ExecStats and cancellation live once, in the driver and the
+// kernelIter; the pipelined iterators only count the tuples they retain.
 package query
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"time"
 
-	"systolicdb/internal/bitset"
 	"systolicdb/internal/cells"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
+	"systolicdb/internal/kernel"
+	"systolicdb/internal/machine"
+	"systolicdb/internal/obs"
+	"systolicdb/internal/perf"
 	"systolicdb/internal/relation"
 )
 
-// TupleIterator is the streaming executor's operator interface. Next
-// returns the next result tuple, or false when the stream is exhausted or
-// failed — the two are distinguished by Err, which callers must check
-// after the final Next. Schema describes the width and domains of every
-// tuple the iterator yields. Close releases operator-owned state (build
-// tables, dedup sets) and propagates to children; it is idempotent, and
+// TupleIterator is the executor's operator interface. Next returns the
+// next result tuple, or false when the stream is exhausted or failed — the
+// two are distinguished by Err, which callers must check after the final
+// Next. Schema describes the width and domains of every tuple the iterator
+// yields. Close releases operator-owned state (build tables, dedup sets,
+// blocking results) and propagates to children; it is idempotent, and
 // iterators must not be used after Close.
 type TupleIterator interface {
 	Next() (relation.Tuple, bool)
@@ -39,63 +52,94 @@ type TupleIterator interface {
 // mid-node, rare enough to stay off the per-tuple hot path.
 const iterBatch = 256
 
-// peakTracker counts tuples held in executor-owned storage (materialized
-// intermediates, build tables, dedup sets, the accumulating result) so
-// that PeakTuples is comparable between the streaming and materializing
-// executors. The frame stack serves the materializing path, whose
-// sequential DFS holds every child result exactly until the parent
-// operator finishes. All methods are nil-safe.
-type peakTracker struct {
-	cur, peak    int
-	frames       []int
-	materialized int
+// driver is what one plan execution shares across its iterator tree: the
+// catalog and context, the kernel blocking nodes run on, where spans and
+// stats are recorded, and the count of tuples currently held in
+// executor-owned storage (materialized intermediates, build tables, dedup
+// sets, the accumulating result) behind ExecStats.PeakTuples.
+type driver struct {
+	ctx       context.Context
+	cat       Catalog
+	reg       *obs.Registry
+	backend   machine.Backend
+	kern      kernel.Kernel
+	streaming bool       // pipeline every operator that can; else every node blocks
+	stats     *ExecStats // never nil: a throwaway when the caller wants none
+	held      int
 }
 
-func (t *peakTracker) acquire(n int) {
-	if t == nil {
-		return
+func newDriver(ctx context.Context, cat Catalog, o *Options, streaming bool) *driver {
+	d := &driver{ctx: ctx, cat: cat, reg: o.registry(), backend: o.backend(), kern: o.kernel(),
+		streaming: streaming, stats: &ExecStats{}}
+	if o != nil && o.Stats != nil {
+		d.stats = o.Stats
 	}
-	t.cur += n
-	if t.cur > t.peak {
-		t.peak = t.cur
+	return d
+}
+
+// acquire charges n more retained tuples. PeakTuples is raised in place,
+// which is the documented max-fold: the count starts at zero for this
+// plan, so a caller aggregating several plans keeps the worst one.
+func (d *driver) acquire(n int) {
+	d.held += n
+	if d.held > d.stats.PeakTuples {
+		d.stats.PeakTuples = d.held
 	}
 }
 
-func (t *peakTracker) release(n int) {
-	if t == nil {
+func (d *driver) release(n int) { d.held -= n }
+
+// breaker counts a plan node that held a complete intermediate result.
+func (d *driver) breaker() { d.stats.MaterializedNodes++ }
+
+// record emits the span of one blocking node and folds its cost into the
+// plan-wide stats: host wall-clock time (inclusive of children, as spans
+// are) and the node's own cost on the backend that ran it — simulated
+// pulses plus their time under the conservative 1980 technology for the
+// pulse simulator, word operations for the bitset backend. Every series
+// carries the backend as a label so /metrics distinguishes the two engines.
+func (d *driver) record(n Node, c kernel.Cost, start time.Time) {
+	l := obs.Labels{"node": OpName(n), "backend": d.backend.String()}
+	d.reg.Timer("query_node_host_seconds", l).Observe(time.Since(start))
+	if d.backend == machine.BackendBitset {
+		d.stats.WordOps += c.Units
+		d.reg.Counter("query_node_word_ops_total", l).Add(int64(c.Units))
 		return
 	}
-	t.cur -= n
+	d.stats.Pulses += c.Units
+	d.reg.Counter("query_node_pulses_total", l).Add(int64(c.Units))
+	d.reg.Timer("query_node_sim_seconds", l).Observe(perf.Conservative1980.PulseTime(c.Units))
 }
 
-func (t *peakTracker) breaker() {
-	if t == nil {
-		return
+// input takes an iterator's entire output as one relation: by reference
+// when the iterator is a blocking node, which already holds it — so scans
+// and breaker results are never copied — else by draining it into
+// executor-owned storage, charged to the driver; owned is how many tuples
+// that copy holds (0 for a reference).
+func (d *driver) input(it TupleIterator) (rel *relation.Relation, owned int, err error) {
+	if k, ok := it.(*kernelIter); ok {
+		rel, err = k.whole()
+		return rel, 0, err
 	}
-	t.materialized++
-}
-
-// enter pushes a frame for a materializing plan node before its children
-// run; exit pops it, releasing every child result accumulated in the
-// frame and crediting the node's own result to the parent (which releases
-// it in turn when the parent operator completes).
-func (t *peakTracker) enter() {
-	if t == nil {
-		return
+	rel, err = relation.NewRelation(it.Schema(), nil)
+	if err != nil {
+		return nil, 0, err
 	}
-	t.frames = append(t.frames, 0)
-}
-
-func (t *peakTracker) exit(own int) {
-	if t == nil {
-		return
+	for {
+		t, ok := it.Next()
+		if !ok {
+			break
+		}
+		if err := rel.Append(t); err != nil {
+			return nil, 0, err
+		}
+		d.acquire(1)
 	}
-	last := len(t.frames) - 1
-	t.release(t.frames[last])
-	t.frames = t.frames[:last]
-	if last > 0 {
-		t.frames[last-1] += own
+	if err := it.Err(); err != nil {
+		return nil, 0, err
 	}
+	it.Close() // its build tables and seen-sets die with the stream
+	return rel, rel.Cardinality(), nil
 }
 
 // tupleKey encodes a tuple as a map key. relation.Tuple's own key() is
@@ -111,7 +155,7 @@ func tupleKey(t relation.Tuple) string {
 // iterCore is the shared half of every iterator: schema, terminal state,
 // and the per-batch cancellation check.
 type iterCore struct {
-	ctx    context.Context
+	d      *driver
 	node   Node
 	schema *relation.Schema
 	err    error
@@ -131,8 +175,13 @@ func (c *iterCore) tick() error {
 	if c.ticks%iterBatch != 0 {
 		return nil
 	}
-	if err := c.ctx.Err(); err != nil {
-		return fmt.Errorf("query: stream cancelled at %s node: %w", opName(c.node), err)
+	return c.cancelled()
+}
+
+// cancelled reports the context's error, naming the node that saw it.
+func (c *iterCore) cancelled() error {
+	if err := c.d.ctx.Err(); err != nil {
+		return fmt.Errorf("query: plan cancelled at %s node: %w", OpName(c.node), err)
 	}
 	return nil
 }
@@ -154,36 +203,124 @@ func (c *iterCore) finish(children ...TupleIterator) (relation.Tuple, bool) {
 	return nil, false
 }
 
-// scanIter streams a base relation out of the catalog.
-type scanIter struct {
+// kernelFn is the work of one blocking node: its children's whole
+// relations in, the node's result and its cost on the driver's kernel out.
+type kernelFn func(in []*relation.Relation) (*relation.Relation, kernel.Cost, error)
+
+// kernelIter is the blocking operator. On first use it checks the context,
+// takes each child's whole relation (driver.input), runs fn once, records
+// the node's span and stats, and from then on streams the result out — or
+// hands it over whole to a blocking parent. A Scan is the degenerate case:
+// no children, and fn returns the catalog's relation.
+type kernelIter struct {
 	iterCore
-	rel *relation.Relation
-	pos int
+	kids []TupleIterator
+	fn   kernelFn
+	ran  bool
+	out  *relation.Relation
+	pos  int
 }
 
-func (s *scanIter) Next() (relation.Tuple, bool) {
-	if s.done {
+func (k *kernelIter) Next() (relation.Tuple, bool) {
+	if k.done {
 		return nil, false
 	}
-	if err := s.tick(); err != nil {
-		return s.fail(err)
+	if _, err := k.whole(); err != nil {
+		return k.fail(err)
 	}
-	if s.pos >= s.rel.Cardinality() {
-		s.done = true
+	if err := k.tick(); err != nil {
+		return k.fail(err)
+	}
+	if k.pos >= k.out.Cardinality() {
+		k.done = true
 		return nil, false
 	}
-	t := s.rel.Tuple(s.pos)
-	s.pos++
+	t := k.out.Tuple(k.pos)
+	k.pos++
 	return t, true
 }
 
-func (s *scanIter) Close() { s.done, s.closed = true, true }
+// whole runs the node if it has not run yet and returns its entire result.
+func (k *kernelIter) whole() (*relation.Relation, error) {
+	if !k.ran {
+		k.ran = true
+		k.err = k.run()
+	}
+	return k.out, k.err
+}
+
+func (k *kernelIter) run() error {
+	if err := k.cancelled(); err != nil {
+		return err
+	}
+	d := k.d
+	start := time.Now()
+	in := make([]*relation.Relation, len(k.kids))
+	drained := 0
+	for i, kid := range k.kids {
+		rel, owned, err := d.input(kid)
+		if err != nil {
+			return err
+		}
+		in[i], drained = rel, drained+owned
+	}
+	out, cost, err := k.fn(in)
+	if err != nil {
+		return err
+	}
+	k.out, k.schema = out, out.Schema()
+	// Charge this node's result, then let the inputs die: they were all
+	// alive while the operator ran. A scan's relation is the catalog's, not
+	// the executor's, so it is neither charged nor counted.
+	if _, isScan := k.node.(Scan); !isScan {
+		d.acquire(out.Cardinality())
+		d.breaker()
+	}
+	d.release(drained)
+	for _, kid := range k.kids {
+		kid.Close()
+	}
+	d.record(k.node, cost, start)
+	return nil
+}
+
+// filter is the blocking Select's kernelFn body: the host-side row filter
+// (§9's disk-head selection has no array run, so it costs no kernel units).
+func (k *kernelIter) filter(c *relation.Relation, q relation.Query) (*relation.Relation, kernel.Cost, error) {
+	keep := make([]bool, c.Cardinality())
+	for i := range keep {
+		// A deadline must interrupt a long filter mid-node, not just
+		// between nodes; check at batch granularity to stay cheap.
+		if i%iterBatch == 0 {
+			if err := k.cancelled(); err != nil {
+				return nil, kernel.Cost{}, err
+			}
+		}
+		keep[i] = q.Matches(c.Tuple(i))
+	}
+	sel, err := c.Select(keep, true)
+	return sel, kernel.Cost{}, err
+}
+
+func (k *kernelIter) Close() {
+	if !k.closed {
+		k.closed = true
+		if _, isScan := k.node.(Scan); !isScan && k.out != nil {
+			k.d.release(k.out.Cardinality())
+		}
+		k.out = nil // released means collectable, not just uncounted
+		for _, kid := range k.kids {
+			kid.Close()
+		}
+	}
+	k.done = true
+}
 
 // selectIter filters its child through a disk query, tuple at a time.
 type selectIter struct {
 	iterCore
 	child TupleIterator
-	query lptdisk.Query
+	query relation.Query
 }
 
 func (s *selectIter) Next() (relation.Tuple, bool) {
@@ -221,7 +358,6 @@ type dedupIter struct {
 	child TupleIterator
 	cols  []int
 	seen  map[string]struct{}
-	tr    *peakTracker
 }
 
 func (d *dedupIter) Next() (relation.Tuple, bool) {
@@ -244,7 +380,7 @@ func (d *dedupIter) Next() (relation.Tuple, bool) {
 			continue
 		}
 		d.seen[k] = struct{}{}
-		d.tr.acquire(1) // the seen set retains one tuple key
+		d.d.acquire(1) // the seen set retains one tuple key
 		return t, true
 	}
 }
@@ -252,7 +388,7 @@ func (d *dedupIter) Next() (relation.Tuple, bool) {
 func (d *dedupIter) Close() {
 	if !d.closed {
 		d.closed = true
-		d.tr.release(len(d.seen))
+		d.d.release(len(d.seen))
 		d.child.Close()
 	}
 	d.done = true
@@ -265,7 +401,6 @@ type unionIter struct {
 	l, r TupleIterator
 	onR  bool
 	seen map[string]struct{}
-	tr   *peakTracker
 }
 
 func (u *unionIter) Next() (relation.Tuple, bool) {
@@ -296,7 +431,7 @@ func (u *unionIter) Next() (relation.Tuple, bool) {
 			continue
 		}
 		u.seen[k] = struct{}{}
-		u.tr.acquire(1)
+		u.d.acquire(1)
 		return t, true
 	}
 }
@@ -304,7 +439,7 @@ func (u *unionIter) Next() (relation.Tuple, bool) {
 func (u *unionIter) Close() {
 	if !u.closed {
 		u.closed = true
-		u.tr.release(len(u.seen))
+		u.d.release(len(u.seen))
 		u.l.Close()
 		u.r.Close()
 	}
@@ -322,7 +457,6 @@ type membershipIter struct {
 	want         bool
 	built        bool
 	set          map[string]struct{}
-	tr           *peakTracker
 }
 
 func (m *membershipIter) Next() (relation.Tuple, bool) {
@@ -359,21 +493,21 @@ func (m *membershipIter) buildSet() error {
 		k := tupleKey(t)
 		if _, dup := m.set[k]; !dup {
 			m.set[k] = struct{}{}
-			m.tr.acquire(1)
+			m.d.acquire(1)
 		}
 	}
 	if err := m.build.Err(); err != nil {
 		return err
 	}
 	m.build.Close()
-	m.tr.breaker()
+	m.d.breaker()
 	return nil
 }
 
 func (m *membershipIter) Close() {
 	if !m.closed {
 		m.closed = true
-		m.tr.release(len(m.set))
+		m.d.release(len(m.set))
 		m.probe.Close()
 		m.build.Close()
 	}
@@ -400,7 +534,6 @@ type joinIter struct {
 	matches      []int // pending B indexes for cur (equi)
 	mi           int
 	scanJ        int // next B index to test for cur (θ)
-	tr           *peakTracker
 }
 
 func (j *joinIter) Next() (relation.Tuple, bool) {
@@ -477,7 +610,7 @@ func (j *joinIter) buildTable() error {
 			break
 		}
 		j.bTuples = append(j.bTuples, t)
-		j.tr.acquire(1)
+		j.d.acquire(1)
 	}
 	if err := j.build.Err(); err != nil {
 		return err
@@ -490,14 +623,14 @@ func (j *joinIter) buildTable() error {
 			j.byKey[k] = append(j.byKey[k], i)
 		}
 	}
-	j.tr.breaker()
+	j.d.breaker()
 	return nil
 }
 
 func (j *joinIter) Close() {
 	if !j.closed {
 		j.closed = true
-		j.tr.release(len(j.bTuples))
+		j.d.release(len(j.bTuples))
 		j.bTuples, j.byKey = nil, nil
 		j.probe.Close()
 		j.build.Close()
@@ -505,124 +638,37 @@ func (j *joinIter) Close() {
 	j.done = true
 }
 
-// divideIter is a full pipeline breaker: division's x-vector semantics
-// need the complete dividend and divisor, so both children are drained
-// and the word-parallel divide runs once; the quotient then streams out.
-type divideIter struct {
-	iterCore
-	l, r               TupleIterator
-	aQuot, aDiv, bCols []int
-	built              bool
-	out                *relation.Relation
-	pos                int
-	tr                 *peakTracker
-	cost               *nodeCost
+func (d *driver) core(n Node, s *relation.Schema) iterCore {
+	return iterCore{d: d, node: n, schema: s}
 }
 
-func (d *divideIter) Next() (relation.Tuple, bool) {
-	if d.done {
-		return nil, false
-	}
-	if !d.built {
-		if err := d.run(); err != nil {
-			return d.fail(err)
-		}
-	}
-	if err := d.tick(); err != nil {
-		return d.fail(err)
-	}
-	if d.pos >= d.out.Cardinality() {
-		d.done = true
-		return nil, false
-	}
-	t := d.out.Tuple(d.pos)
-	d.pos++
-	return t, true
+// blocking builds the kernelIter for a node.
+func (d *driver) blocking(n Node, s *relation.Schema, kids []TupleIterator, fn kernelFn) *kernelIter {
+	return &kernelIter{iterCore: d.core(n, s), kids: kids, fn: fn}
 }
 
-func (d *divideIter) run() error {
-	d.built = true
-	a, err := drainIter(d.l, d.tr)
-	if err != nil {
-		return err
-	}
-	b, err := drainIter(d.r, d.tr)
-	if err != nil {
-		return err
-	}
-	res, err := bitset.Divide(a, b, d.aQuot, d.aDiv, d.bCols)
-	if err != nil {
-		return err
-	}
-	d.cost.wordOps += res.Stats.WordOps
-	d.out = res.Rel
-	// The operands are dropped once the quotient exists.
-	d.tr.release(a.Cardinality() + b.Cardinality())
-	d.tr.acquire(d.out.Cardinality())
-	d.tr.breaker()
-	d.schema = d.out.Schema()
-	return nil
+// binaryFn adapts a two-operand kernel operator to a kernelFn.
+func binaryFn(f func(a, b *relation.Relation) (*relation.Relation, kernel.Cost, error)) kernelFn {
+	return func(in []*relation.Relation) (*relation.Relation, kernel.Cost, error) { return f(in[0], in[1]) }
 }
 
-func (d *divideIter) Close() {
-	if !d.closed {
-		d.closed = true
-		if d.out != nil {
-			d.tr.release(d.out.Cardinality())
-		}
-		d.l.Close()
-		d.r.Close()
-	}
-	d.done = true
-}
-
-// drainIter materializes the remainder of an iterator into a relation and
-// closes it, charging the tuples to the tracker.
-func drainIter(it TupleIterator, tr *peakTracker) (*relation.Relation, error) {
-	out, err := relation.NewRelation(it.Schema(), nil)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := out.Append(t); err != nil {
-			return nil, err
-		}
-		tr.acquire(1)
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	it.Close()
-	return out, nil
-}
-
-// streamBuild constructs an iterator tree for a plan.
-type streamBuild struct {
-	ctx  context.Context
-	cat  Catalog
-	tr   *peakTracker
-	cost *nodeCost
-}
-
-func (b *streamBuild) core(n Node, s *relation.Schema) iterCore {
-	return iterCore{ctx: b.ctx, node: n, schema: s}
-}
-
-func (b *streamBuild) open(n Node) (TupleIterator, error) {
+// open constructs the iterator tree for a plan, validating every node
+// against its children's schemas before any tuple flows. Each operator is
+// its pipelined iterator when the driver streams and the operator can
+// pipeline, and a kernelIter over the driver's kernel otherwise.
+func (d *driver) open(n Node) (TupleIterator, error) {
 	switch op := n.(type) {
 	case Scan:
-		r, ok := b.cat[op.Name]
+		r, ok := d.cat[op.Name]
 		if !ok {
 			return nil, fmt.Errorf("query: unknown relation %q", op.Name)
 		}
-		return &scanIter{iterCore: b.core(n, r.Schema()), rel: r}, nil
+		return d.blocking(n, r.Schema(), nil, func([]*relation.Relation) (*relation.Relation, kernel.Cost, error) {
+			return r, kernel.Cost{}, nil
+		}), nil
 
 	case Select:
-		child, err := b.open(op.Child)
+		child, err := d.open(op.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -630,18 +676,30 @@ func (b *streamBuild) open(n Node) (TupleIterator, error) {
 			child.Close()
 			return nil, err
 		}
-		return &selectIter{iterCore: b.core(n, child.Schema()), child: child, query: op.Query}, nil
+		if d.streaming {
+			return &selectIter{iterCore: d.core(n, child.Schema()), child: child, query: op.Query}, nil
+		}
+		k := d.blocking(n, child.Schema(), []TupleIterator{child}, nil)
+		k.fn = func(in []*relation.Relation) (*relation.Relation, kernel.Cost, error) {
+			return k.filter(in[0], op.Query)
+		}
+		return k, nil
 
 	case Dedup:
-		child, err := b.open(op.Child)
+		child, err := d.open(op.Child)
 		if err != nil {
 			return nil, err
 		}
-		return &dedupIter{iterCore: b.core(n, child.Schema()), child: child,
-			seen: make(map[string]struct{}), tr: b.tr}, nil
+		if d.streaming {
+			return &dedupIter{iterCore: d.core(n, child.Schema()), child: child,
+				seen: make(map[string]struct{})}, nil
+		}
+		return d.blocking(n, child.Schema(), []TupleIterator{child}, func(in []*relation.Relation) (*relation.Relation, kernel.Cost, error) {
+			return d.kern.Dedup(in[0])
+		}), nil
 
 	case Project:
-		child, err := b.open(op.Child)
+		child, err := d.open(op.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -650,35 +708,47 @@ func (b *streamBuild) open(n Node) (TupleIterator, error) {
 			child.Close()
 			return nil, err
 		}
-		return &dedupIter{iterCore: b.core(n, s), child: child, cols: op.Cols,
-			seen: make(map[string]struct{}), tr: b.tr}, nil
+		if d.streaming {
+			return &dedupIter{iterCore: d.core(n, s), child: child, cols: op.Cols,
+				seen: make(map[string]struct{})}, nil
+		}
+		return d.blocking(n, s, []TupleIterator{child}, func(in []*relation.Relation) (*relation.Relation, kernel.Cost, error) {
+			return d.kern.Project(in[0], op.Cols)
+		}), nil
 
 	case Union:
-		l, r, err := b.openPair(op.L, op.R, true)
+		l, r, err := d.openPair(op.L, op.R, true)
 		if err != nil {
 			return nil, err
 		}
-		return &unionIter{iterCore: b.core(n, l.Schema()), l: l, r: r,
-			seen: make(map[string]struct{}), tr: b.tr}, nil
+		if d.streaming {
+			return &unionIter{iterCore: d.core(n, l.Schema()), l: l, r: r,
+				seen: make(map[string]struct{})}, nil
+		}
+		return d.blocking(n, l.Schema(), []TupleIterator{l, r}, binaryFn(d.kern.Union)), nil
 
 	case Intersect:
-		l, r, err := b.openPair(op.L, op.R, true)
+		l, r, err := d.openPair(op.L, op.R, true)
 		if err != nil {
 			return nil, err
 		}
-		return &membershipIter{iterCore: b.core(n, l.Schema()), probe: l, build: r,
-			want: true, tr: b.tr}, nil
+		if d.streaming {
+			return &membershipIter{iterCore: d.core(n, l.Schema()), probe: l, build: r, want: true}, nil
+		}
+		return d.blocking(n, l.Schema(), []TupleIterator{l, r}, binaryFn(d.kern.Intersect)), nil
 
 	case Difference:
-		l, r, err := b.openPair(op.L, op.R, true)
+		l, r, err := d.openPair(op.L, op.R, true)
 		if err != nil {
 			return nil, err
 		}
-		return &membershipIter{iterCore: b.core(n, l.Schema()), probe: l, build: r,
-			want: false, tr: b.tr}, nil
+		if d.streaming {
+			return &membershipIter{iterCore: d.core(n, l.Schema()), probe: l, build: r, want: false}, nil
+		}
+		return d.blocking(n, l.Schema(), []TupleIterator{l, r}, binaryFn(d.kern.Difference)), nil
 
 	case Join:
-		l, r, err := b.openPair(op.L, op.R, false)
+		l, r, err := d.openPair(op.L, op.R, false)
 		if err != nil {
 			return nil, err
 		}
@@ -688,11 +758,18 @@ func (b *streamBuild) open(n Node) (TupleIterator, error) {
 			r.Close()
 			return nil, err
 		}
-		return &joinIter{iterCore: b.core(n, schema), probe: l, build: r,
-			spec: spec, equi: equi, bKeep: bKeep, tr: b.tr}, nil
+		if d.streaming {
+			return &joinIter{iterCore: d.core(n, schema), probe: l, build: r,
+				spec: spec, equi: equi, bKeep: bKeep}, nil
+		}
+		return d.blocking(n, schema, []TupleIterator{l, r}, func(in []*relation.Relation) (*relation.Relation, kernel.Cost, error) {
+			return d.kern.Join(in[0], in[1], op.Spec)
+		}), nil
 
 	case Divide:
-		l, r, err := b.openPair(op.L, op.R, false)
+		// A full pipeline breaker in either mode: division's x-vector
+		// semantics need the complete dividend and divisor.
+		l, r, err := d.openPair(op.L, op.R, false)
 		if err != nil {
 			return nil, err
 		}
@@ -704,20 +781,21 @@ func (b *streamBuild) open(n Node) (TupleIterator, error) {
 			r.Close()
 			return nil, err
 		}
-		return &divideIter{iterCore: b.core(n, s), l: l, r: r,
-			aQuot: op.AQuot, aDiv: op.ADiv, bCols: op.BCols, tr: b.tr, cost: b.cost}, nil
+		return d.blocking(n, s, []TupleIterator{l, r}, func(in []*relation.Relation) (*relation.Relation, kernel.Cost, error) {
+			return d.kern.Divide(in[0], in[1], op.AQuot, op.ADiv, op.BCols)
+		}), nil
 	}
 	return nil, fmt.Errorf("query: unsupported plan node %T", n)
 }
 
 // openPair opens both children, optionally enforcing union compatibility
 // (§2.4), and closes whatever was opened on failure.
-func (b *streamBuild) openPair(ln, rn Node, compatible bool) (TupleIterator, TupleIterator, error) {
-	l, err := b.open(ln)
+func (d *driver) openPair(ln, rn Node, compatible bool) (TupleIterator, TupleIterator, error) {
+	l, err := d.open(ln)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := b.open(rn)
+	r, err := d.open(rn)
 	if err != nil {
 		l.Close()
 		return nil, nil, err
@@ -800,58 +878,16 @@ func joinSchema(ls, rs *relation.Schema, spec join.Spec) (join.Spec, bool, *rela
 	return spec, equi, schema, bKeep, nil
 }
 
-// Open builds the streaming iterator tree for a plan without running it.
-// The context is observed by every iterator at batch granularity. Callers
-// must Close the iterator and check Err after the final Next.
+// Open builds the streaming iterator tree for a plan without running it
+// (an iterator is being asked for, so Options.Streaming is implied). The
+// rest of o applies as in ExecuteCtx: blocking nodes run on o.Backend's
+// kernel and record their spans into o.Metrics, and o.Stats is filled in
+// as tuples are pulled. The context is observed by every iterator at batch
+// granularity. Callers must Close the iterator and check Err after the
+// final Next.
 func Open(ctx context.Context, n Node, cat Catalog, o *Options) (TupleIterator, error) {
 	if n == nil {
 		return nil, fmt.Errorf("query: nil plan node")
 	}
-	_ = o // reserved: Open currently needs no per-caller options
-	b := &streamBuild{ctx: ctx, cat: cat, tr: &peakTracker{}, cost: &nodeCost{}}
-	return b.open(n)
-}
-
-// execStream runs a plan through the streaming executor, draining the
-// iterator tree into a result relation. Stats (PeakTuples,
-// MaterializedNodes, WordOps for the divide breaker) land in o.Stats.
-func execStream(ctx context.Context, n Node, cat Catalog, o *Options) (*relation.Relation, error) {
-	reg := o.registry()
-	stop := reg.Timer("query_stream_host_seconds", nil).Start()
-	defer stop()
-	tr := &peakTracker{}
-	var cost nodeCost
-	b := &streamBuild{ctx: ctx, cat: cat, tr: tr, cost: &cost}
-	it, err := b.open(n)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	out, err := relation.NewRelation(it.Schema(), nil)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		tr.acquire(1) // the accumulating result is executor-owned too
-		if err := out.Append(t); err != nil {
-			return nil, err
-		}
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	reg.Counter("query_stream_execs_total", nil).Inc()
-	if o != nil && o.Stats != nil {
-		o.Stats.Pulses += cost.pulses
-		o.Stats.WordOps += cost.wordOps
-		if tr.peak > o.Stats.PeakTuples {
-			o.Stats.PeakTuples = tr.peak
-		}
-		o.Stats.MaterializedNodes += tr.materialized
-	}
-	return out, nil
+	return newDriver(ctx, cat, o, true).open(n)
 }

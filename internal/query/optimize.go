@@ -5,7 +5,7 @@ import (
 
 	"systolicdb/internal/cells"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
+	"systolicdb/internal/relation"
 )
 
 // Optimize rewrites a plan into an equivalent one that exploits the §9
@@ -219,7 +219,7 @@ func rewrite(n Node, cat Catalog) (Node, bool, error) {
 		}
 		switch inner := child.(type) {
 		case Select: // rule 1
-			merged := append(append(lptdisk.Query{}, inner.Query...), op.Query...)
+			merged := append(append(relation.Query{}, inner.Query...), op.Query...)
 			return Select{Child: inner.Child, Query: merged}, true, nil
 		case Intersect: // rule 2
 			return Intersect{
@@ -237,14 +237,14 @@ func rewrite(n Node, cat Catalog) (Node, bool, error) {
 				R: Select{Child: inner.R, Query: op.Query},
 			}, true, nil
 		case Project: // rule 3
-			mapped := make(lptdisk.Query, len(op.Query))
+			mapped := make(relation.Query, len(op.Query))
 			valid := true
 			for i, p := range op.Query {
 				if p.Col < 0 || p.Col >= len(inner.Cols) {
 					valid = false
 					break
 				}
-				mapped[i] = lptdisk.Predicate{Col: inner.Cols[p.Col], Op: p.Op, Value: p.Value}
+				mapped[i] = relation.Predicate{Col: inner.Cols[p.Col], Op: p.Op, Value: p.Value}
 			}
 			if valid {
 				return Project{
@@ -264,7 +264,7 @@ func rewrite(n Node, cat Catalog) (Node, bool, error) {
 				return nil, false, err
 			}
 			bKeep := joinBKeep(inner.Spec, rw)
-			var lq, rq lptdisk.Query
+			var lq, rq relation.Query
 			valid := len(op.Query) > 0
 			for _, p := range op.Query {
 				switch {
@@ -273,7 +273,7 @@ func rewrite(n Node, cat Catalog) (Node, bool, error) {
 				case p.Col >= lw && p.Col < lw+len(bKeep):
 					// Output column lw+i is R's input column bKeep[i],
 					// value-identical in every emitted row.
-					rq = append(rq, lptdisk.Predicate{Col: bKeep[p.Col-lw], Op: p.Op, Value: p.Value})
+					rq = append(rq, relation.Predicate{Col: bKeep[p.Col-lw], Op: p.Op, Value: p.Value})
 				default:
 					valid = false // out-of-range predicate: keep the Select so it still errors at execution
 				}

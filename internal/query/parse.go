@@ -8,7 +8,6 @@ import (
 
 	"systolicdb/internal/cells"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
 	"systolicdb/internal/relation"
 )
 
@@ -234,7 +233,7 @@ func (p *parser) expr() (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		var q lptdisk.Query
+		var q relation.Query
 		for p.peek() == ',' {
 			p.pos++
 			col, err := p.number()
@@ -249,7 +248,7 @@ func (p *parser) expr() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			q = append(q, lptdisk.Predicate{Col: int(col), Op: op, Value: relation.Element(val)})
+			q = append(q, relation.Predicate{Col: int(col), Op: op, Value: relation.Element(val)})
 		}
 		if len(q) == 0 {
 			return nil, p.errf("select needs at least one predicate")

@@ -13,18 +13,12 @@ package query
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"systolicdb/internal/bitset"
-	"systolicdb/internal/dedup"
-	"systolicdb/internal/division"
 	"systolicdb/internal/fault"
-	"systolicdb/internal/intersect"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
+	"systolicdb/internal/kernel"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/obs"
-	"systolicdb/internal/perf"
 	"systolicdb/internal/relation"
 )
 
@@ -75,7 +69,7 @@ type Divide struct {
 // executor accepts any child.
 type Select struct {
 	Child Node
-	Query lptdisk.Query
+	Query relation.Query
 }
 
 func (s Scan) label() string          { return fmt.Sprintf("scan(%s)", s.Name) }
@@ -143,23 +137,21 @@ type Options struct {
 	// caller can aggregate several plans into one ExecStats).
 	Stats *ExecStats
 
-	// Backend selects the execution engine for the host executor: the
-	// pulse simulator (the zero value) or the word-parallel bitset
-	// backend. Per-node spans carry the backend as a metric label, so
+	// Backend selects the kernel the host executor's blocking operators
+	// run on: the pulse simulator (the zero value) or the word-parallel
+	// bitset engine. Per-node spans carry the backend as a metric label, so
 	// /metrics distinguishes the two.
 	Backend machine.Backend
 
-	// Streaming routes ExecuteCtx through the pull-based iterator
-	// executor (see iterator.go) instead of the materializing one.
-	// Results are tuple-identical; only the memory profile and the
-	// per-node metrics differ (streaming records one plan-level span,
-	// not per-node spans). Ignored by Compile and the machine path.
+	// Streaming lets every operator that can pipeline do so (see
+	// iterator.go): select, project, dedup, union and the probe sides of
+	// intersect, difference and join move one tuple at a time through host
+	// hash tables, whatever the Backend; only Divide still blocks, on the
+	// Backend's kernel. Results are tuple-identical to the materializing
+	// run; the memory profile differs, and pipelined nodes record no
+	// per-node span (they read no clock). Ignored by Compile and the
+	// machine path.
 	Streaming bool
-
-	// peak carries the tuple high-water tracker through the materializing
-	// executor's recursion; set internally by ExecuteCtx when Stats is
-	// requested.
-	peak *peakTracker
 }
 
 // registry resolves the effective metrics registry; usable on a nil
@@ -180,355 +172,55 @@ func (o *Options) backend() machine.Backend {
 	return machine.BackendPulse
 }
 
-// opName returns the stable operator name used as the node label on span
-// metrics (label() is unsuitable: it embeds scan names and column lists,
-// which would make the metric cardinality depend on the query text).
-func opName(n Node) string {
+// kernel resolves the whole-relation kernel of the effective backend;
+// usable on a nil receiver.
+func (o *Options) kernel() kernel.Kernel {
+	if o.backend() == machine.BackendBitset {
+		return kernel.Bitset{}
+	}
+	return kernel.Pulse{}
+}
+
+// OpName returns the stable operator name used as the node label on
+// metrics (label() is unsuitable for the two nodes that embed a scan name
+// or a column list in it, which would make the metric cardinality depend
+// on the query text).
+func OpName(n Node) string {
 	switch n.(type) {
 	case Scan:
 		return "scan"
-	case Select:
-		return "select"
-	case Intersect:
-		return "intersect"
-	case Difference:
-		return "difference"
-	case Union:
-		return "union"
-	case Dedup:
-		return "dedup"
 	case Project:
 		return "project"
-	case Join:
-		return "join"
-	case Divide:
-		return "divide"
 	}
-	return fmt.Sprintf("%T", n)
-}
-
-// recordSpan emits one per-plan-node span into the registry: host
-// wall-clock time (inclusive of children, as spans are) and the node's own
-// cost on the backend that ran it — simulated pulses plus their cost under
-// the conservative 1980 technology for the pulse simulator, word
-// operations for the bitset backend. Every series carries the backend as a
-// label so /metrics distinguishes the two engines.
-func recordSpan(reg *obs.Registry, n Node, backend machine.Backend, c nodeCost, start time.Time) {
-	l := obs.Labels{"node": opName(n), "backend": backend.String()}
-	reg.Timer("query_node_host_seconds", l).Observe(time.Since(start))
-	if backend == machine.BackendBitset {
-		reg.Counter("query_node_word_ops_total", l).Add(int64(c.wordOps))
-		return
-	}
-	reg.Counter("query_node_pulses_total", l).Add(int64(c.pulses))
-	reg.Timer("query_node_sim_seconds", l).Observe(perf.Conservative1980.PulseTime(c.pulses))
+	return n.label()
 }
 
 // Execute evaluates a plan on the host, running every operator on its
 // systolic array (one operation at a time, no machine-level scheduling).
-// Each plan node is recorded as a span in obs.Default (see recordSpan).
+// Each plan node is recorded as a span in obs.Default (see driver.record).
 func Execute(n Node, cat Catalog) (*relation.Relation, error) {
 	return ExecuteCtx(context.Background(), n, cat, nil)
 }
 
-// ExecuteCtx is Execute with cancellation and per-caller options. The
-// context is checked before every plan node, so a cancelled or timed-out
-// request stops between operators rather than running the whole plan; the
-// partial work already done is still reflected in the metrics registry.
+// ExecuteCtx is Execute with cancellation and per-caller options. Both
+// modes run the same iterator tree (iterator.go); without Options.Streaming
+// every node is a blocking one, which checks the context on entry (and the
+// select filter per batch), so a cancelled or timed-out request stops
+// between operators rather than running the whole plan. The partial work
+// already done is still reflected in the metrics registry and in
+// Options.Stats.
 func ExecuteCtx(ctx context.Context, n Node, cat Catalog, o *Options) (*relation.Relation, error) {
 	if n == nil {
 		return nil, fmt.Errorf("query: nil plan node")
 	}
-	if o != nil && o.Streaming {
-		return execStream(ctx, n, cat, o)
-	}
-	if o != nil && o.Stats != nil && o.peak == nil {
-		// Run with a private tracker and fold the high-water mark in at
-		// the end; the shallow copy keeps the caller's Options untouched.
-		oc := *o
-		oc.peak = &peakTracker{}
-		rel, err := exec(ctx, n, cat, &oc)
-		if err != nil {
-			return nil, err
-		}
-		if oc.peak.peak > o.Stats.PeakTuples {
-			o.Stats.PeakTuples = oc.peak.peak
-		}
-		o.Stats.MaterializedNodes += oc.peak.materialized
-		return rel, nil
-	}
-	return exec(ctx, n, cat, o)
-}
-
-// tracker resolves the peak-tuple tracker; usable on a nil receiver (a
-// nil *peakTracker is inert).
-func (o *Options) tracker() *peakTracker {
-	if o != nil {
-		return o.peak
-	}
-	return nil
-}
-
-// nodeCost is the per-node cost on whichever backend ran it: simulated
-// pulses for the pulse simulator, word operations for the bitset backend.
-type nodeCost struct {
-	pulses  int
-	wordOps int
-}
-
-// exec evaluates one node (recursively), recording its span and
-// accumulating plan-wide stats.
-func exec(ctx context.Context, n Node, cat Catalog, o *Options) (*relation.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("query: plan cancelled at %s node: %w", opName(n), err)
-	}
-	tr := o.tracker()
-	tr.enter()
-	start := time.Now()
-	rel, c, err := eval(ctx, n, cat, o)
+	d := newDriver(ctx, cat, o, o != nil && o.Streaming)
+	it, err := d.open(n)
 	if err != nil {
 		return nil, err
 	}
-	// Charge this node's materialized result; child results (accumulated
-	// in the frame) die here, now that the operator has consumed them.
-	own := 0
-	if _, isScan := n.(Scan); !isScan {
-		if rel != nil {
-			own = rel.Cardinality()
-		}
-		tr.breaker()
-	}
-	tr.acquire(own)
-	tr.exit(own)
-	if o != nil && o.Stats != nil {
-		o.Stats.Pulses += c.pulses
-		o.Stats.WordOps += c.wordOps
-	}
-	recordSpan(o.registry(), n, o.backend(), c, start)
-	return rel, nil
-}
-
-// eval computes one node on the selected backend, returning the result and
-// the cost of the node's own run (children report their own).
-func eval(ctx context.Context, n Node, cat Catalog, o *Options) (*relation.Relation, nodeCost, error) {
-	if o.backend() == machine.BackendBitset {
-		return evalBitset(ctx, n, cat, o)
-	}
-	return evalPulse(ctx, n, cat, o)
-}
-
-// evalPulse computes one node on the pulse-simulated systolic arrays.
-func evalPulse(ctx context.Context, n Node, cat Catalog, o *Options) (*relation.Relation, nodeCost, error) {
-	none := nodeCost{}
-	switch op := n.(type) {
-	case Scan:
-		r, ok := cat[op.Name]
-		if !ok {
-			return nil, none, fmt.Errorf("query: unknown relation %q", op.Name)
-		}
-		return r, none, nil
-	case Intersect:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := intersect.Intersection(l, r)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{pulses: res.Stats.Pulses}, nil
-	case Difference:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := intersect.Difference(l, r)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{pulses: res.Stats.Pulses}, nil
-	case Union:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := dedup.Union(l, r)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{pulses: res.Stats.Pulses}, nil
-	case Dedup:
-		c, err := exec(ctx, op.Child, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := dedup.RemoveDuplicates(c)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{pulses: res.Stats.Pulses}, nil
-	case Project:
-		c, err := exec(ctx, op.Child, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := dedup.Project(c, op.Cols)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{pulses: res.Stats.Pulses}, nil
-	case Join:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := join.Join(l, r, op.Spec)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{pulses: res.Stats.Pulses}, nil
-	case Divide:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := division.Divide(l, r, op.AQuot, op.ADiv, op.BCols)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{pulses: res.Stats.Pulses}, nil
-	case Select:
-		return evalSelect(ctx, op, cat, o)
-	}
-	return nil, none, fmt.Errorf("query: unsupported plan node %T", n)
-}
-
-// evalBitset computes one node on the word-parallel bitset backend. Every
-// operator maps one-to-one onto internal/bitset; Scan and Select are
-// host-side either way and shared with the pulse path.
-func evalBitset(ctx context.Context, n Node, cat Catalog, o *Options) (*relation.Relation, nodeCost, error) {
-	none := nodeCost{}
-	switch op := n.(type) {
-	case Scan:
-		r, ok := cat[op.Name]
-		if !ok {
-			return nil, none, fmt.Errorf("query: unknown relation %q", op.Name)
-		}
-		return r, none, nil
-	case Intersect:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := bitset.Intersection(l, r)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{wordOps: res.Stats.WordOps}, nil
-	case Difference:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := bitset.Difference(l, r)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{wordOps: res.Stats.WordOps}, nil
-	case Union:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := bitset.Union(l, r)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{wordOps: res.Stats.WordOps}, nil
-	case Dedup:
-		c, err := exec(ctx, op.Child, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := bitset.RemoveDuplicates(c)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{wordOps: res.Stats.WordOps}, nil
-	case Project:
-		c, err := exec(ctx, op.Child, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := bitset.Project(c, op.Cols)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{wordOps: res.Stats.WordOps}, nil
-	case Join:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := bitset.Join(l, r, op.Spec)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{wordOps: res.Stats.WordOps}, nil
-	case Divide:
-		l, r, err := execPair(ctx, op.L, op.R, cat, o)
-		if err != nil {
-			return nil, none, err
-		}
-		res, err := bitset.Divide(l, r, op.AQuot, op.ADiv, op.BCols)
-		if err != nil {
-			return nil, none, err
-		}
-		return res.Rel, nodeCost{wordOps: res.Stats.WordOps}, nil
-	case Select:
-		return evalSelect(ctx, op, cat, o)
-	}
-	return nil, none, fmt.Errorf("query: unsupported plan node %T", n)
-}
-
-// evalSelect is the host-side row filter shared by both backends (§9's
-// disk-head selection has no array run).
-func evalSelect(ctx context.Context, op Select, cat Catalog, o *Options) (*relation.Relation, nodeCost, error) {
-	c, err := exec(ctx, op.Child, cat, o)
-	if err != nil {
-		return nil, nodeCost{}, err
-	}
-	if err := op.Query.Validate(c.Schema()); err != nil {
-		return nil, nodeCost{}, err
-	}
-	keep := make([]bool, c.Cardinality())
-	for i := range keep {
-		// A deadline must interrupt a long filter mid-node, not just
-		// between nodes; check at batch granularity to stay cheap.
-		if i%iterBatch == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nodeCost{}, fmt.Errorf("query: plan cancelled at select node: %w", err)
-			}
-		}
-		keep[i] = op.Query.Matches(c.Tuple(i))
-	}
-	sel, err := c.Select(keep, true)
-	if err != nil {
-		return nil, nodeCost{}, err
-	}
-	return sel, nodeCost{}, nil
-}
-
-func execPair(ctx context.Context, l, r Node, cat Catalog, o *Options) (*relation.Relation, *relation.Relation, error) {
-	lr, err := exec(ctx, l, cat, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	rr, err := exec(ctx, r, cat, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lr, rr, nil
+	defer it.Close()
+	rel, _, err := d.input(it)
+	return rel, err
 }
 
 // ExecuteOnMachine compiles the plan into a transaction and runs it on the

@@ -247,7 +247,7 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestMaterializingSelectCancelMidNode pins the per-batch check inside
-// evalSelect's filter loop: the plan-node entry checks (select, then its
+// the blocking select's filter loop: the plan-node entry checks (select, then its
 // scan child) pass, the first in-loop check passes, and the second in-loop
 // check — 256 rows into the filter — observes the cancellation.
 func TestMaterializingSelectCancelMidNode(t *testing.T) {

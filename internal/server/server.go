@@ -1057,13 +1057,14 @@ type queryRequest struct {
 	// silent fallback to the default.
 	Backend string `json:"backend"`
 
-	// Streaming runs the plan through the pull-based iterator executor:
+	// Streaming lets the host executor pipeline every operator that can:
 	// tuple-identical results, bounded intermediate memory (see the
-	// peak_tuples response field). Incompatible with "machine".
+	// peak_tuples response field). Composes with either backend; a 400
+	// with "machine" or on a coordinator (see resolveOptions).
 	Streaming bool `json:"streaming"`
 
 	// backend is the resolved Backend (request override or server
-	// default), set by handleQuery before the query runs.
+	// default), set by resolveOptions before the query runs.
 	backend machine.Backend
 }
 
@@ -1139,14 +1140,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty plan")
 		return
 	}
-	req.backend = s.cfg.Backend
-	if req.Backend != "" {
-		b, err := machine.ParseBackend(req.Backend)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		req.backend = b
+	if err := s.resolveOptions(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -1240,6 +1236,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// resolveOptions is the one place a request's execution options are
+// checked, before a worker slot is taken, so an unrunnable combination
+// costs a 400 and no capacity. It resolves the backend (request override
+// or server default; an unknown name is an error, never a silent fallback)
+// and refuses the one combination that does not compose: "streaming"
+// selects the single-node host iterator executor, which neither the §9
+// machine nor a coordinator's scatter/gather engine runs. Every other
+// streaming × backend × machine setting is runnable.
+func (s *Server) resolveOptions(req *queryRequest) error {
+	req.backend = s.cfg.Backend
+	if req.Backend != "" {
+		b, err := machine.ParseBackend(req.Backend)
+		if err != nil {
+			return err
+		}
+		req.backend = b
+	}
+	if req.Streaming && (req.Machine || s.cfg.Cluster != nil) {
+		return fmt.Errorf(`"streaming" runs on the single-node host executor: it cannot be combined with "machine" or sent to a coordinator`)
+	}
+	return nil
+}
+
 // reject answers an overload condition and counts it. Recoverable
 // rejections carry a Retry-After derived from the actual drain deadline or
 // queue state — not a constant — so well-behaved clients back off for
@@ -1330,7 +1349,14 @@ func (s *Server) preparePlan(req *queryRequest, resp *queryResponse, cat query.C
 	}
 	canonical := query.Render(parsed)
 	resp.Plan = canonical
-	if cp, ok := s.planCache.LookupCanonical(req.Plan, canonical, req.backend, optimize, version); ok {
+	// The cache is keyed on the lossless Format text: Render omits
+	// predicates, join columns and divide groups, so two selects differing
+	// only in a constant would otherwise share one prepared plan.
+	key, err := query.Format(parsed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cp, ok := s.planCache.LookupCanonical(req.Plan, key, req.backend, optimize, version); ok {
 		resp.Optimized, resp.CacheHit = cp.Rendered, true
 		return cp.Plan, cp, nil
 	}
@@ -1343,7 +1369,7 @@ func (s *Server) preparePlan(req *queryRequest, resp *queryResponse, cat query.C
 	resp.Optimized = query.Render(plan)
 	var cached *query.CachedPlan
 	if s.planCache != nil && cacheablePlan(parsed) {
-		cached = s.planCache.Insert(req.Plan, canonical, req.backend, optimize, version, plan)
+		cached = s.planCache.InsertKeyed(req.Plan, key, canonical, req.backend, optimize, version, plan)
 	}
 	return plan, cached, nil
 }
@@ -1363,9 +1389,6 @@ func cacheablePlan(n query.Node) bool {
 // runQuery prepares (via the plan cache) and executes one plan against a
 // catalog snapshot, on the host arrays or the §9 machine.
 func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryResponse, error) {
-	if req.Streaming && req.Machine {
-		return nil, fmt.Errorf("streaming and machine execution are mutually exclusive")
-	}
 	resp := &queryResponse{}
 	if s.cfg.Cluster != nil {
 		// Coordinator mode: the optimizer needs catalog cardinalities the
@@ -1374,9 +1397,6 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryRespons
 		// the distributed planning. The cache still skips Parse, stamped
 		// with the coordinator's version counter (shard daemons invalidate
 		// their own sub-plan caches through their catalog counters).
-		if req.Streaming {
-			return nil, fmt.Errorf("streaming execution is not available in coordinator mode")
-		}
 		plan, _, err := s.preparePlan(req, resp, nil, s.cfg.Cluster.Version(), false)
 		if err != nil {
 			return nil, err
