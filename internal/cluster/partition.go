@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"systolicdb/internal/chaos"
 	"systolicdb/internal/relation"
 )
 
@@ -62,7 +63,7 @@ func NewRingVnodes(n, v int) (*Ring, error) {
 			// splitmix64 finalizer over (shard, vnode): structured inputs
 			// like these cluster badly under byte-stream hashes, and a
 			// clustered ring means a hot shard.
-			r.points = append(r.points, ringPoint{hash: mix64(uint64(s)<<32 | uint64(k)), shard: s})
+			r.points = append(r.points, ringPoint{hash: chaos.Mix64(uint64(s)<<32 | uint64(k)), shard: s})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -72,14 +73,6 @@ func NewRingVnodes(n, v int) (*Ring, error) {
 		return r.points[i].shard < r.points[j].shard // deterministic on (unlikely) hash ties
 	})
 	return r, nil
-}
-
-// mix64 is the splitmix64 finalizer: a bijective avalanche over uint64.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Shards returns the number of shards on the ring.

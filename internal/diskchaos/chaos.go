@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"time"
 
+	"systolicdb/internal/chaos"
 	"systolicdb/internal/obs"
 )
 
@@ -41,12 +42,6 @@ const (
 	saltBitPos   = 0xd15c_0007
 )
 
-// kindIndex maps injection kinds onto count slots.
-var kindIndex = map[string]int{
-	KindENOSPC: 0, KindEIOWrite: 1, KindShortWrite: 2,
-	KindFsyncLie: 3, KindBitrotRead: 4, KindSlow: 5,
-}
-
 // Chaos is an FS that applies a Spec's faults to every operation passing
 // through it. All decisions are pure functions of (spec.Seed, operation
 // ordinal), so a campaign replays identically given the same operation
@@ -56,14 +51,12 @@ type Chaos struct {
 	base FS
 
 	n      atomic.Uint64 // operation ordinal
-	counts [6]atomic.Int64
+	ledger *chaos.Ledger
 
 	at map[uint64]string // pinned injections by ordinal
 
 	// Injectable stall for tests; production sleeps for real.
 	sleep func(time.Duration)
-
-	metrics [6]*obs.Counter
 }
 
 // New wraps base (nil selects OS) with the spec's faults, recording
@@ -73,22 +66,15 @@ func New(spec *Spec, base FS, reg *obs.Registry) *Chaos {
 	if base == nil {
 		base = OS
 	}
-	if reg == nil {
-		reg = obs.Default
-	}
 	c := &Chaos{
-		spec:  spec,
-		base:  base,
-		sleep: time.Sleep,
+		spec:   spec,
+		base:   base,
+		ledger: chaos.NewLedger(reg, "diskchaos", Kinds()),
+		at:     make(map[uint64]string, len(spec.At)),
+		sleep:  time.Sleep,
 	}
-	if len(spec.At) > 0 {
-		c.at = make(map[uint64]string, len(spec.At))
-		for _, a := range spec.At {
-			c.at[a.Ordinal] = a.Kind
-		}
-	}
-	for kind, i := range kindIndex {
-		c.metrics[i] = reg.Counter("diskchaos_injections_total", obs.Labels{"kind": kind})
+	for _, a := range spec.At {
+		c.at[a.Ordinal] = a.Kind
 	}
 	return c
 }
@@ -98,64 +84,35 @@ func New(spec *Spec, base FS, reg *obs.Registry) *Chaos {
 func (c *Chaos) Ops() uint64 { return c.n.Load() }
 
 // Counts returns per-kind injection totals since the filesystem was built.
-func (c *Chaos) Counts() map[string]int64 {
-	out := make(map[string]int64, len(kindIndex))
-	for kind, i := range kindIndex {
-		out[kind] = c.counts[i].Load()
-	}
-	return out
-}
+func (c *Chaos) Counts() map[string]int64 { return c.ledger.Counts() }
 
 // Total returns the total number of injections across all kinds except
 // slow (a stall changes timing, not outcomes).
-func (c *Chaos) Total() int64 {
-	var sum int64
-	for kind, i := range kindIndex {
-		if kind == KindSlow {
-			continue
-		}
-		sum += c.counts[i].Load()
-	}
-	return sum
-}
-
-func (c *Chaos) record(kind string) {
-	i := kindIndex[kind]
-	c.counts[i].Add(1)
-	c.metrics[i].Inc()
-}
+func (c *Chaos) Total() int64 { return c.ledger.Total() - c.ledger.Counts()[KindSlow] }
 
 // next claims the next operation ordinal and applies the universal
 // faults (slow).
 func (c *Chaos) next() uint64 {
 	i := c.n.Add(1) - 1
 	if c.spec.Slow > 0 {
-		c.record(KindSlow)
+		c.ledger.Record(KindSlow)
 		c.sleep(c.spec.Slow)
 	}
 	return i
 }
 
-// fire reports whether kind fires at ordinal i: an at= pin for this
-// exact ordinal wins outright; otherwise the seeded coin decides.
+// fire reports whether kind fires at ordinal i, and records it if so: an
+// at= pin for this exact ordinal wins outright; otherwise the seeded coin
+// decides.
 func (c *Chaos) fire(i uint64, kind string, salt uint64, p float64) bool {
-	if c.at != nil {
-		if k, ok := c.at[i]; ok {
-			return k == kind
-		}
+	fired := chaos.Fires(c.spec.Seed, i, salt, p)
+	if k, ok := c.at[i]; ok {
+		fired = k == kind
 	}
-	if p <= 0 {
-		return false
+	if fired {
+		c.ledger.Record(kind)
 	}
-	return splitmix64(uint64(c.spec.Seed)^splitmix64(i*0x9e3779b97f4a7c15+salt)) < rateThreshold(p)
-}
-
-// draw returns a deterministic value in [0, n) for operation ordinal i.
-func (c *Chaos) draw(i uint64, salt uint64, n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return splitmix64(uint64(c.spec.Seed)^splitmix64(i*0xbf58476d1ce4e5b9+salt)) % n
+	return fired
 }
 
 // OpenFile passes through, with creations subject to ENOSPC (a full disk
@@ -163,7 +120,6 @@ func (c *Chaos) draw(i uint64, salt uint64, n uint64) uint64 {
 func (c *Chaos) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	i := c.next()
 	if flag&os.O_CREATE != 0 && c.fire(i, KindENOSPC, saltENOSPC, c.spec.ENOSPC) {
-		c.record(KindENOSPC)
 		return nil, &Error{Kind: KindENOSPC, Op: "open", Path: name, Err: syscall.ENOSPC}
 	}
 	f, err := c.base.OpenFile(name, flag, perm)
@@ -183,9 +139,8 @@ func (c *Chaos) ReadFile(name string) ([]byte, error) {
 		return data, err
 	}
 	if len(data) > 0 && c.fire(i, KindBitrotRead, saltBitrot, c.spec.BitrotRead) {
-		c.record(KindBitrotRead)
 		rotted := append([]byte(nil), data...)
-		pos := c.draw(i, saltBitPos, uint64(len(rotted))*8)
+		pos := chaos.Draw(c.spec.Seed, i, saltBitPos, uint64(len(rotted))*8)
 		rotted[pos/8] ^= 1 << (pos % 8)
 		return rotted, nil
 	}
@@ -222,7 +177,6 @@ func (c *Chaos) MkdirAll(path string, perm fs.FileMode) error {
 func (c *Chaos) SyncDir(dir string) error {
 	i := c.next()
 	if c.fire(i, KindFsyncLie, saltFsyncLie, c.spec.FsyncLie) {
-		c.record(KindFsyncLie)
 		return nil
 	}
 	return c.base.SyncDir(dir)
@@ -244,14 +198,11 @@ func (cf *chaosFile) Write(p []byte) (int, error) {
 	i := c.next()
 	switch {
 	case c.fire(i, KindENOSPC, saltENOSPC, c.spec.ENOSPC):
-		c.record(KindENOSPC)
 		return 0, &Error{Kind: KindENOSPC, Op: "write", Path: cf.f.Name(), Err: syscall.ENOSPC}
 	case c.fire(i, KindEIOWrite, saltEIOWrite, c.spec.EIOWrite):
-		c.record(KindEIOWrite)
 		return 0, &Error{Kind: KindEIOWrite, Op: "write", Path: cf.f.Name(), Err: syscall.EIO}
 	case len(p) > 0 && c.fire(i, KindShortWrite, saltShort, c.spec.ShortWrite):
-		c.record(KindShortWrite)
-		n := int(c.draw(i, saltShortLen, uint64(len(p))))
+		n := int(chaos.Draw(c.spec.Seed, i, saltShortLen, uint64(len(p))))
 		if n > 0 {
 			if wn, werr := cf.f.Write(p[:n]); werr != nil {
 				return wn, werr
@@ -270,7 +221,6 @@ func (cf *chaosFile) Sync() error {
 	c := cf.c
 	i := c.next()
 	if c.fire(i, KindFsyncLie, saltFsyncLie, c.spec.FsyncLie) {
-		c.record(KindFsyncLie)
 		return nil
 	}
 	return cf.f.Sync()

@@ -10,22 +10,23 @@
 // The injection point is a VFS seam: FS is the narrow filesystem surface
 // the WAL performs all its I/O through, OS is the real implementation,
 // and Chaos wraps any FS with spec-driven faults. Every decision (fail
-// this write? how many bytes land? which bit flips?) hashes the campaign
-// seed with a global operation ordinal through splitmix64 — the same
-// discipline fault.Injector applies per cell-pulse and netchaos.Transport
-// per request — so a campaign replays exactly from its spec string.
+// this write? how many bytes land? which bit flips?) is internal/chaos's
+// seeded hash of a global operation ordinal, so a campaign replays exactly
+// from its spec string.
 //
-// Specs use the CLI grammar shared with -fault and -netchaos:
+// Specs are an internal/chaos grammar, like -fault's and -netchaos's:
 //
 //	seed=7,enospc=0.01,eio-write=0.005,shortwrite=0.02,fsync-lie=0.01,bitrot-read=0.001,slow=5ms
 package diskchaos
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+
+	"systolicdb/internal/chaos"
 )
 
 // At pins one injection to an exact operation ordinal, regardless of
@@ -74,72 +75,35 @@ type Spec struct {
 	At []At
 }
 
+// grammar is the spec format, declared once: ParseSpec, Validate, String,
+// Quiet and SpecHelp all read this table, in this (canonical) order.
+func (s *Spec) grammar() chaos.Grammar {
+	return chaos.Grammar{Layer: "diskchaos", Fields: []chaos.Field{
+		chaos.Seed(&s.Seed),
+		chaos.Prob(KindENOSPC, &s.ENOSPC),
+		chaos.Prob(KindEIOWrite, &s.EIOWrite),
+		chaos.Prob(KindShortWrite, &s.ShortWrite),
+		chaos.Prob(KindFsyncLie, &s.FsyncLie),
+		chaos.Prob(KindBitrotRead, &s.BitrotRead),
+		chaos.Dur(KindSlow, &s.Slow),
+		{Key: "at", Usage: "ORD:KIND", Parse: s.parseAt, Check: s.checkAt, Render: s.renderAt},
+	}}
+}
+
 // Validate checks the spec's fields.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return fmt.Errorf("diskchaos: nil spec")
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{KindENOSPC, s.ENOSPC}, {KindEIOWrite, s.EIOWrite}, {KindShortWrite, s.ShortWrite},
-		{KindFsyncLie, s.FsyncLie}, {KindBitrotRead, s.BitrotRead},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("diskchaos: %s=%v outside [0, 1]", p.name, p.v)
-		}
-	}
-	if s.Slow < 0 {
-		return fmt.Errorf("diskchaos: negative slow")
-	}
-	for _, a := range s.At {
-		if !validAtKind[a.Kind] {
-			return fmt.Errorf("diskchaos: at=%d:%s names unknown kind (want one of %s)",
-				a.Ordinal, a.Kind, strings.Join(Kinds(), " "))
-		}
-	}
-	return nil
-}
-
-// validAtKind lists the kinds an at= pin may name (slow is excluded: a
-// pinned stall has no observable effect worth testing).
-var validAtKind = map[string]bool{
-	KindENOSPC: true, KindEIOWrite: true, KindShortWrite: true,
-	KindFsyncLie: true, KindBitrotRead: true,
+	return s.grammar().Validate()
 }
 
 // Quiet reports whether the spec injects nothing at all.
-func (s *Spec) Quiet() bool {
-	return s.ENOSPC == 0 && s.EIOWrite == 0 && s.ShortWrite == 0 &&
-		s.FsyncLie == 0 && s.BitrotRead == 0 && s.Slow == 0 && len(s.At) == 0
-}
+func (s *Spec) Quiet() bool { return s.grammar().Quiet() }
 
 // String renders the spec in the grammar ParseSpec accepts (canonical
 // form: fixed key order).
-func (s *Spec) String() string {
-	var opts []string
-	if s.Seed != 0 {
-		opts = append(opts, "seed="+strconv.FormatInt(s.Seed, 10))
-	}
-	addP := func(key string, v float64) {
-		if v > 0 {
-			opts = append(opts, key+"="+strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	addP(KindENOSPC, s.ENOSPC)
-	addP(KindEIOWrite, s.EIOWrite)
-	addP(KindShortWrite, s.ShortWrite)
-	addP(KindFsyncLie, s.FsyncLie)
-	addP(KindBitrotRead, s.BitrotRead)
-	if s.Slow > 0 {
-		opts = append(opts, "slow="+s.Slow.String())
-	}
-	for _, a := range s.At {
-		opts = append(opts, "at="+strconv.FormatUint(a.Ordinal, 10)+":"+a.Kind)
-	}
-	return strings.Join(opts, ",")
-}
+func (s *Spec) String() string { return s.grammar().String() }
 
 // ParseSpec parses a disk-chaos spec of the form
 //
@@ -161,59 +125,8 @@ func (s *Spec) String() string {
 // Example: "seed=7,enospc=0.01,eio-write=0.005,shortwrite=0.02,fsync-lie=0.01,bitrot-read=0.001,slow=5ms".
 func ParseSpec(spec string) (*Spec, error) {
 	s := &Spec{}
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, fmt.Errorf("diskchaos: empty spec")
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("diskchaos: option %q is not key=value", kv)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "seed":
-			if s.Seed, err = strconv.ParseInt(val, 10, 64); err != nil {
-				return nil, fmt.Errorf("diskchaos: bad seed %q: %v", val, err)
-			}
-		case KindENOSPC:
-			if s.ENOSPC, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("diskchaos: bad enospc %q: %v", val, err)
-			}
-		case KindEIOWrite:
-			if s.EIOWrite, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("diskchaos: bad eio-write %q: %v", val, err)
-			}
-		case KindShortWrite:
-			if s.ShortWrite, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("diskchaos: bad shortwrite %q: %v", val, err)
-			}
-		case KindFsyncLie:
-			if s.FsyncLie, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("diskchaos: bad fsync-lie %q: %v", val, err)
-			}
-		case KindBitrotRead:
-			if s.BitrotRead, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("diskchaos: bad bitrot-read %q: %v", val, err)
-			}
-		case "slow":
-			if s.Slow, err = time.ParseDuration(val); err != nil {
-				return nil, fmt.Errorf("diskchaos: bad slow %q: %v", val, err)
-			}
-		case "at":
-			a, err := parseAt(val)
-			if err != nil {
-				return nil, err
-			}
-			s.At = append(s.At, a)
-		default:
-			return nil, fmt.Errorf("diskchaos: unknown option %q", key)
-		}
+	if err := s.grammar().Parse(spec); err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -221,56 +134,46 @@ func ParseSpec(spec string) (*Spec, error) {
 	return s, nil
 }
 
-// parseAt parses "<ordinal>:<kind>".
-func parseAt(val string) (At, error) {
-	var a At
+// parseAt appends one "<ordinal>:<kind>" pin.
+func (s *Spec) parseAt(val string) error {
 	ord, kind, ok := strings.Cut(val, ":")
 	if !ok {
-		return a, fmt.Errorf("diskchaos: bad at %q (want <ordinal>:<kind>)", val)
+		return fmt.Errorf("want <ordinal>:<kind>")
 	}
 	n, err := strconv.ParseUint(strings.TrimSpace(ord), 10, 64)
 	if err != nil {
-		return a, fmt.Errorf("diskchaos: bad at ordinal %q: %v", ord, err)
+		return err
 	}
-	a.Ordinal, a.Kind = n, strings.TrimSpace(kind)
-	if !validAtKind[a.Kind] {
-		return a, fmt.Errorf("diskchaos: at=%q names unknown kind (want one of %s)",
-			val, strings.Join(Kinds(), " "))
-	}
-	return a, nil
+	s.At = append(s.At, At{Ordinal: n, Kind: strings.TrimSpace(kind)})
+	return nil
 }
 
-// parseProb parses a probability in [0, 1].
-func parseProb(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
+// checkAt rejects pins the filesystem could not honour. slow is not
+// pinnable: a pinned stall has no observable effect worth testing. And one
+// ordinal holds one pin: Chaos looks pins up by ordinal, so a second pin on
+// the same operation would silently replace the first.
+func (s *Spec) checkAt() error {
+	pinnable := slices.DeleteFunc(Kinds(), func(k string) bool { return k == KindSlow })
+	seen := make(map[uint64]bool, len(s.At))
+	for _, a := range s.At {
+		if !slices.Contains(pinnable, a.Kind) {
+			return fmt.Errorf("%d:%s names no pinnable kind (want one of %s)",
+				a.Ordinal, a.Kind, strings.Join(pinnable, " "))
+		}
+		if seen[a.Ordinal] {
+			return fmt.Errorf("ordinal %d pinned twice", a.Ordinal)
+		}
+		seen[a.Ordinal] = true
 	}
-	if v < 0 || v > 1 {
-		return 0, fmt.Errorf("probability %v outside [0, 1]", v)
-	}
-	return v, nil
+	return nil
 }
 
-// splitmix64 is the shared mixing function driving every injection
-// decision (identical to fault's and netchaos's; duplicated to keep the
-// chaos packages dependency-free of each other).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// rateThreshold converts a probability into a uint64 comparison threshold.
-func rateThreshold(rate float64) uint64 {
-	switch {
-	case rate <= 0:
-		return 0
-	case rate >= 1:
-		return ^uint64(0)
+func (s *Spec) renderAt() []string {
+	var out []string
+	for _, a := range s.At {
+		out = append(out, strconv.FormatUint(a.Ordinal, 10)+":"+a.Kind)
 	}
-	return uint64(rate * float64(1<<63) * 2)
+	return out
 }
 
 // Kinds of injection, for metrics and test accounting.
@@ -285,13 +188,11 @@ const (
 
 // Kinds lists every injection kind (sorted), for metric pre-registration.
 func Kinds() []string {
-	ks := []string{KindENOSPC, KindEIOWrite, KindShortWrite, KindFsyncLie, KindBitrotRead, KindSlow}
-	sort.Strings(ks)
-	return ks
+	return []string{KindBitrotRead, KindEIOWrite, KindENOSPC, KindFsyncLie, KindShortWrite, KindSlow}
 }
 
 // SpecHelp is a one-line usage string for -diskchaos flags.
 func SpecHelp() string {
-	return "disk chaos spec: seed=N,enospc=P,eio-write=P,shortwrite=P,fsync-lie=P," +
-		"bitrot-read=P,slow=DUR,at=ORD:KIND, e.g. seed=7,enospc=0.01,shortwrite=0.02,fsync-lie=0.01"
+	return "disk chaos spec: " + new(Spec).grammar().Usage() +
+		", e.g. seed=7,enospc=0.01,shortwrite=0.02,fsync-lie=0.01"
 }

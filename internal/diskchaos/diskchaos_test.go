@@ -40,6 +40,7 @@ func TestParseSpecRejects(t *testing.T) {
 	for _, in := range []string{
 		"", "enospc=1.5", "eio-write=-0.1", "slow=-5ms", "bogus=1",
 		"at=3", "at=x:enospc", "at=3:slow", "at=3:nope", "enospc",
+		"enospc=NaN", "enospc=Inf", "at=5:enospc,at=5:eio-write", ",", " , ",
 	} {
 		if _, err := ParseSpec(in); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted an invalid spec", in)

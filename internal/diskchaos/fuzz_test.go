@@ -1,14 +1,15 @@
 package diskchaos
 
-import "testing"
+import (
+	"testing"
 
-// FuzzDiskChaosSpec checks the ParseSpec -> String -> ParseSpec round
-// trip: every spec the parser accepts must render to a canonical form
-// that re-parses to the same canonical form (the same property
-// FuzzFaultPlan and FuzzNetChaosSpec pin for the other two chaos
-// grammars).
+	"systolicdb/internal/chaos"
+)
+
+// FuzzDiskChaosSpec checks the ParseSpec -> String -> ParseSpec round trip
+// (chaos.FuzzRoundTrip, the property all three chaos grammars share).
 func FuzzDiskChaosSpec(f *testing.F) {
-	seeds := []string{
+	for _, s := range []string{
 		"seed=7,enospc=0.01,eio-write=0.005,shortwrite=0.02,fsync-lie=0.01,bitrot-read=0.001,slow=5ms",
 		"enospc=1",
 		"eio-write=0.25,bitrot-read=0.5",
@@ -21,34 +22,11 @@ func FuzzDiskChaosSpec(f *testing.F) {
 		"enospc=",
 		"at=:",
 		"slow=±1ms",
-	}
-	for _, s := range seeds {
+		"enospc=NaN",
+	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		s1, err := ParseSpec(spec)
-		if err != nil {
-			return // rejection is fine; no panic is the property
-		}
-		if err := s1.Validate(); err != nil {
-			t.Fatalf("ParseSpec(%q) accepted an invalid spec: %v", spec, err)
-		}
-		rendered := s1.String()
-		if s1.Quiet() && s1.Seed == 0 {
-			// The all-defaults spec renders empty, which ParseSpec rejects
-			// by design (an empty -diskchaos flag is a mistake, not a
-			// no-op). Nothing further to round-trip.
-			if rendered != "" {
-				t.Fatalf("quiet seedless spec rendered %q", rendered)
-			}
-			return
-		}
-		s2, err := ParseSpec(rendered)
-		if err != nil {
-			t.Fatalf("String of %q -> %q does not re-parse: %v", spec, rendered, err)
-		}
-		if s2.String() != rendered {
-			t.Fatalf("String not canonical: %q -> %q -> %q", spec, rendered, s2.String())
-		}
+		chaos.FuzzRoundTrip(t, spec, ParseSpec, (*Spec).Quiet)
 	})
 }

@@ -32,11 +32,12 @@ package fault
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 
+	"systolicdb/internal/chaos"
 	"systolicdb/internal/systolic"
 )
 
@@ -64,25 +65,24 @@ const (
 	Flaky
 )
 
-var modeNames = map[Mode]string{
-	Flip: "flip", Drop: "drop", StuckAt: "stuck", Misroute: "misroute", Flaky: "flaky",
-}
+// modeNames spells each mode, indexed by it.
+var modeNames = [...]string{Flip: "flip", Drop: "drop", StuckAt: "stuck", Misroute: "misroute", Flaky: "flaky"}
+
+func (m Mode) valid() bool { return m >= 0 && int(m) < len(modeNames) }
 
 func (m Mode) String() string {
-	if s, ok := modeNames[m]; ok {
-		return s
+	if m.valid() {
+		return modeNames[m]
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
 // ParseMode resolves a mode name.
 func ParseMode(s string) (Mode, error) {
-	for m, name := range modeNames {
-		if name == s {
-			return m, nil
-		}
+	if i := slices.Index(modeNames[:], s); i >= 0 {
+		return Mode(i), nil
 	}
-	return 0, fmt.Errorf("fault: unknown mode %q (valid: flip, drop, stuck, misroute, flaky)", s)
+	return 0, fmt.Errorf("fault: unknown mode %q (valid: %s)", s, strings.Join(modeNames[:], ", "))
 }
 
 // Plan describes a fault-injection campaign against one grid (or one
@@ -106,58 +106,90 @@ type Plan struct {
 	StuckVal bool
 }
 
+// options is the format of the option list after "mode:", declared once:
+// ParsePlan, Validate, String and SpecHelp all read this table, in this
+// (canonical) order.
+func (p *Plan) options() chaos.Grammar {
+	return chaos.Grammar{Layer: "fault", Fields: []chaos.Field{
+		chaos.Prob("rate", &p.Rate),
+		chaos.Seed(&p.Seed),
+		{Key: "cell", Usage: "RxC",
+			Parse: func(val string) (err error) {
+				r, c, ok := strings.Cut(val, "x")
+				if !ok {
+					return fmt.Errorf("want <row>x<col>")
+				}
+				if p.Row, err = strconv.Atoi(r); err == nil {
+					p.Col, err = strconv.Atoi(c)
+				}
+				return err
+			},
+			Check: func() error {
+				if p.Row < -1 || p.Col < -1 {
+					return fmt.Errorf("target (%d, %d) invalid (use -1 for any)", p.Row, p.Col)
+				}
+				return nil
+			},
+			Render: func() []string {
+				return chaos.If(p.Row >= 0 || p.Col >= 0, fmt.Sprintf("%dx%d", p.Row, p.Col))
+			},
+		},
+		{Key: "pulse", Usage: "N",
+			Parse: func(val string) (err error) { p.Pulse, err = strconv.Atoi(val); return err },
+			Check: func() error {
+				if p.Pulse < -1 {
+					return fmt.Errorf("target %d invalid (use -1 for any)", p.Pulse)
+				}
+				return nil
+			},
+			Render: func() []string { return chaos.If(p.Pulse >= 0, strconv.Itoa(p.Pulse)) },
+		},
+		{Key: "val", Usage: "0|1",
+			Parse: func(val string) error {
+				switch val {
+				case "0", "false":
+					p.StuckVal = false
+				case "1", "true":
+					p.StuckVal = true
+				default:
+					return fmt.Errorf("want 0 or 1")
+				}
+				return nil
+			},
+			Render: func() []string {
+				v := "0"
+				if p.StuckVal {
+					v = "1"
+				}
+				return chaos.If(p.Mode == StuckAt, v)
+			},
+		},
+	}}
+}
+
 // Validate checks the plan's fields.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return fmt.Errorf("fault: nil plan")
 	}
-	if _, ok := modeNames[p.Mode]; !ok {
+	if !p.Mode.valid() {
 		return fmt.Errorf("fault: invalid mode %d", int(p.Mode))
 	}
-	if p.Rate < 0 || p.Rate > 1 {
-		return fmt.Errorf("fault: rate %v outside [0, 1]", p.Rate)
+	if err := p.options().Validate(); err != nil {
+		return err
 	}
 	if p.Rate == 0 && p.Pulse < 0 {
 		return fmt.Errorf("fault: plan fires never (rate 0 and no pulse target)")
-	}
-	if p.Row < -1 || p.Col < -1 {
-		return fmt.Errorf("fault: cell target (%d, %d) invalid (use -1 for any)", p.Row, p.Col)
-	}
-	if p.Pulse < -1 {
-		return fmt.Errorf("fault: pulse target %d invalid (use -1 for any)", p.Pulse)
 	}
 	return nil
 }
 
 // String renders the plan in the spec grammar ParsePlan accepts.
 func (p *Plan) String() string {
-	var b strings.Builder
-	b.WriteString(p.Mode.String())
-	var opts []string
-	if p.Rate > 0 {
-		opts = append(opts, "rate="+strconv.FormatFloat(p.Rate, 'g', -1, 64))
+	if opts := p.options().String(); opts != "" {
+		return p.Mode.String() + ":" + opts
 	}
-	if p.Seed != 0 {
-		opts = append(opts, "seed="+strconv.FormatInt(p.Seed, 10))
-	}
-	if p.Row >= 0 || p.Col >= 0 {
-		opts = append(opts, fmt.Sprintf("cell=%dx%d", p.Row, p.Col))
-	}
-	if p.Pulse >= 0 {
-		opts = append(opts, "pulse="+strconv.Itoa(p.Pulse))
-	}
-	if p.Mode == StuckAt {
-		v := "0"
-		if p.StuckVal {
-			v = "1"
-		}
-		opts = append(opts, "val="+v)
-	}
-	if len(opts) > 0 {
-		b.WriteByte(':')
-		b.WriteString(strings.Join(opts, ","))
-	}
-	return b.String()
+	return p.Mode.String()
 }
 
 // ParsePlan parses a fault spec of the form
@@ -175,10 +207,6 @@ func (p *Plan) String() string {
 // Examples: "flip:rate=0.01,seed=42", "drop:cell=2x1,pulse=3",
 // "stuck:cell=0x0,pulse=5,val=1", "flaky:rate=0.05".
 func ParsePlan(spec string) (*Plan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, fmt.Errorf("fault: empty spec")
-	}
 	head, rest, hasOpts := strings.Cut(spec, ":")
 	mode, err := ParseMode(strings.TrimSpace(head))
 	if err != nil {
@@ -186,81 +214,14 @@ func ParsePlan(spec string) (*Plan, error) {
 	}
 	p := &Plan{Mode: mode, Row: -1, Col: -1, Pulse: -1}
 	if hasOpts {
-		for _, kv := range strings.Split(rest, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("fault: option %q is not key=value", kv)
-			}
-			key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-			switch key {
-			case "rate":
-				p.Rate, err = strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("fault: bad rate %q: %v", val, err)
-				}
-			case "seed":
-				p.Seed, err = strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("fault: bad seed %q: %v", val, err)
-				}
-			case "cell":
-				r, c, ok := strings.Cut(val, "x")
-				if !ok {
-					return nil, fmt.Errorf("fault: bad cell %q (want <row>x<col>)", val)
-				}
-				if p.Row, err = strconv.Atoi(r); err != nil {
-					return nil, fmt.Errorf("fault: bad cell row %q: %v", r, err)
-				}
-				if p.Col, err = strconv.Atoi(c); err != nil {
-					return nil, fmt.Errorf("fault: bad cell col %q: %v", c, err)
-				}
-			case "pulse":
-				if p.Pulse, err = strconv.Atoi(val); err != nil {
-					return nil, fmt.Errorf("fault: bad pulse %q: %v", val, err)
-				}
-			case "val":
-				switch val {
-				case "0", "false":
-					p.StuckVal = false
-				case "1", "true":
-					p.StuckVal = true
-				default:
-					return nil, fmt.Errorf("fault: bad stuck value %q (want 0 or 1)", val)
-				}
-			default:
-				return nil, fmt.Errorf("fault: unknown option %q", key)
-			}
+		if err := p.options().Parse(rest); err != nil {
+			return nil, err
 		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// splitmix64 is the standard 64-bit mixing function; it drives every
-// injection decision so campaigns are reproducible without shared PRNG
-// state (each decision hashes its own coordinates).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// rateThreshold converts a probability into a uint64 comparison threshold.
-func rateThreshold(rate float64) uint64 {
-	switch {
-	case rate <= 0:
-		return 0
-	case rate >= 1:
-		return ^uint64(0)
-	}
-	return uint64(rate * float64(1<<63) * 2)
 }
 
 // Injector applies one Plan to grids. Each call to NewRun yields the cell
@@ -280,7 +241,7 @@ func NewInjector(p *Plan) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{plan: *p, threshold: rateThreshold(p.Rate)}, nil
+	return &Injector{plan: *p, threshold: chaos.Threshold(p.Rate)}, nil
 }
 
 // Plan returns a copy of the injector's plan.
@@ -306,12 +267,14 @@ func (inj *Injector) fires(run uint64, row, col, pulse int) bool {
 	if p.Rate == 0 {
 		return true // deterministic single-pulse fault
 	}
+	// Every decision hashes its own coordinates, so campaigns are
+	// reproducible without shared PRNG state.
 	h := uint64(p.Seed)
-	h = splitmix64(h ^ run*0x9e3779b97f4a7c15)
+	h = chaos.Mix64(h ^ run*chaos.Gamma)
 	if p.Mode != Flaky {
-		h = splitmix64(h ^ uint64(row)<<32 ^ uint64(uint32(col)))
+		h = chaos.Mix64(h ^ uint64(row)<<32 ^ uint64(uint32(col)))
 	}
-	h = splitmix64(h ^ uint64(pulse))
+	h = chaos.Mix64(h ^ uint64(pulse))
 	return h < inj.threshold
 }
 
@@ -384,18 +347,10 @@ func (f *faultCell) Reset() {
 	f.pulse = 0
 }
 
-// sortedModeNames lists the mode spellings, for help text.
-func sortedModeNames() []string {
-	out := make([]string, 0, len(modeNames))
-	for _, n := range modeNames {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SpecHelp is a one-line usage string for -fault flags.
 func SpecHelp() string {
-	return "fault spec: <" + strings.Join(sortedModeNames(), "|") +
-		">[:rate=P,seed=N,cell=RxC,pulse=N,val=0|1], e.g. flip:rate=0.01,seed=42"
+	modes := slices.Clone(modeNames[:])
+	slices.Sort(modes)
+	return "fault spec: <" + strings.Join(modes, "|") +
+		">[:" + new(Plan).options().Usage() + "], e.g. flip:rate=0.01,seed=42"
 }

@@ -44,6 +44,8 @@ func TestParsePlanErrors(t *testing.T) {
 		"flip:rate=2",
 		"flip:rate=-0.1",
 		"flip:rate=x",
+		"flip:rate=NaN",
+		"flip:rate=Inf",
 		"flip:cell=2",
 		"flip:cell=ax1",
 		"flip:pulse=-5",

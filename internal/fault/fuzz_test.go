@@ -1,10 +1,14 @@
 package fault
 
-import "testing"
+import (
+	"testing"
 
-// FuzzFaultPlan exercises the -fault spec parser: no input may panic, and
-// every accepted plan must be valid and round-trip through String()
-// unchanged (the grammar a plan prints is the grammar the parser reads).
+	"systolicdb/internal/chaos"
+)
+
+// FuzzFaultPlan exercises the -fault spec parser with the round-trip
+// property shared by the three chaos grammars (chaos.FuzzRoundTrip), and
+// additionally requires every accepted plan to build an injector.
 func FuzzFaultPlan(f *testing.F) {
 	for _, seed := range []string{
 		"flip:rate=0.01,seed=42",
@@ -17,27 +21,15 @@ func FuzzFaultPlan(f *testing.F) {
 		"flip:",
 		":::",
 		"flip:cell=-1x-1,pulse=0",
+		"flip:rate=NaN",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := ParsePlan(spec)
-		if err != nil {
-			return // rejected inputs just need to not panic
-		}
-		if verr := p.Validate(); verr != nil {
-			t.Fatalf("ParsePlan(%q) returned an invalid plan: %v", spec, verr)
-		}
-		rendered := p.String()
-		p2, err := ParsePlan(rendered)
-		if err != nil {
-			t.Fatalf("ParsePlan(%q) -> %q does not re-parse: %v", spec, rendered, err)
-		}
-		if *p2 != *p {
-			t.Fatalf("round trip %q -> %q: %+v != %+v", spec, rendered, p2, p)
-		}
-		if _, err := NewInjector(p); err != nil {
-			t.Fatalf("valid plan %q rejected by NewInjector: %v", rendered, err)
+		if p, ok := chaos.FuzzRoundTrip(t, spec, ParsePlan, nil); ok {
+			if _, err := NewInjector(p); err != nil {
+				t.Fatalf("valid plan %q rejected by NewInjector: %v", p, err)
+			}
 		}
 	})
 }

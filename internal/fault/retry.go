@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"systolicdb/internal/chaos"
 	"systolicdb/internal/obs"
 	"systolicdb/internal/systolic"
 )
@@ -70,7 +71,7 @@ func (p RetryPolicy) Delay(n int) time.Duration {
 		d *= 2
 	}
 	d = min(d, p.MaxDelay)
-	jitter := time.Duration(splitmix64(uint64(p.Seed)^uint64(n)*0x9e3779b97f4a7c15) % uint64(d/2+1))
+	jitter := time.Duration(chaos.Mix64(uint64(p.Seed)^uint64(n)*chaos.Gamma) % uint64(d/2+1))
 	return d + jitter
 }
 

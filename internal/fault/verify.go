@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"systolicdb/internal/chaos"
 	"systolicdb/internal/relation"
 )
 
@@ -74,7 +75,7 @@ func (c *Checksum) add(pos uint64, bit bool) {
 		v |= 1
 		c.Count++
 	}
-	c.Parity ^= splitmix64(v ^ 0x5bf03635)
+	c.Parity ^= chaos.Mix64(v ^ 0x5bf03635)
 }
 
 // BoolChecksum digests a bit vector (accumulated t_i, division quotient
@@ -114,13 +115,13 @@ func RelationChecksum(r *relation.Relation) (Checksum, error) {
 		if err != nil {
 			return Checksum{}, fmt.Errorf("fault: checksumming tuple %d: %w", i, err)
 		}
-		h := uint64(0x9e3779b97f4a7c15)
+		h := uint64(chaos.Gamma)
 		for _, f := range fields {
 			// Mix in the length so field boundaries are unambiguous
 			// (["ab","c"] and ["a","bc"] must not collide).
-			h = splitmix64(h ^ uint64(len(f)))
+			h = chaos.Mix64(h ^ uint64(len(f)))
 			for _, b := range []byte(f) {
-				h = splitmix64(h ^ uint64(b))
+				h = chaos.Mix64(h ^ uint64(b))
 			}
 		}
 		c.Parity ^= h

@@ -1,13 +1,15 @@
 package netchaos
 
-import "testing"
+import (
+	"testing"
 
-// FuzzNetChaosSpec checks the ParseSpec -> String -> ParseSpec round
-// trip: every spec the parser accepts must render to a canonical form
-// that re-parses to the same canonical form (the same property
-// FuzzFaultPlan pins for the grid-level grammar).
+	"systolicdb/internal/chaos"
+)
+
+// FuzzNetChaosSpec checks the ParseSpec -> String -> ParseSpec round trip
+// (chaos.FuzzRoundTrip, the property all three chaos grammars share).
 func FuzzNetChaosSpec(f *testing.F) {
-	seeds := []string{
+	for _, s := range []string{
 		"seed=7,drop=0.05,latency=20ms±10ms,partition=shard1:30s,corrupt=0.01,dup=0.02",
 		"drop=1",
 		"dropresp=0.25,dup=0.5",
@@ -20,34 +22,11 @@ func FuzzNetChaosSpec(f *testing.F) {
 		"drop=",
 		"partition=:=:",
 		"latency=±1ms",
-	}
-	for _, s := range seeds {
+		"drop=NaN",
+	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		s1, err := ParseSpec(spec)
-		if err != nil {
-			return // rejection is fine; no panic is the property
-		}
-		if err := s1.Validate(); err != nil {
-			t.Fatalf("ParseSpec(%q) accepted an invalid spec: %v", spec, err)
-		}
-		rendered := s1.String()
-		if s1.Quiet() && s1.Seed == 0 {
-			// The all-defaults spec renders empty, which ParseSpec rejects
-			// by design (an empty -netchaos flag is a mistake, not a
-			// no-op). Nothing further to round-trip.
-			if rendered != "" {
-				t.Fatalf("quiet seedless spec rendered %q", rendered)
-			}
-			return
-		}
-		s2, err := ParseSpec(rendered)
-		if err != nil {
-			t.Fatalf("String of %q -> %q does not re-parse: %v", spec, rendered, err)
-		}
-		if s2.String() != rendered {
-			t.Fatalf("String not canonical: %q -> %q -> %q", spec, rendered, s2.String())
-		}
+		chaos.FuzzRoundTrip(t, spec, ParseSpec, (*Spec).Quiet)
 	})
 }

@@ -11,26 +11,25 @@
 //
 //   - Transport: an http.RoundTripper wrapping the coordinator's shard
 //     transport. Every decision (drop? how much latency? corrupt which
-//     byte?) hashes the campaign seed with a per-request nonce through
-//     splitmix64, so a chaos run is exactly reproducible from its spec —
-//     the same discipline fault.Injector applies per cell-pulse.
+//     byte?) is internal/chaos's seeded hash of the request ordinal, so a
+//     chaos run is exactly reproducible from its spec.
 //
 //   - Proxy: an optional TCP relay for the cases HTTP round-trip
 //     granularity cannot express — torn byte streams (the connection dies
 //     mid-response) and slow-drip transfers (bytes trickle, stalling
 //     readers without ever failing fast).
 //
-// Specs use a CLI grammar mirroring fault's plan specs:
+// Specs are an internal/chaos grammar, like -fault's and -diskchaos's:
 //
 //	seed=7,drop=0.05,latency=20ms±10ms,partition=shard1:30s,corrupt=0.01,dup=0.02
 package netchaos
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
+
+	"systolicdb/internal/chaos"
 )
 
 // PartitionSpec is one partition window: requests to hosts matching
@@ -84,78 +83,36 @@ type Spec struct {
 	Partitions []PartitionSpec
 }
 
+// grammar is the spec format, declared once: ParseSpec, Validate, String,
+// Quiet and SpecHelp all read this table, in this (canonical) order.
+func (s *Spec) grammar() chaos.Grammar {
+	return chaos.Grammar{Layer: "netchaos", Fields: []chaos.Field{
+		chaos.Seed(&s.Seed),
+		chaos.Prob(KindDrop, &s.Drop),
+		chaos.Prob(KindDropResp, &s.DropResp),
+		{Key: KindLatency, Usage: "DUR[±DUR]",
+			Parse: s.parseLatency, Check: s.checkLatency, Render: s.renderLatency},
+		chaos.Prob(KindCorrupt, &s.Corrupt),
+		chaos.Prob(KindDup, &s.Dup),
+		{Key: KindPartition, Usage: "TARGET:[DELAY+]DUR[:oneway]",
+			Parse: s.parsePartition, Check: s.checkPartitions, Render: s.renderPartitions},
+	}}
+}
+
 // Validate checks the spec's fields.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return fmt.Errorf("netchaos: nil spec")
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"drop", s.Drop}, {"dropresp", s.DropResp}, {"corrupt", s.Corrupt}, {"dup", s.Dup}} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("netchaos: %s=%v outside [0, 1]", p.name, p.v)
-		}
-	}
-	if s.Latency < 0 || s.Jitter < 0 {
-		return fmt.Errorf("netchaos: negative latency/jitter")
-	}
-	if s.Jitter > 0 && s.Latency == 0 {
-		return fmt.Errorf("netchaos: jitter without base latency")
-	}
-	for _, p := range s.Partitions {
-		if p.Target == "" {
-			return fmt.Errorf("netchaos: partition with empty target")
-		}
-		if p.After < 0 || p.For < 0 {
-			return fmt.Errorf("netchaos: partition %q has negative timing", p.Target)
-		}
-	}
-	return nil
+	return s.grammar().Validate()
 }
 
 // Quiet reports whether the spec injects nothing at all.
-func (s *Spec) Quiet() bool {
-	return s.Drop == 0 && s.DropResp == 0 && s.Latency == 0 &&
-		s.Corrupt == 0 && s.Dup == 0 && len(s.Partitions) == 0
-}
+func (s *Spec) Quiet() bool { return s.grammar().Quiet() }
 
 // String renders the spec in the grammar ParseSpec accepts (canonical
 // form: fixed key order, "±" jitter, "delay+dur" windows).
-func (s *Spec) String() string {
-	var opts []string
-	if s.Seed != 0 {
-		opts = append(opts, "seed="+strconv.FormatInt(s.Seed, 10))
-	}
-	addP := func(key string, v float64) {
-		if v > 0 {
-			opts = append(opts, key+"="+strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	addP("drop", s.Drop)
-	addP("dropresp", s.DropResp)
-	if s.Latency > 0 {
-		l := "latency=" + s.Latency.String()
-		if s.Jitter > 0 {
-			l += "±" + s.Jitter.String()
-		}
-		opts = append(opts, l)
-	}
-	addP("corrupt", s.Corrupt)
-	addP("dup", s.Dup)
-	for _, p := range s.Partitions {
-		w := "partition=" + p.Target + ":"
-		if p.After > 0 {
-			w += p.After.String() + "+"
-		}
-		w += p.For.String()
-		if p.OneWay {
-			w += ":oneway"
-		}
-		opts = append(opts, w)
-	}
-	return strings.Join(opts, ",")
-}
+func (s *Spec) String() string { return s.grammar().String() }
 
 // ParseSpec parses a chaos spec of the form
 //
@@ -179,61 +136,8 @@ func (s *Spec) String() string {
 // Example: "seed=7,drop=0.05,latency=20ms±10ms,partition=shard1:30s,corrupt=0.01,dup=0.02".
 func ParseSpec(spec string) (*Spec, error) {
 	s := &Spec{}
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, fmt.Errorf("netchaos: empty spec")
-	}
-	for _, kv := range splitTop(spec) {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("netchaos: option %q is not key=value", kv)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "seed":
-			if s.Seed, err = strconv.ParseInt(val, 10, 64); err != nil {
-				return nil, fmt.Errorf("netchaos: bad seed %q: %v", val, err)
-			}
-		case "drop":
-			if s.Drop, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("netchaos: bad drop %q: %v", val, err)
-			}
-		case "dropresp":
-			if s.DropResp, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("netchaos: bad dropresp %q: %v", val, err)
-			}
-		case "corrupt":
-			if s.Corrupt, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("netchaos: bad corrupt %q: %v", val, err)
-			}
-		case "dup":
-			if s.Dup, err = parseProb(val); err != nil {
-				return nil, fmt.Errorf("netchaos: bad dup %q: %v", val, err)
-			}
-		case "latency":
-			base, jitter, hasJitter := cutJitter(val)
-			if s.Latency, err = time.ParseDuration(base); err != nil {
-				return nil, fmt.Errorf("netchaos: bad latency %q: %v", val, err)
-			}
-			if hasJitter {
-				if s.Jitter, err = time.ParseDuration(jitter); err != nil {
-					return nil, fmt.Errorf("netchaos: bad latency jitter %q: %v", val, err)
-				}
-			}
-		case "partition":
-			p, err := parsePartition(val)
-			if err != nil {
-				return nil, err
-			}
-			s.Partitions = append(s.Partitions, p)
-		default:
-			return nil, fmt.Errorf("netchaos: unknown option %q", key)
-		}
+	if err := s.grammar().Parse(spec); err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -241,35 +145,36 @@ func ParseSpec(spec string) (*Spec, error) {
 	return s, nil
 }
 
-// splitTop splits a spec on commas. Partition targets cannot contain
-// commas (they are host substrings), so a plain split is the grammar.
-func splitTop(s string) []string { return strings.Split(s, ",") }
-
-// parseProb parses a probability in [0, 1].
-func parseProb(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
+func (s *Spec) parseLatency(val string) (err error) {
+	// "+-" is the ASCII spelling of "±"; no valid duration contains either.
+	base, jitter, hasJitter := strings.Cut(strings.Replace(val, "+-", "±", 1), "±")
+	if s.Latency, err = time.ParseDuration(base); err == nil && hasJitter {
+		s.Jitter, err = time.ParseDuration(jitter)
 	}
-	if v < 0 || v > 1 {
-		return 0, fmt.Errorf("probability %v outside [0, 1]", v)
-	}
-	return v, nil
+	return err
 }
 
-// cutJitter splits "20ms±10ms" (or "20ms+-10ms") into base and jitter.
-func cutJitter(s string) (base, jitter string, ok bool) {
-	if b, j, found := strings.Cut(s, "±"); found {
-		return b, j, true
+func (s *Spec) checkLatency() error {
+	if s.Latency < 0 || s.Jitter < 0 {
+		return fmt.Errorf("negative latency/jitter")
 	}
-	if b, j, found := strings.Cut(s, "+-"); found {
-		return b, j, true
+	if s.Jitter > 0 && s.Latency == 0 {
+		return fmt.Errorf("jitter without base latency")
 	}
-	return s, "", false
+	return nil
 }
 
-// parsePartition parses "<target>:[<delay>+]<dur>[:oneway]".
-func parsePartition(val string) (PartitionSpec, error) {
+func (s *Spec) renderLatency() []string {
+	l := s.Latency.String()
+	if s.Jitter > 0 {
+		l += "±" + s.Jitter.String()
+	}
+	return chaos.If(s.Latency > 0, l)
+}
+
+// parsePartition appends one "<target>:[<delay>+]<dur>[:oneway]" window.
+// Targets are host substrings, so they never contain the spec's commas.
+func (s *Spec) parsePartition(val string) error {
 	var p PartitionSpec
 	parts := strings.Split(val, ":")
 	// The target itself may contain a colon (host:port), so the window is
@@ -280,28 +185,50 @@ func parsePartition(val string) (PartitionSpec, error) {
 		seg := parts[i]
 		if seg == "oneway" {
 			if i != len(parts)-1 {
-				return p, fmt.Errorf("netchaos: bad partition %q (:oneway must be last)", val)
+				return fmt.Errorf(":oneway must be last")
 			}
 			p.OneWay = true
 			continue
 		}
-		if _, _, err := parseWindow(seg); err == nil {
-			winIdx = i
+		if after, dur, err := parseWindow(seg); err == nil {
+			p.After, p.For, winIdx = after, dur, i
 			break
 		}
 	}
 	if winIdx <= 0 {
-		return p, fmt.Errorf("netchaos: bad partition %q (want <target>:[<delay>+]<dur>[:oneway])", val)
+		return fmt.Errorf("want <target>:[<delay>+]<dur>[:oneway]")
 	}
 	p.Target = strings.Join(parts[:winIdx], ":")
-	if p.Target == "" {
-		return p, fmt.Errorf("netchaos: partition %q has empty target", val)
+	s.Partitions = append(s.Partitions, p)
+	return nil
+}
+
+func (s *Spec) checkPartitions() error {
+	for _, p := range s.Partitions {
+		if p.Target == "" {
+			return fmt.Errorf("empty target")
+		}
+		if p.After < 0 || p.For < 0 {
+			return fmt.Errorf("%q has negative timing", p.Target)
+		}
 	}
-	var err error
-	if p.After, p.For, err = parseWindow(parts[winIdx]); err != nil {
-		return p, fmt.Errorf("netchaos: bad partition window in %q: %v", val, err)
+	return nil
+}
+
+func (s *Spec) renderPartitions() []string {
+	var out []string
+	for _, p := range s.Partitions {
+		w := p.Target + ":"
+		if p.After > 0 {
+			w += p.After.String() + "+"
+		}
+		w += p.For.String()
+		if p.OneWay {
+			w += ":oneway"
+		}
+		out = append(out, w)
 	}
-	return p, nil
+	return out
 }
 
 // parseWindow parses "[<delay>+]<dur>".
@@ -312,31 +239,8 @@ func parseWindow(s string) (after, dur time.Duration, err error) {
 		}
 		s = rest
 	}
-	if dur, err = time.ParseDuration(s); err != nil {
-		return 0, 0, err
-	}
-	return after, dur, nil
-}
-
-// splitmix64 is the shared mixing function driving every injection
-// decision (identical to fault's; duplicated to keep the packages
-// dependency-free of each other).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// rateThreshold converts a probability into a uint64 comparison threshold.
-func rateThreshold(rate float64) uint64 {
-	switch {
-	case rate <= 0:
-		return 0
-	case rate >= 1:
-		return ^uint64(0)
-	}
-	return uint64(rate * float64(1<<63) * 2)
+	dur, err = time.ParseDuration(s)
+	return after, dur, err
 }
 
 // Kinds of injection, for metrics and test accounting.
@@ -351,13 +255,11 @@ const (
 
 // Kinds lists every injection kind (sorted), for metric pre-registration.
 func Kinds() []string {
-	ks := []string{KindDrop, KindDropResp, KindLatency, KindCorrupt, KindDup, KindPartition}
-	sort.Strings(ks)
-	return ks
+	return []string{KindCorrupt, KindDrop, KindDropResp, KindDup, KindLatency, KindPartition}
 }
 
 // SpecHelp is a one-line usage string for -netchaos flags.
 func SpecHelp() string {
-	return "chaos spec: seed=N,drop=P,dropresp=P,latency=DUR[±DUR],corrupt=P,dup=P," +
-		"partition=TARGET:[DELAY+]DUR[:oneway], e.g. seed=7,drop=0.05,latency=20ms±10ms,partition=shard1:30s"
+	return "chaos spec: " + new(Spec).grammar().Usage() +
+		", e.g. seed=7,drop=0.05,latency=20ms±10ms,partition=shard1:30s"
 }

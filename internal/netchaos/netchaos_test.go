@@ -97,6 +97,10 @@ func TestParseSpecErrors(t *testing.T) {
 		"partition=shard1:5s:oneway:extra",
 		"bogus=1",
 		"dup=1.01",
+		"drop=NaN",
+		"drop=Inf",
+		",",
+		" , ",
 	}
 	for _, spec := range bad {
 		if s, err := ParseSpec(spec); err == nil {

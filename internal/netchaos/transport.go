@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"systolicdb/internal/chaos"
 	"systolicdb/internal/obs"
 )
 
@@ -27,11 +29,12 @@ func (e *Error) Error() string {
 }
 
 // Per-kind salts mixed into the decision hash so one request's drop and
-// corrupt decisions are independent coin flips.
+// corrupt decisions are independent coin flips. The values are part of the
+// replayable decision stream (0x9e90_0003 belonged to a retired coin and
+// stays unused).
 const (
 	saltDrop     = 0x9e90_0001
 	saltDropResp = 0x9e90_0002
-	saltLatency  = 0x9e90_0003
 	saltJitter   = 0x9e90_0004
 	saltCorrupt  = 0x9e90_0005
 	saltCorrByte = 0x9e90_0006
@@ -47,7 +50,7 @@ type Transport struct {
 	base http.RoundTripper
 
 	n      atomic.Uint64 // request ordinal
-	counts [6]atomic.Int64
+	ledger *chaos.Ledger
 
 	// The partition clock epoch, set lazily at the first RoundTrip so
 	// PartitionSpec.After is measured from first activation, not from
@@ -60,14 +63,6 @@ type Transport struct {
 	// context-aware sleep.
 	now   func() time.Time
 	sleep func(ctx context.Context, d time.Duration) error
-
-	metrics [6]*obs.Counter
-}
-
-// kindIndex maps injection kinds onto count slots.
-var kindIndex = map[string]int{
-	KindDrop: 0, KindDropResp: 1, KindLatency: 2,
-	KindCorrupt: 3, KindDup: 4, KindPartition: 5,
 }
 
 // NewTransport wraps base (nil selects http.DefaultTransport) with the
@@ -79,60 +74,20 @@ func NewTransport(spec *Spec, base http.RoundTripper, reg *obs.Registry) *Transp
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	if reg == nil {
-		reg = obs.Default
+	return &Transport{
+		spec:   spec,
+		base:   base,
+		ledger: chaos.NewLedger(reg, "netchaos", Kinds()),
+		now:    time.Now,
+		sleep:  sleepCtx,
 	}
-	t := &Transport{
-		spec:  spec,
-		base:  base,
-		now:   time.Now,
-		sleep: sleepCtx,
-	}
-	for kind, i := range kindIndex {
-		t.metrics[i] = reg.Counter("netchaos_injections_total", obs.Labels{"kind": kind})
-	}
-	return t
 }
 
 // Counts returns per-kind injection totals since the transport was built.
-func (t *Transport) Counts() map[string]int64 {
-	out := make(map[string]int64, len(kindIndex))
-	for kind, i := range kindIndex {
-		out[kind] = t.counts[i].Load()
-	}
-	return out
-}
+func (t *Transport) Counts() map[string]int64 { return t.ledger.Counts() }
 
 // Total returns the total number of injections across all kinds.
-func (t *Transport) Total() int64 {
-	var sum int64
-	for i := range t.counts {
-		sum += t.counts[i].Load()
-	}
-	return sum
-}
-
-func (t *Transport) record(kind string) {
-	i := kindIndex[kind]
-	t.counts[i].Add(1)
-	t.metrics[i].Inc()
-}
-
-// decide is one deterministic coin flip for request ordinal i.
-func (t *Transport) decide(i uint64, salt uint64, p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	return splitmix64(uint64(t.spec.Seed)^splitmix64(i*0x9e3779b97f4a7c15+salt)) < rateThreshold(p)
-}
-
-// draw returns a deterministic value in [0, n) for request ordinal i.
-func (t *Transport) draw(i uint64, salt uint64, n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return splitmix64(uint64(t.spec.Seed)^splitmix64(i*0xbf58476d1ce4e5b9+salt)) % n
-}
+func (t *Transport) Total() int64 { return t.ledger.Total() }
 
 // partitioned reports whether a partition window covers host right now,
 // and whether that window is one-way (deliver request, drop response).
@@ -142,7 +97,9 @@ func (t *Transport) partitioned(host string) (hit, oneWay bool) {
 	}
 	elapsed := t.now().Sub(t.start)
 	for _, p := range t.spec.Partitions {
-		if !hostMatches(host, p.Target) {
+		// Targets are substrings ("shard1", "127.0.0.1:7001"), matching how
+		// operators name shards in -shards specs.
+		if p.Target == "" || !strings.Contains(host, p.Target) {
 			continue
 		}
 		if elapsed < p.After {
@@ -157,13 +114,6 @@ func (t *Transport) partitioned(host string) (hit, oneWay bool) {
 		hit, oneWay = true, true
 	}
 	return hit, oneWay
-}
-
-// hostMatches reports whether a partition target selects a host. Targets
-// are substrings ("shard1", "127.0.0.1:7001"), matching how operators
-// name shards in -shards specs.
-func hostMatches(host, target string) bool {
-	return target != "" && bytes.Contains([]byte(host), []byte(target))
 }
 
 // sleepCtx blocks for d or until ctx is done, whichever comes first: an
@@ -187,14 +137,14 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	host := req.URL.Host
 
 	// Latency first: a partitioned network is still a slow one.
-	if t.spec.Latency > 0 && t.decide(i, saltLatency, 1) {
+	if t.spec.Latency > 0 {
 		d := t.spec.Latency
 		if t.spec.Jitter > 0 {
 			span := uint64(2*t.spec.Jitter) + 1
-			d += time.Duration(t.draw(i, saltJitter, span)) - t.spec.Jitter
+			d += time.Duration(chaos.Draw(t.spec.Seed, i, saltJitter, span)) - t.spec.Jitter
 		}
 		if d > 0 {
-			t.record(KindLatency)
+			t.ledger.Record(KindLatency)
 			if err := t.sleep(req.Context(), d); err != nil {
 				closeBody(req)
 				return nil, err
@@ -204,33 +154,31 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	dropResp := false
 	if hit, oneWay := t.partitioned(host); hit {
+		t.ledger.Record(KindPartition)
 		if !oneWay {
-			t.record(KindPartition)
 			closeBody(req)
 			return nil, &Error{Kind: KindPartition, Host: host}
 		}
-		// One-way: deliver the request, then drop the response below.
-		t.record(KindPartition)
-		dropResp = true
+		dropResp = true // one-way: deliver the request, drop the response below
 	}
 
-	if t.decide(i, saltDrop, t.spec.Drop) {
-		t.record(KindDrop)
+	if chaos.Fires(t.spec.Seed, i, saltDrop, t.spec.Drop) {
+		t.ledger.Record(KindDrop)
 		closeBody(req)
 		return nil, &Error{Kind: KindDrop, Host: host}
 	}
 
-	if t.decide(i, saltDropResp, t.spec.DropResp) {
-		t.record(KindDropResp)
+	if chaos.Fires(t.spec.Seed, i, saltDropResp, t.spec.DropResp) {
+		t.ledger.Record(KindDropResp)
 		dropResp = true
 	}
 
 	// Duplicate delivery: send a full copy first and discard its
 	// response, so the shard observes the request twice. Only possible
 	// when the body is replayable (GetBody) or absent.
-	if t.decide(i, saltDup, t.spec.Dup) {
+	if chaos.Fires(t.spec.Seed, i, saltDup, t.spec.Dup) {
 		if dup := cloneRequest(req); dup != nil {
-			t.record(KindDup)
+			t.ledger.Record(KindDup)
 			if resp, err := t.base.RoundTrip(dup); err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
@@ -249,16 +197,16 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, &Error{Kind: KindDropResp, Host: host}
 	}
 
-	if t.decide(i, saltCorrupt, t.spec.Corrupt) {
+	if chaos.Fires(t.spec.Seed, i, saltCorrupt, t.spec.Corrupt) {
 		body, rerr := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if rerr != nil {
 			return nil, rerr
 		}
 		if len(body) > 0 {
-			pos := t.draw(i, saltCorrByte, uint64(len(body)))
-			body[pos] ^= 1 << t.draw(i, saltCorrByte+1, 8)
-			t.record(KindCorrupt)
+			pos := chaos.Draw(t.spec.Seed, i, saltCorrByte, uint64(len(body)))
+			body[pos] ^= 1 << chaos.Draw(t.spec.Seed, i, saltCorrByte+1, 8)
+			t.ledger.Record(KindCorrupt)
 		}
 		resp.Body = io.NopCloser(bytes.NewReader(body))
 		resp.ContentLength = int64(len(body))
