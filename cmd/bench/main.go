@@ -10,6 +10,12 @@
 // noise). The JSON document records ops/sec and ns/tuple per operation
 // per backend plus the pulse/bitset speedup, so a regression in either
 // backend is visible as a diff.
+//
+// The simulator is a straw man for speed, so the bitset engine is also
+// measured against internal/baseline's host hash operators, at the fixed
+// size hostN whatever -n the simulator can afford: host_results and
+// speedup_bitset_over_baseline, a ratio of two host timings that does not
+// depend on the machine the way an absolute floor does.
 package main
 
 import (
@@ -19,6 +25,7 @@ import (
 	"os"
 	"time"
 
+	"systolicdb/internal/baseline"
 	"systolicdb/internal/join"
 	"systolicdb/internal/kernel"
 	"systolicdb/internal/relation"
@@ -46,7 +53,16 @@ type report struct {
 	Iters   int                `json:"iters"`
 	Results []result           `json:"results"`
 	Speedup map[string]float64 `json:"speedup_bitset_over_pulse"`
+	// The bitset engine against the host hash operators, at HostN tuples
+	// per relation (HostN/4 quotient values for divide).
+	HostN           int                `json:"host_n"`
+	HostResults     []result           `json:"host_results"`
+	SpeedupBaseline map[string]float64 `json:"speedup_bitset_over_baseline"`
 }
+
+// hostN is the size of the bitset-vs-baseline comparison: cmd/loadgen's
+// kernel_heavy cardinality.
+const hostN = 4096
 
 // opFn runs one benchmarked operator on the given backend's kernel.
 type opFn = func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error)
@@ -102,11 +118,13 @@ func main() {
 }
 
 func run(n, m int, seed int64, iters, divideN int, out string) error {
-	rep := report{N: n, DivideN: divideN, M: m, Seed: seed, Iters: iters, Speedup: map[string]float64{}}
+	rep := report{N: n, DivideN: divideN, M: m, Seed: seed, Iters: iters, Speedup: map[string]float64{},
+		HostN: hostN, SpeedupBaseline: map[string]float64{}}
 
+	results := &rep.Results
 	add := func(op, backend string, tuples int, d time.Duration, rows int) {
 		secs := d.Seconds()
-		rep.Results = append(rep.Results, result{
+		*results = append(*results, result{
 			Op: op, Backend: backend, Tuples: tuples, OutRows: rows,
 			Seconds:   secs,
 			OpsPerSec: 1 / secs,
@@ -121,10 +139,7 @@ func run(n, m int, seed int64, iters, divideN int, out string) error {
 		on := func(k kernel.Kernel) func() (int, error) {
 			return func() (int, error) {
 				rel, _, err := f(k)
-				if err != nil {
-					return 0, err
-				}
-				return rel.Cardinality(), nil
+				return cardinality(rel, err)
 			}
 		}
 		dp, rp, err := measure(iters, on(kernel.Pulse{}))
@@ -144,40 +159,41 @@ func run(n, m int, seed int64, iters, divideN int, out string) error {
 		fmt.Printf("%-10s speedup %.1fx\n", op, rep.Speedup[op])
 		return nil
 	}
-	ia, ib, err := workload.OverlapPair(seed, n, m, 0.5)
+	in, err := operands(seed, n, m, divideN)
 	if err != nil {
 		return err
 	}
-	ja, jb, err := workload.JoinPair(seed, n, n, m, 1)
-	if err != nil {
-		return err
-	}
-	da, err := workload.WithDuplicates(seed, n, m, 0.5)
-	if err != nil {
-		return err
-	}
-	va, vb, err := workload.DivisionCase(seed, divideN, 16, 0.5)
-	if err != nil {
-		return err
-	}
-	for _, o := range []struct {
-		op     string
-		tuples int
-		f      opFn
-	}{
-		{"intersect", 2 * n, func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Intersect(ia, ib) }},
-		{"difference", 2 * n, func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Difference(ia, ib) }},
-		{"join", 2 * n, func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) {
-			return k.Join(ja, jb, join.Spec{ACols: []int{0}, BCols: []int{0}})
-		}},
-		{"dedup", n, func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Dedup(da) }},
-		{"divide", divideN + vb.Cardinality(), func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) {
-			return k.Divide(va, vb, []int{0}, []int{1}, []int{0})
-		}},
-	} {
-		if err := both(o.op, o.tuples, o.f); err != nil {
+	for _, o := range in.operators(divideN + in.vb.Cardinality()) {
+		if err := both(o.op, o.tuples, o.kernel); err != nil {
 			return err
 		}
+	}
+
+	// The same operators on the bitset engine and on the host hash
+	// algorithms, from one set of hostN-sized inputs.
+	if in, err = operands(seed, hostN, m, hostN/4); err != nil {
+		return err
+	}
+	results = &rep.HostResults
+	for _, o := range in.operators(in.va.Cardinality() + in.vb.Cardinality()) {
+		db, rb, err := measure(iters, func() (int, error) {
+			rel, _, err := o.kernel(kernel.Bitset{})
+			return cardinality(rel, err)
+		})
+		if err != nil {
+			return fmt.Errorf("%s bitset n=%d: %w", o.op, hostN, err)
+		}
+		dh, rh, err := measure(iters, func() (int, error) { return cardinality(o.host()) })
+		if err != nil {
+			return fmt.Errorf("%s baseline n=%d: %w", o.op, hostN, err)
+		}
+		if rb != rh {
+			return fmt.Errorf("%s n=%d: bitset and baseline disagree (%d vs %d rows)", o.op, hostN, rb, rh)
+		}
+		add(o.op, "bitset", o.tuples, db, rb)
+		add(o.op, "baseline", o.tuples, dh, rh)
+		rep.SpeedupBaseline[o.op] = dh.Seconds() / db.Seconds()
+		fmt.Printf("%-10s bitset over baseline %.2fx (n=%d)\n", o.op, rep.SpeedupBaseline[o.op], hostN)
 	}
 
 	if out != "" {
@@ -191,4 +207,83 @@ func run(n, m int, seed int64, iters, divideN int, out string) error {
 		fmt.Printf("wrote %s\n", out)
 	}
 	return nil
+}
+
+// inputs is one operand set: the knob-controlled generators at one size.
+type inputs struct {
+	ia, ib, ja, jb, da, va, vb *relation.Relation
+}
+
+func operands(seed int64, n, m, nX int) (in inputs, err error) {
+	if in.ia, in.ib, err = workload.OverlapPair(seed, n, m, 0.5); err != nil {
+		return in, err
+	}
+	if in.ja, in.jb, err = workload.JoinPair(seed, n, n, m, 1); err != nil {
+		return in, err
+	}
+	if in.da, err = workload.WithDuplicates(seed, n, m, 0.5); err != nil {
+		return in, err
+	}
+	in.va, in.vb, err = workload.DivisionCase(seed, nX, 16, 0.5)
+	return in, err
+}
+
+// operator is one benchmarked operator over an operand set: on a backend's
+// kernel, and on internal/baseline's host hash algorithm.
+type operator struct {
+	op     string
+	tuples int // what ns/tuple is normalised by
+	kernel opFn
+	host   func() (*relation.Relation, error)
+}
+
+func (in inputs) operators(divideTuples int) []operator {
+	n := in.ia.Cardinality()
+	onKey := join.Spec{ACols: []int{0}, BCols: []int{0}}
+	quot, div := []int{0}, []int{1}
+	return []operator{
+		{"intersect", 2 * n,
+			func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Intersect(in.ia, in.ib) },
+			func() (*relation.Relation, error) { return baseline.IntersectionHash(in.ia, in.ib) }},
+		{"difference", 2 * n,
+			func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Difference(in.ia, in.ib) },
+			func() (*relation.Relation, error) { return baseline.DifferenceHash(in.ia, in.ib) }},
+		{"join", 2 * n,
+			func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Join(in.ja, in.jb, onKey) },
+			func() (*relation.Relation, error) { return hashJoin(in.ja, in.jb, onKey) }},
+		{"dedup", n,
+			func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) { return k.Dedup(in.da) },
+			func() (*relation.Relation, error) { return baseline.RemoveDuplicatesHash(in.da) }},
+		{"divide", divideTuples,
+			func(k kernel.Kernel) (*relation.Relation, kernel.Cost, error) {
+				return k.Divide(in.va, in.vb, quot, div, quot)
+			},
+			func() (*relation.Relation, error) { return baseline.Divide(in.va, in.vb, quot, div, quot) }},
+	}
+}
+
+func cardinality(rel *relation.Relation, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return rel.Cardinality(), nil
+}
+
+// hashJoin is the host hash join: baseline's pairs through the same
+// materialisation step the array backends share.
+func hashJoin(a, b *relation.Relation, spec join.Spec) (*relation.Relation, error) {
+	pairs, err := baseline.JoinPairsHash(a, b, baseline.JoinSpec{ACols: spec.ACols, BCols: spec.BCols})
+	if err != nil {
+		return nil, err
+	}
+	m, err := join.NewMaterializer(a, b, spec)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range pairs {
+		if err := m.Add(p[0], p[1]); err != nil {
+			return nil, err
+		}
+	}
+	return m.Relation(), nil
 }

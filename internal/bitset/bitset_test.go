@@ -197,3 +197,25 @@ func TestOpsNilAndIncompatible(t *testing.T) {
 		t.Error("nil project input accepted")
 	}
 }
+
+// TestColumnLayoutRule pins the layout choice, read off the input alone: a
+// three-value column is stored whole in one arena, a unique column as
+// exactly one (position, word) entry per tuple.
+func TestColumnLayoutRule(t *testing.T) {
+	const n = 4100
+	ts := make([]relation.Tuple, n)
+	for j := range ts {
+		ts[j] = relation.Tuple{relation.Element(j % 3), relation.Element(j)}
+	}
+	var ix indexer
+	low, unique := ix.index(ts, 0), ix.index(ts, 1)
+	if low.start != nil || len(low.words) != 3*wordsFor(n) {
+		t.Errorf("low-cardinality column: sparse=%v with %d words, want an arena of %d", low.start != nil, len(low.words), 3*wordsFor(n))
+	}
+	if unique.start == nil || len(unique.pos) != n || len(unique.words) != n {
+		t.Errorf("unique column: sparse=%v with %d entries, want sparse with %d", unique.start != nil, len(unique.words), n)
+	}
+	if r := unique.row(4099); len(r.words) != 1 || r.pos[0] != 4099>>6 || r.words[0] != 1<<(4099&63) {
+		t.Errorf("unique.row(4099) = %+v", r)
+	}
+}

@@ -218,8 +218,16 @@ func TestDifferentialJoin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d (%+v): bitset: %v", i, spec, err)
 		}
-		if !p.T.Equal(wj.T) {
-			t.Fatalf("case %d (%+v): match matrices differ\npulse:\n%v\nbitset:\n%v", i, spec, p.T, wj.T)
+		ops := spec.Ops
+		if ops == nil {
+			ops = make([]cells.Op, w) // equi-join: EQ throughout
+		}
+		wT, _, err := bitset.JoinT(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), ops)
+		if err != nil {
+			t.Fatalf("case %d (%+v): bitset T: %v", i, spec, err)
+		}
+		if !p.T.Equal(wT) {
+			t.Fatalf("case %d (%+v): match matrices differ\npulse:\n%v\nbitset:\n%v", i, spec, p.T, wT)
 		}
 		if p.Pairs != wj.Pairs {
 			t.Fatalf("case %d (%+v): %d pulse pairs != %d bitset pairs", i, spec, p.Pairs, wj.Pairs)

@@ -3,7 +3,6 @@ package bitset
 import (
 	"fmt"
 
-	"systolicdb/internal/comparison"
 	"systolicdb/internal/division"
 	"systolicdb/internal/join"
 	"systolicdb/internal/relation"
@@ -33,6 +32,15 @@ func checkCompatible(a, b *relation.Relation) error {
 	return nil
 }
 
+// rows lists r's tuples without copying them; the kernels only read them.
+func rows(r *relation.Relation) []relation.Tuple {
+	out := make([]relation.Tuple, r.Cardinality())
+	for i := range out {
+		out[i] = r.Tuple(i)
+	}
+	return out
+}
+
 // Intersection computes C = A ∩ B word-parallel; semantics match
 // intersect.Intersection.
 func Intersection(a, b *relation.Relation) (*Result, error) {
@@ -49,7 +57,7 @@ func setOp(a, b *relation.Relation, want bool) (*Result, error) {
 	if err := checkCompatible(a, b); err != nil {
 		return nil, err
 	}
-	keep, st, err := Membership(a.Tuples(), b.Tuples())
+	keep, st, err := Membership(rows(a), rows(b))
 	if err != nil {
 		return nil, err
 	}
@@ -69,31 +77,16 @@ func RemoveDuplicates(a *relation.Relation) (*Result, error) {
 	if a == nil {
 		return nil, fmt.Errorf("bitset: nil relation")
 	}
-	dup, st, err := Duplicates(a.Tuples())
-	if err != nil {
-		return nil, err
-	}
-	if dup == nil {
-		dup = []bool{}
-	}
-	rel, err := a.Select(dup, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Rel: rel, Bits: dup, Stats: st}, nil
+	return distinct(a.Schema(), rows(a), identity(a.Width()))
 }
 
 // Union computes C = A ∪ B as remove-duplicates(A + B), the §5
 // construction; semantics match dedup.Union.
 func Union(a, b *relation.Relation) (*Result, error) {
-	if a == nil || b == nil {
-		return nil, fmt.Errorf("bitset: nil relation")
-	}
-	cat, err := a.Concat(b)
-	if err != nil {
+	if err := checkCompatible(a, b); err != nil {
 		return nil, err
 	}
-	return RemoveDuplicates(cat)
+	return distinct(a.Schema(), append(rows(a), rows(b)...), identity(a.Width()))
 }
 
 // Project computes the projection of A over the listed columns followed by
@@ -102,39 +95,69 @@ func Project(a *relation.Relation, cols []int) (*Result, error) {
 	if a == nil {
 		return nil, fmt.Errorf("bitset: nil relation")
 	}
-	multi, err := a.ProjectColumns(cols)
+	schema, err := a.Schema().ProjectSchema(cols)
 	if err != nil {
 		return nil, err
 	}
-	return RemoveDuplicates(multi)
+	return distinct(schema, rows(a), cols)
+}
+
+// distinct removes duplicates among the sub-tuples ts[i][cols] and copies
+// only the survivors, once, into a relation over schema.
+func distinct(schema *relation.Schema, ts []relation.Tuple, cols []int) (*Result, error) {
+	dup, st := duplicates(ts, cols)
+	rel, err := relation.NewRelation(schema, nil)
+	if err != nil {
+		return nil, err
+	}
+	sub := make(relation.Tuple, len(cols))
+	for i, t := range ts {
+		if dup[i] {
+			continue
+		}
+		for k, c := range cols {
+			sub[k] = t[c]
+		}
+		if err := rel.Append(sub); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Rel: rel, Bits: dup, Stats: st}, nil
 }
 
 // JoinResult is the outcome of a join on the bitset backend, mirroring
-// join.Result.
+// join.Result less the match matrix, which the serving path never builds
+// (JoinT does, for the differential tests).
 type JoinResult struct {
 	Rel   *relation.Relation
-	T     *comparison.Matrix
 	Pairs int
 	Stats Stats
 }
 
-// Join runs the word-parallel join for the given spec and materialises the
-// result through the same host-side step the array backend uses
-// (join.Materialize), so the two backends agree bit-for-bit on T and
-// tuple-for-tuple on C.
+// Join runs the word-parallel join for the given spec, feeding the set
+// bits of each row of T straight into the host-side step the array backend
+// shares (join.Materializer): pairs arrive i-major, j ascending, so the two
+// backends agree tuple-for-tuple on C.
 func Join(a, b *relation.Relation, spec join.Spec) (*JoinResult, error) {
 	if err := spec.Validate(a, b); err != nil {
 		return nil, err
 	}
-	t, st, err := JoinT(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), spec.Ops)
+	m, err := join.NewMaterializer(a, b, spec)
 	if err != nil {
 		return nil, err
 	}
-	rel, pairs, err := join.Materialize(a, b, spec, t)
+	var st Stats
+	joinRows(rows(a), spec.ACols, rows(b), spec.BCols, spec.Ops, &st, func(i int, r row) {
+		r.each(func(j int) {
+			if err == nil {
+				err = m.Add(i, j)
+			}
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &JoinResult{Rel: rel, T: t, Pairs: pairs, Stats: st}, nil
+	return &JoinResult{Rel: m.Relation(), Pairs: m.Relation().Cardinality(), Stats: st}, nil
 }
 
 // DivideResult is the outcome of a division on the bitset backend,
@@ -156,14 +179,13 @@ func Divide(a, b *relation.Relation, aQuot, aDiv, bCols []int) (*DivideResult, e
 	var st Stats
 	p, err := division.PrepareDistinct(a, b, aQuot, aDiv, bCols,
 		func(pairs []division.Pair) ([]relation.Element, systolic.Stats, error) {
+			zs := make(relation.Tuple, len(pairs))
 			tuples := make([]relation.Tuple, len(pairs))
 			for i, pr := range pairs {
-				tuples[i] = relation.Tuple{pr.Z}
+				zs[i] = pr.Z
+				tuples[i] = zs[i : i+1]
 			}
-			dup, dst, err := Duplicates(tuples)
-			if err != nil {
-				return nil, systolic.Stats{}, err
-			}
+			dup, dst := duplicates(tuples, []int{0})
 			st.add(dst)
 			xs := make([]relation.Element, 0, len(dup))
 			for i, d := range dup {

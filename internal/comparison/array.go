@@ -16,11 +16,13 @@ type Matrix struct {
 	Bits   [][]bool
 }
 
-// NewMatrix allocates an all-false NA x NB matrix.
+// NewMatrix allocates an all-false NA x NB matrix, its rows carved out of
+// one backing array.
 func NewMatrix(nA, nB int) *Matrix {
 	m := &Matrix{NA: nA, NB: nB, Bits: make([][]bool, nA)}
+	backing := make([]bool, nA*nB)
 	for i := range m.Bits {
-		m.Bits[i] = make([]bool, nB)
+		m.Bits[i] = backing[i*nB : (i+1)*nB : (i+1)*nB]
 	}
 	return m
 }

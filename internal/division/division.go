@@ -29,6 +29,7 @@
 package division
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"systolicdb/internal/cells"
@@ -269,21 +270,23 @@ func PrepareDistinct(a, b *relation.Relation, aQuot, aDiv, bCols []int, distinct
 
 	// Composite-intern the column groups so that multi-column groups
 	// become single elements. Interning is deterministic within a run.
-	zIntern := newInterner()
-	yIntern := newInterner()
+	zIntern := newInterner(len(aQuot))
+	yIntern := newInterner(len(aDiv))
 	pairs := make([]Pair, a.Cardinality())
 	zTuples := make(map[relation.Element]relation.Tuple)
 	for i := 0; i < a.Cardinality(); i++ {
 		t := a.Tuple(i)
-		z := zIntern.code(t.Project(aQuot))
-		y := yIntern.code(t.Project(aDiv))
+		z, fresh := zIntern.code(t, aQuot)
+		y, _ := yIntern.code(t, aDiv)
 		pairs[i] = Pair{Z: z, Y: y}
-		zTuples[z] = t.Project(aQuot)
+		if fresh {
+			zTuples[z] = t.Project(aQuot)
+		}
 	}
 	divisor := make([]relation.Element, 0, b.Cardinality())
 	seenDiv := make(map[relation.Element]bool)
 	for j := 0; j < b.Cardinality(); j++ {
-		y := yIntern.code(b.Tuple(j).Project(bCols))
+		y, _ := yIntern.code(b.Tuple(j), bCols)
 		if !seenDiv[y] {
 			seenDiv[y] = true
 			divisor = append(divisor, y)
@@ -362,23 +365,41 @@ func distinctViaDedupArray(pairs []Pair) ([]relation.Element, systolic.Stats, er
 	return xs, res.Stats, nil
 }
 
-// interner assigns consecutive codes to distinct tuples, reversibly.
+// interner assigns consecutive codes, in first-seen order, to the distinct
+// values of a column group. A width-1 group keys on the element itself; a
+// wider group keys on its elements' bytes, so no tuple is formatted.
 type interner struct {
-	codes map[string]relation.Element
-	next  relation.Element
+	one  map[relation.Element]relation.Element
+	many map[string]relation.Element
+	buf  []byte
 }
 
-func newInterner() *interner {
-	return &interner{codes: make(map[string]relation.Element)}
-}
-
-func (in *interner) code(t relation.Tuple) relation.Element {
-	k := t.String()
-	if c, ok := in.codes[k]; ok {
-		return c
+func newInterner(width int) *interner {
+	if width == 1 {
+		return &interner{one: make(map[relation.Element]relation.Element)}
 	}
-	c := in.next
-	in.next++
-	in.codes[k] = c
-	return c
+	return &interner{many: make(map[string]relation.Element)}
+}
+
+// code returns the code of t's sub-tuple over cols and whether this call
+// assigned it.
+func (in *interner) code(t relation.Tuple, cols []int) (relation.Element, bool) {
+	if in.one != nil {
+		c, ok := in.one[t[cols[0]]]
+		if !ok {
+			c = relation.Element(len(in.one))
+			in.one[t[cols[0]]] = c
+		}
+		return c, !ok
+	}
+	in.buf = in.buf[:0]
+	for _, k := range cols {
+		in.buf = binary.LittleEndian.AppendUint64(in.buf, uint64(t[k]))
+	}
+	c, ok := in.many[string(in.buf)]
+	if !ok {
+		c = relation.Element(len(in.many))
+		in.many[string(in.buf)] = c
+	}
+	return c, !ok
 }

@@ -283,41 +283,66 @@ func (s *Spec) Validate(a, b *relation.Relation) error {
 	return s.validate(a, b)
 }
 
-// Materialize generates the join relation C from the match matrix T — the
+// Materializer generates the join relation C one TRUE t_ij at a time — the
 // host-side step of §6.2 ("for each t_ij that has the value TRUE ... we
 // simply retrieve a_i and b_j, and concatenate them, removing the redundant
-// column"). It returns the relation and the number of TRUE entries.
-func Materialize(a, b *relation.Relation, spec Spec, t *comparison.Matrix) (*relation.Relation, int, error) {
+// column"). Feeding it the pairs i-major, j ascending yields the order
+// Materialize produces from a whole matrix.
+type Materializer struct {
+	a, b  *relation.Relation
+	bKeep []int
+	out   *relation.Relation
+	row   relation.Tuple // scratch: Append copies it
+}
+
+// NewMaterializer prepares the result schema for joining a and b under spec.
+func NewMaterializer(a, b *relation.Relation, spec Spec) (*Materializer, error) {
 	if spec.Ops == nil {
 		spec.Ops = make([]cells.Op, len(spec.ACols))
 	}
 	schema, bKeep, err := resultSchema(a, b, spec, spec.equi())
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	out, err := relation.NewRelation(schema, nil)
 	if err != nil {
+		return nil, err
+	}
+	return &Materializer{a: a, b: b, bKeep: bKeep, out: out, row: make(relation.Tuple, 0, schema.Width())}, nil
+}
+
+// Add appends a_i ++ b_j (less b's redundant columns) to the result.
+func (m *Materializer) Add(i, j int) error {
+	m.row = append(m.row[:0], m.a.Tuple(i)...)
+	bt := m.b.Tuple(j)
+	for _, c := range m.bKeep {
+		m.row = append(m.row, bt[c])
+	}
+	return m.out.Append(m.row)
+}
+
+// Relation returns the join relation built so far; its cardinality is the
+// number of pairs added.
+func (m *Materializer) Relation() *relation.Relation { return m.out }
+
+// Materialize generates the join relation C from the match matrix T. It
+// returns the relation and the number of TRUE entries.
+func Materialize(a, b *relation.Relation, spec Spec, t *comparison.Matrix) (*relation.Relation, int, error) {
+	m, err := NewMaterializer(a, b, spec)
+	if err != nil {
 		return nil, 0, err
 	}
-	pairs := 0
 	for i := 0; i < t.NA; i++ {
-		for j := 0; j < t.NB; j++ {
-			if !t.Bits[i][j] {
+		for j, bit := range t.Bits[i] {
+			if !bit {
 				continue
 			}
-			pairs++
-			tuple := make(relation.Tuple, 0, schema.Width())
-			tuple = append(tuple, a.Tuple(i)...)
-			bt := b.Tuple(j)
-			for _, c := range bKeep {
-				tuple = append(tuple, bt[c])
-			}
-			if err := out.Append(tuple); err != nil {
+			if err := m.Add(i, j); err != nil {
 				return nil, 0, err
 			}
 		}
 	}
-	return out, pairs, nil
+	return m.out, m.out.Cardinality(), nil
 }
 
 // Join runs the join array for the given spec and materialises

@@ -175,8 +175,9 @@ func (t Tiled) Divide(a, b *relation.Relation, aQuot, aDiv, bCols []int) (*relat
 }
 
 // Bitset is the word-parallel back end. Tiling does not apply — the engine
-// holds a whole row of T in packed words — so every operator is one tile
-// whose cost is its word-operation count (one word op evaluates up to
+// indexes a whole operand in memory linear in its size and touches only
+// the nonzero words of each row of T — so every operator is one tile whose
+// cost is its word-operation count (one word op evaluates up to
 // bitset.Lanes lanes of T, the back end's analogue of a pulse).
 type Bitset struct{}
 
