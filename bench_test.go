@@ -520,7 +520,7 @@ func BenchmarkLPTDiskSelect(b *testing.B) {
 			if err := d.Store(r); err != nil {
 				b.Fatal(err)
 			}
-			q := lptdisk.Query{{Col: 0, Op: cells.LT, Value: 50}}
+			q := relation.Query{{Col: 0, Op: cells.LT, Value: 50}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := d.Select(q); err != nil {

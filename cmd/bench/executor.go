@@ -15,7 +15,6 @@ import (
 	"systolicdb/internal/cells"
 	"systolicdb/internal/decompose"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/obs"
 	"systolicdb/internal/query"
@@ -187,7 +186,7 @@ func benchStreaming(n int, seed int64, iters int, out *streamBench) error {
 	cat := query.Catalog{"A": a}
 	plan := query.Dedup{Child: query.Project{
 		Child: query.Select{Child: query.Scan{Name: "A"},
-			Query: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 32}}},
+			Query: relation.Query{{Col: 0, Op: cells.LT, Value: 32}}},
 		Cols: []int{0},
 	}}
 	out.Plan = query.Render(plan)
@@ -237,7 +236,7 @@ func benchPushdown(n int, seed int64, out *pushdownBench) error {
 		return err
 	}
 	cat := query.Catalog{"A": a, "B": b}
-	sel := lptdisk.Query{{Col: 1, Op: cells.LT, Value: 16}}
+	sel := relation.Query{{Col: 1, Op: cells.LT, Value: 16}}
 	plan := query.Select{
 		Child: query.Join{L: query.Scan{Name: "A"}, R: query.Scan{Name: "B"},
 			Spec: join.Spec{ACols: []int{0}, BCols: []int{0}}},

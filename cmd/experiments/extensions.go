@@ -50,7 +50,7 @@ func runE24() error {
 	// Structural half: select-over-union sinks to the scans.
 	sunk, err := query.Optimize(query.Select{
 		Child: query.Union{L: query.Scan{Name: "A"}, R: query.Scan{Name: "B"}},
-		Query: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 10}},
+		Query: relation.Query{{Col: 0, Op: cells.LT, Value: 10}},
 	}, cat)
 	if err != nil {
 		return err
@@ -62,8 +62,8 @@ func runE24() error {
 
 	// Makespan half: the redundant-dedup elimination.
 	plan := query.Dedup{Child: query.Union{
-		L: query.Select{Child: query.Scan{Name: "A"}, Query: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 100}}},
-		R: query.Select{Child: query.Scan{Name: "B"}, Query: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 100}}},
+		L: query.Select{Child: query.Scan{Name: "A"}, Query: relation.Query{{Col: 0, Op: cells.LT, Value: 100}}},
+		R: query.Select{Child: query.Scan{Name: "B"}, Query: relation.Query{{Col: 0, Op: cells.LT, Value: 100}}},
 	}}
 
 	run := func(p query.Node) (time.Duration, int, error) {
@@ -144,7 +144,7 @@ func runE18() error {
 		if err := d.Store(r); err != nil {
 			return err
 		}
-		sel, st, err := d.Select(lptdisk.Query{{Col: 0, Op: cells.LT, Value: 50}})
+		sel, st, err := d.Select(relation.Query{{Col: 0, Op: cells.LT, Value: 50}})
 		if err != nil {
 			return err
 		}
@@ -163,7 +163,7 @@ func runE18() error {
 	}
 	cat := query.Catalog{"R": r}
 	plan := query.Select{Child: query.Scan{Name: "R"},
-		Query: lptdisk.Query{{Col: 1, Op: cells.GE, Value: 5}}}
+		Query: relation.Query{{Col: 1, Op: cells.GE, Value: 5}}}
 	host, err := query.Execute(plan, cat)
 	if err != nil {
 		return err

@@ -45,7 +45,6 @@ import (
 	"systolicdb/internal/cells"
 	"systolicdb/internal/fault"
 	"systolicdb/internal/join"
-	"systolicdb/internal/kernel"
 	"systolicdb/internal/lptdisk"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/obs"
@@ -178,56 +177,47 @@ func parseTheta(theta string) (cells.Op, error) {
 	return 0, fmt.Errorf("unknown θ operator %q", theta)
 }
 
-// run runs one plain operation over a deterministic generated workload on
-// the selected backend's kernel, so the two backends are directly
-// comparable from the command line: identical flags, identical inputs,
-// identical result rows — only the cost unit differs (pulses or word ops).
+// run runs one plain operation over a deterministic generated workload: a
+// one-node plan over the generated relations, through the same executor as
+// -op query. The two backends are directly comparable from the command
+// line: identical flags, identical inputs, identical result rows — only the
+// cost unit differs (pulses or word ops).
 func run(op string, backend machine.Backend, n, m int, seed int64, overlap, dup, match float64, theta string, divisorN int, coverage float64, quiet bool) error {
-	var kern kernel.Kernel = kernel.Pulse{}
-	if backend == machine.BackendBitset {
-		kern = kernel.Bitset{}
-	}
 	var (
-		a, b  *relation.Relation // b stays nil for the one-operand operations
-		res   *relation.Relation
-		cost  kernel.Cost
-		label = "result"
-		aName = "A"
-		bName = "B"
-		err   error
+		a, b   *relation.Relation // b stays nil for the one-operand operations
+		plan   query.Node
+		label  = "result"
+		aName  = "A"
+		bName  = "B"
+		err    error
+		sa, sb = query.Scan{Name: "A"}, query.Scan{Name: "B"}
 	)
 	switch op {
 	case "intersect", "difference", "union":
-		if a, b, err = workload.OverlapPair(seed, n, m, overlap); err != nil {
-			return err
-		}
+		a, b, err = workload.OverlapPair(seed, n, m, overlap)
 		switch op {
 		case "intersect":
-			res, cost, err = kern.Intersect(a, b)
+			plan = query.Intersect{L: sa, R: sb}
 		case "difference":
-			res, cost, err = kern.Difference(a, b)
+			plan = query.Difference{L: sa, R: sb}
 		default:
 			label = "A ∪ B"
-			res, cost, err = kern.Union(a, b)
+			plan = query.Union{L: sa, R: sb}
 		}
 
 	case "dedup":
-		if a, err = workload.WithDuplicates(seed, n, m, dup); err != nil {
-			return err
-		}
+		a, err = workload.WithDuplicates(seed, n, m, dup)
 		label = "dedup(A)"
-		res, cost, err = kern.Dedup(a)
+		plan = query.Dedup{Child: sa}
 
 	case "project":
-		if a, err = workload.Uniform(seed, n, m, 4); err != nil {
-			return err
-		}
+		a, err = workload.Uniform(seed, n, m, 4)
 		cols := []int{0}
 		if m > 1 {
 			cols = []int{0, 1}
 		}
 		label = fmt.Sprintf("π%v(A)", cols)
-		res, cost, err = kern.Project(a, cols)
+		plan = query.Project{Child: sa, Cols: cols}
 
 	case "join", "theta-join":
 		spec := join.Spec{ACols: []int{0}, BCols: []int{0}}
@@ -240,17 +230,13 @@ func run(op string, backend machine.Backend, n, m int, seed int64, overlap, dup,
 			spec.Ops = []cells.Op{thetaOp}
 			label = fmt.Sprintf("A ⋈[%s] B", theta)
 		}
-		if a, b, err = workload.JoinPair(seed, n, n, m, match); err != nil {
-			return err
-		}
-		res, cost, err = kern.Join(a, b, spec)
+		a, b, err = workload.JoinPair(seed, n, n, m, match)
+		plan = query.Join{L: sa, R: sb, Spec: spec}
 
 	case "divide":
-		if a, b, err = workload.DivisionCase(seed, n, divisorN, coverage); err != nil {
-			return err
-		}
+		a, b, err = workload.DivisionCase(seed, n, divisorN, coverage)
 		aName, bName, label = "A (dividend)", "B (divisor)", "A ÷ B"
-		res, cost, err = kern.Divide(a, b, []int{0}, []int{1}, []int{0})
+		plan = query.Divide{L: sa, R: sb, AQuot: []int{0}, ADiv: []int{1}, BCols: []int{0}}
 
 	case "select":
 		if backend == machine.BackendBitset {
@@ -264,6 +250,12 @@ func run(op string, backend machine.Backend, n, m int, seed int64, overlap, dup,
 	if err != nil {
 		return err
 	}
+	var st query.ExecStats
+	res, err := query.ExecuteCtx(context.Background(), plan, query.Catalog{"A": a, "B": b},
+		&query.Options{Stats: &st, Backend: backend})
+	if err != nil {
+		return err
+	}
 	dump(aName, a, quiet)
 	if b != nil {
 		dump(bName, b, quiet)
@@ -274,12 +266,12 @@ func run(op string, backend machine.Backend, n, m int, seed int64, overlap, dup,
 		fmt.Printf("matches: %d of %d candidate pairs\n", res.Cardinality(), a.Cardinality()*b.Cardinality())
 	}
 	if backend == machine.BackendBitset {
-		fmt.Printf("word ops:     %d (up to %d T-matrix lanes per word op)\n", cost.Units, bitset.Lanes)
+		fmt.Printf("word ops:     %d (up to %d T-matrix lanes per word op)\n", st.WordOps, bitset.Lanes)
 		return nil
 	}
-	fmt.Printf("pulses:       %d\n", cost.Units)
+	fmt.Printf("pulses:       %d\n", st.Pulses)
 	fmt.Printf("modeled time: %v (conservative 1980 NMOS, %v per pulse)\n",
-		perf.Conservative1980.PulseTime(cost.Units), perf.Conservative1980.ComparisonTime)
+		perf.Conservative1980.PulseTime(st.Pulses), perf.Conservative1980.ComparisonTime)
 	return nil
 }
 
@@ -297,7 +289,7 @@ func runSelect(n, m int, seed int64, quiet bool) error {
 	if err := d.Store(a); err != nil {
 		return err
 	}
-	res, st, err := d.Select(lptdisk.Query{{Col: 0, Op: cells.LT, Value: 5}})
+	res, st, err := d.Select(relation.Query{{Col: 0, Op: cells.LT, Value: 5}})
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,9 @@ import (
 	"systolicdb/internal/server"
 )
 
-// capture runs f with os.Stdout redirected and returns what it printed.
+// capture runs f with os.Stdout redirected and returns what it printed. The
+// pipe is drained while f runs: a pipe buffers 64 KiB, so reading only after
+// f returns would deadlock any run that prints more than that.
 func capture(t *testing.T, f func() error) string {
 	t.Helper()
 	old := os.Stdout
@@ -21,19 +23,43 @@ func capture(t *testing.T, f func() error) string {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	errCh := make(chan error, 1)
-	go func() { errCh <- f() }()
-	runErr := <-errCh
+	type drained struct {
+		out []byte
+		err error
+	}
+	outCh := make(chan drained, 1)
+	go func() {
+		out, err := io.ReadAll(r)
+		outCh <- drained{out, err}
+	}()
+	runErr := f()
 	w.Close()
 	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
+	d := <-outCh
+	if d.err != nil {
+		t.Fatal(d.err)
 	}
 	if runErr != nil {
-		t.Fatalf("run failed: %v\noutput:\n%s", runErr, out)
+		t.Fatalf("run failed: %v\noutput:\n%s", runErr, d.out)
 	}
-	return string(out)
+	return string(d.out)
+}
+
+// TestCaptureLargeOutput prints more than a pipe buffer holds; before capture
+// drained concurrently this hung until the test timeout.
+func TestCaptureLargeOutput(t *testing.T) {
+	line := strings.Repeat("x", 1023) + "\n"
+	out := capture(t, func() error {
+		for i := 0; i < 200; i++ { // 200 KiB > the 64 KiB pipe buffer
+			if _, err := os.Stdout.WriteString(line); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if len(out) != 200*len(line) {
+		t.Fatalf("captured %d bytes, want %d", len(out), 200*len(line))
+	}
 }
 
 func TestRunAllOperations(t *testing.T) {

@@ -66,7 +66,7 @@ func main() {
 	if err := disk.Store(events); err != nil {
 		log.Fatal(err)
 	}
-	severe, st, err := disk.Select(lptdisk.Query{
+	severe, st, err := disk.Select(systolicdb.DiskQuery{
 		{Col: 1, Op: systolicdb.GE, Value: 9},
 	})
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"systolicdb/internal/cells"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/obs"
 	"systolicdb/internal/query"
@@ -116,7 +115,7 @@ func (e *Engine) exec(ctx context.Context, n query.Node) (*relation.Relation, er
 		return nil, err
 	}
 	if p := Classify(n); p.Scatterable() {
-		return e.scatterSame(ctx, n, p)
+		return e.scatter(ctx, n, p, query.OpName(n))
 	}
 	// Peel shard-local wrappers (select/project/dedup) off a join or
 	// division so they ride along in the scattered sub-plans instead of
@@ -132,67 +131,47 @@ func (e *Engine) exec(ctx context.Context, n query.Node) (*relation.Relation, er
 }
 
 // wrapper is a chain of single-child operators peeled off the top of a
-// plan, to be rebuilt around a rewritten inner node. projected reports
-// that the chain contains a Project, whose images may collide across
-// shards, demoting the gather to dedup-merge; dedupped reports a Dedup,
-// which alone cannot collide (see Engine.gatherPart).
-type wrapper struct {
-	rebuild   func(query.Node) query.Node
-	projected bool
-	dedupped  bool
-}
+// plan, outermost first, to be rebuilt around a rewritten inner node.
+type wrapper []query.Node
 
-func identityWrapper() wrapper {
-	return wrapper{rebuild: func(n query.Node) query.Node { return n }}
+// rebuild re-wraps inner in the peeled chain.
+func (w wrapper) rebuild(inner query.Node) query.Node {
+	for i := len(w) - 1; i >= 0; i-- {
+		inner = query.WithChildren(w[i], inner)
+	}
+	return inner
 }
 
 // peel walks down through Select/Project/Dedup chains (shard-local
 // operators) and returns the first other node plus the chain to rebuild
 // above it.
 func peel(n query.Node) (query.Node, wrapper) {
-	w := identityWrapper()
+	var w wrapper
 	for {
-		switch op := n.(type) {
-		case query.Select:
-			prev := w.rebuild
-			q := op.Query
-			w.rebuild = func(c query.Node) query.Node { return prev(query.Select{Child: c, Query: q}) }
-			n = op.Child
-		case query.Project:
-			prev := w.rebuild
-			cols := op.Cols
-			w.rebuild = func(c query.Node) query.Node { return prev(query.Project{Child: c, Cols: cols}) }
-			w.projected = true
-			n = op.Child
-		case query.Dedup:
-			prev := w.rebuild
-			w.rebuild = func(c query.Node) query.Node { return prev(query.Dedup{Child: c}) }
-			w.dedupped = true
-			n = op.Child
+		switch n.(type) {
+		case query.Select, query.Project, query.Dedup:
+			w = append(w, n)
+			n = query.Children(n)[0]
 		default:
 			return n, w
 		}
 	}
 }
 
-// scatterSame ships one identical plan to every shard and gathers.
-func (e *Engine) scatterSame(ctx context.Context, n query.Node, p Part) (*relation.Relation, error) {
-	return e.scatter(ctx, func(int) query.Node { return n }, p, query.OpName(n))
-}
-
-// scatter ships mkNode(i) to shard i (bounded fan-out), concatenates the
+// scatter ships n to every shard (bounded fan-out), concatenates the
 // partial results in shard order, and removes cross-shard duplicates when
-// the partition property demands it.
-func (e *Engine) scatter(ctx context.Context, mkNode func(i int) query.Node, p Part, op string) (*relation.Relation, error) {
+// the partition property demands it. op is the metric label: the operator
+// being distributed, which under a peeled wrapper is not n's own name.
+func (e *Engine) scatter(ctx context.Context, n query.Node, p Part, op string) (*relation.Relation, error) {
 	stop := e.reg.Timer("cluster_scatter_seconds", obs.Labels{"op": op}).Start()
 	defer stop()
 
+	text, err := query.Format(n)
+	if err != nil {
+		return nil, err
+	}
 	parts := make([]*relation.Relation, len(e.shards))
-	err := e.fanout(ctx, len(e.shards), func(i int) error {
-		text, err := query.Format(mkNode(i))
-		if err != nil {
-			return err
-		}
+	err = e.fanout(ctx, len(e.shards), func(i int) error {
 		e.reg.Counter("cluster_subqueries_total", obs.Labels{"op": op}).Inc()
 		rel, err := e.shards[i].Query(ctx, text)
 		if err != nil {
@@ -260,24 +239,31 @@ func (e *Engine) tempName(kind string) string {
 	return fmt.Sprintf("__tmp_%s_%d", kind, e.tmpSeq.Add(1))
 }
 
-// putTempAll stages rel under name on every shard (broadcast).
-func (e *Engine) putTempAll(ctx context.Context, name string, rel *relation.Relation) error {
-	e.reg.Counter("cluster_broadcast_rows_total", nil).Add(int64(rel.Cardinality() * len(e.shards)))
-	return e.fanout(ctx, len(e.shards), func(i int) error {
-		return e.shards[i].PutTemp(ctx, name, rel)
-	})
-}
-
-// putTempParts stages parts[i] under name on shard i (shuffle).
-func (e *Engine) putTempParts(ctx context.Context, name string, parts []*relation.Relation) error {
-	total := 0
-	for _, p := range parts {
-		total += p.Cardinality()
+// stage puts rel on the shards under a fresh temporary name: whole on every
+// shard when everywhere is set (broadcast), else partitioned on the ring by
+// the key columns byCols (nil = full tuple; shuffle). A failed staging is
+// cleaned up before returning.
+func (e *Engine) stage(ctx context.Context, kind string, rel *relation.Relation, byCols []int, everywhere bool) (string, error) {
+	part := func(int) *relation.Relation { return rel }
+	if everywhere {
+		e.reg.Counter("cluster_broadcast_rows_total", nil).Add(int64(rel.Cardinality() * len(e.shards)))
+	} else {
+		parts, err := PartitionBy(rel, byCols, e.ring)
+		if err != nil {
+			return "", err
+		}
+		part = func(i int) *relation.Relation { return parts[i] }
+		e.reg.Counter("cluster_shuffle_rows_total", nil).Add(int64(rel.Cardinality()))
 	}
-	e.reg.Counter("cluster_shuffle_rows_total", nil).Add(int64(total))
-	return e.fanout(ctx, len(e.shards), func(i int) error {
-		return e.shards[i].PutTemp(ctx, name, parts[i])
+	name := e.tempName(kind)
+	err := e.fanout(ctx, len(e.shards), func(i int) error {
+		return e.shards[i].PutTemp(ctx, name, part(i))
 	})
+	if err != nil {
+		e.dropTemp(name)
+		return "", err
+	}
+	return name, nil
 }
 
 // dropTemp removes a staged temporary everywhere, best effort.
@@ -312,13 +298,14 @@ func (e *Engine) keyedScan(n query.Node, cols []int) bool {
 }
 
 // shardResident resolves the probe side of a join/division to a per-shard
-// plan node: a scatterable plan is referenced as-is (it already evaluates
-// shard-locally), anything else is materialized through the cluster and
-// re-partitioned onto the shards by the given key columns (nil = full
-// tuple). It returns the node to embed in per-shard plans and the temp
-// name to clean up ("" when nothing was staged).
-func (e *Engine) shardResident(ctx context.Context, n query.Node, byCols []int, forceShuffle bool) (query.Node, string, error) {
-	if !forceShuffle && Classify(n) == PartAligned && byCols == nil {
+// plan node. With no key (byCols nil) an aligned plan is referenced as-is —
+// it already evaluates shard-locally; with one, so is a scan whose PUT-time
+// partitioning is that key. Anything else is materialized through the
+// cluster and re-partitioned onto the shards by the key columns (nil = full
+// tuple). It returns the node to embed in per-shard plans and the temp name
+// to clean up ("" when nothing was staged).
+func (e *Engine) shardResident(ctx context.Context, n query.Node, byCols []int) (query.Node, string, error) {
+	if byCols == nil && Classify(n) == PartAligned {
 		return n, "", nil
 	}
 	if e.keyedScan(n, byCols) {
@@ -328,13 +315,8 @@ func (e *Engine) shardResident(ctx context.Context, n query.Node, byCols []int, 
 	if err != nil {
 		return nil, "", err
 	}
-	parts, err := PartitionBy(rel, byCols, e.ring)
+	name, err := e.stage(ctx, "part", rel, byCols, false)
 	if err != nil {
-		return nil, "", err
-	}
-	name := e.tempName("part")
-	if err := e.putTempParts(ctx, name, parts); err != nil {
-		e.dropTemp(name)
 		return nil, "", err
 	}
 	return query.Scan{Name: name}, name, nil
@@ -347,20 +329,16 @@ func (e *Engine) shardResident(ctx context.Context, n query.Node, byCols []int, 
 // keyed). Gather is concat: each matched pair is produced by exactly one
 // shard.
 func (e *Engine) execJoin(ctx context.Context, op query.Join, w wrapper) (*relation.Relation, error) {
-	equi := true
-	for _, o := range op.Spec.Ops {
-		if o != cells.EQ {
-			equi = false
-		}
+	equi := op.Spec.IsEqui()
+	strategy := func(name string) {
+		e.reg.Counter("cluster_join_strategy_total", obs.Labels{"strategy": name}).Inc()
 	}
 
 	// Fast path: both sides are scans already partitioned by their join
 	// key — co-partitioned at PUT time, nothing moves.
 	if equi && e.keyedScan(op.L, op.Spec.ACols) && e.keyedScan(op.R, op.Spec.BCols) {
-		e.reg.Counter("cluster_join_strategy_total", obs.Labels{"strategy": "copartitioned"}).Inc()
-		return e.scatter(ctx, func(int) query.Node {
-			return w.rebuild(query.Join{L: op.L, R: op.R, Spec: op.Spec})
-		}, e.gatherPart(w), "join")
+		strategy("copartitioned")
+		return e.scatter(ctx, w.rebuild(op), e.gatherPart(w), "join")
 	}
 
 	rrel, err := e.exec(ctx, op.R)
@@ -369,60 +347,43 @@ func (e *Engine) execJoin(ctx context.Context, op query.Join, w wrapper) (*relat
 	}
 
 	if equi && rrel.Cardinality() > e.opt.BroadcastLimit {
-		return e.shuffleJoin(ctx, op, rrel, w)
+		// Co-partition both sides on the join key through the coordinator —
+		// the crossbar-as-network move: tuples that must meet are routed to
+		// the same device.
+		strategy("shuffle")
+		return e.staged(ctx, op, w, rrel, "shuf", op.Spec.ACols, op.Spec.BCols)
 	}
-	return e.broadcastJoin(ctx, op, rrel, w)
+	// Ship the build side whole to every shard and probe the (shard-
+	// resident) left side against it — the degenerate co-partitioning where
+	// the build side's partition map is "everywhere". Correct for any
+	// operator mix, including θ-joins.
+	strategy("broadcast")
+	return e.staged(ctx, op, w, rrel, "bcast", nil, nil)
 }
 
-// broadcastJoin ships the build side whole to every shard and probes the
-// (shard-resident) left side against it — the degenerate co-partitioning
-// where the build side's partition map is "everywhere". Correct for any
-// operator mix, including θ-joins.
-func (e *Engine) broadcastJoin(ctx context.Context, op query.Join, rrel *relation.Relation, w wrapper) (*relation.Relation, error) {
-	e.reg.Counter("cluster_join_strategy_total", obs.Labels{"strategy": "broadcast"}).Inc()
-	lNode, lTemp, err := e.shardResident(ctx, op.L, nil, false)
+// staged is the one stage-and-scatter body behind every join and division
+// strategy: make op's left operand shard-resident on lKey (shardResident),
+// stage the already-gathered right operand rrel under a temporary —
+// partitioned on rKey, or whole on every shard when rKey is nil — rebuild
+// op over the two inside the peeled wrapper, scatter, and drop the
+// temporaries.
+func (e *Engine) staged(ctx context.Context, op query.Node, w wrapper, rrel *relation.Relation,
+	kind string, lKey, rKey []int) (*relation.Relation, error) {
+
+	lNode, lTemp, err := e.shardResident(ctx, query.Children(op)[0], lKey)
 	if err != nil {
 		return nil, err
 	}
 	if lTemp != "" {
 		defer e.dropTemp(lTemp)
 	}
-	rName := e.tempName("bcast")
-	if err := e.putTempAll(ctx, rName, rrel); err != nil {
-		e.dropTemp(rName)
-		return nil, err
-	}
-	defer e.dropTemp(rName)
-	return e.scatter(ctx, func(int) query.Node {
-		return w.rebuild(query.Join{L: lNode, R: query.Scan{Name: rName}, Spec: op.Spec})
-	}, e.gatherPart(w), "join")
-}
-
-// shuffleJoin co-partitions both sides on the join key through the
-// coordinator — the crossbar-as-network move: tuples that must meet are
-// routed to the same device.
-func (e *Engine) shuffleJoin(ctx context.Context, op query.Join, rrel *relation.Relation, w wrapper) (*relation.Relation, error) {
-	e.reg.Counter("cluster_join_strategy_total", obs.Labels{"strategy": "shuffle"}).Inc()
-	lNode, lTemp, err := e.shardResident(ctx, op.L, op.Spec.ACols, true)
+	rName, err := e.stage(ctx, kind, rrel, rKey, rKey == nil)
 	if err != nil {
 		return nil, err
 	}
-	if lTemp != "" {
-		defer e.dropTemp(lTemp)
-	}
-	rParts, err := PartitionBy(rrel, op.Spec.BCols, e.ring)
-	if err != nil {
-		return nil, err
-	}
-	rName := e.tempName("shuf")
-	if err := e.putTempParts(ctx, rName, rParts); err != nil {
-		e.dropTemp(rName)
-		return nil, err
-	}
 	defer e.dropTemp(rName)
-	return e.scatter(ctx, func(int) query.Node {
-		return w.rebuild(query.Join{L: lNode, R: query.Scan{Name: rName}, Spec: op.Spec})
-	}, e.gatherPart(w), "join")
+	sub := w.rebuild(query.WithChildren(op, lNode, query.Scan{Name: rName}))
+	return e.scatter(ctx, sub, e.gatherPart(w), query.OpName(op))
 }
 
 // gatherPart decides the gather policy for a peeled wrapper over a
@@ -440,10 +401,16 @@ func (e *Engine) shuffleJoin(ctx context.Context, op query.Join, rrel *relation.
 // verbatim — the skip is counted so the equivalence suite and /metrics
 // can see it happening.
 func (e *Engine) gatherPart(w wrapper) Part {
-	if w.projected {
-		return PartOverlap
+	dedupped := false
+	for _, n := range w {
+		switch n.(type) {
+		case query.Project:
+			return PartOverlap
+		case query.Dedup:
+			dedupped = true
+		}
 	}
-	if w.dedupped {
+	if dedupped {
 		e.reg.Counter("cluster_gather_dedup_skipped_total", nil).Inc()
 	}
 	return PartDisjoint
@@ -458,81 +425,24 @@ func (e *Engine) execDivide(ctx context.Context, op query.Divide, w wrapper) (*r
 	if err != nil {
 		return nil, err
 	}
-	lNode, lTemp, err := e.shardResident(ctx, op.L, op.AQuot, true)
-	if err != nil {
-		return nil, err
-	}
-	if lTemp != "" {
-		defer e.dropTemp(lTemp)
-	}
-	rName := e.tempName("div")
-	if err := e.putTempAll(ctx, rName, rrel); err != nil {
-		e.dropTemp(rName)
-		return nil, err
-	}
-	defer e.dropTemp(rName)
-	return e.scatter(ctx, func(int) query.Node {
-		return w.rebuild(query.Divide{
-			L: lNode, R: query.Scan{Name: rName},
-			AQuot: op.AQuot, ADiv: op.ADiv, BCols: op.BCols,
-		})
-	}, e.gatherPart(w), "divide")
+	return e.staged(ctx, op, w, rrel, "div", op.AQuot, nil)
 }
 
-// execLocal is the fallback for plans that do not decompose: children are
-// still evaluated through the cluster, but the top operator runs on the
-// coordinator's own engine.
+// execLocal is the fallback for plans that do not decompose: the operands
+// are still evaluated through the cluster, but the top operator runs on the
+// coordinator's own engine, over the gathered operands.
 func (e *Engine) execLocal(ctx context.Context, n query.Node) (*relation.Relation, error) {
 	e.reg.Counter("cluster_local_fallback_total", obs.Labels{"op": query.OpName(n)}).Inc()
-	switch op := n.(type) {
-	case query.Intersect:
-		return e.localPair(ctx, op.L, op.R, func(l, r query.Node) query.Node {
-			return query.Intersect{L: l, R: r}
-		})
-	case query.Difference:
-		return e.localPair(ctx, op.L, op.R, func(l, r query.Node) query.Node {
-			return query.Difference{L: l, R: r}
-		})
-	case query.Union:
-		return e.localPair(ctx, op.L, op.R, func(l, r query.Node) query.Node {
-			return query.Union{L: l, R: r}
-		})
-	case query.Dedup:
-		return e.localSingle(ctx, op.Child, func(c query.Node) query.Node {
-			return query.Dedup{Child: c}
-		})
-	case query.Project:
-		return e.localSingle(ctx, op.Child, func(c query.Node) query.Node {
-			return query.Project{Child: c, Cols: op.Cols}
-		})
-	case query.Select:
-		return e.localSingle(ctx, op.Child, func(c query.Node) query.Node {
-			return query.Select{Child: c, Query: op.Query}
-		})
+	kids := query.Children(n)
+	cat := make(query.Catalog, len(kids))
+	for i, kid := range kids {
+		rel, err := e.exec(ctx, kid)
+		if err != nil {
+			return nil, err
+		}
+		name := fmt.Sprintf("__local_%d", i)
+		cat[name], kids[i] = rel, query.Scan{Name: name}
 	}
-	return nil, fmt.Errorf("cluster: unsupported plan node %T", n)
-}
-
-func (e *Engine) localPair(ctx context.Context, l, r query.Node, mk func(l, r query.Node) query.Node) (*relation.Relation, error) {
-	lrel, err := e.exec(ctx, l)
-	if err != nil {
-		return nil, err
-	}
-	rrel, err := e.exec(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	cat := query.Catalog{"__local_l": lrel, "__local_r": rrel}
-	return query.ExecuteCtx(ctx, mk(query.Scan{Name: "__local_l"}, query.Scan{Name: "__local_r"}), cat,
-		&query.Options{Metrics: e.reg, Backend: e.opt.Backend})
-}
-
-func (e *Engine) localSingle(ctx context.Context, child query.Node, mk func(c query.Node) query.Node) (*relation.Relation, error) {
-	crel, err := e.exec(ctx, child)
-	if err != nil {
-		return nil, err
-	}
-	cat := query.Catalog{"__local_c": crel}
-	return query.ExecuteCtx(ctx, mk(query.Scan{Name: "__local_c"}), cat,
+	return query.ExecuteCtx(ctx, query.WithChildren(n, kids...), cat,
 		&query.Options{Metrics: e.reg, Backend: e.opt.Backend})
 }

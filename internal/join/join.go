@@ -35,11 +35,11 @@ type Spec struct {
 	Ops   []cells.Op
 }
 
-// equi reports whether every operator is equality, which determines whether
+// IsEqui reports whether every operator is equality, which determines whether
 // the redundant join columns are removed from the result (§6.1 footnote 2:
 // authors differ; we follow the paper and omit the redundant column for
 // equi-joins, and keep both columns for θ-joins, where the values differ).
-func (s Spec) equi() bool {
+func (s Spec) IsEqui() bool {
 	for _, op := range s.Ops {
 		if op != cells.EQ {
 			return false
@@ -48,9 +48,28 @@ func (s Spec) equi() bool {
 	return true
 }
 
+// BKeep lists, in order, the columns of a bWidth-wide B that follow A's
+// columns in the join result: all of them for a θ-join, all but B's join
+// columns for an equi-join.
+func (s Spec) BKeep(bWidth int) []int {
+	drop := make(map[int]bool)
+	if s.IsEqui() {
+		for _, c := range s.BCols {
+			drop[c] = true
+		}
+	}
+	keep := make([]int, 0, bWidth)
+	for i := 0; i < bWidth; i++ {
+		if !drop[i] {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
 // validate checks the §6.3.1 constraints: equal column counts, columns in
 // range, and pairwise-identical underlying domains.
-func (s *Spec) validate(a, b *relation.Relation) error {
+func (s *Spec) validate(a, b *relation.Schema) error {
 	if len(s.ACols) == 0 {
 		return fmt.Errorf("join: no join columns specified")
 	}
@@ -71,12 +90,46 @@ func (s *Spec) validate(a, b *relation.Relation) error {
 		if cb < 0 || cb >= b.Width() {
 			return fmt.Errorf("join: column %d of B out of range [0,%d)", cb, b.Width())
 		}
-		if !a.Schema().Col(ca).Domain.Same(b.Schema().Col(cb).Domain) {
+		if !a.Col(ca).Domain.Same(b.Col(cb).Domain) {
 			return fmt.Errorf("join: columns %q and %q are not drawn from the same underlying domain",
-				a.Schema().Col(ca).Name, b.Schema().Col(cb).Name)
+				a.Col(ca).Name, b.Col(cb).Name)
 		}
 	}
 	return nil
+}
+
+// Layout is the one definition of a join's result: it validates spec against
+// the operand schemas and returns the result schema — all columns of A
+// followed by B's kept columns (Spec.BKeep), name collisions prefixed "b_" —
+// and the kept-column list. Everything that needs the shape of a join
+// without running one (the executor's open-time validation, the streaming
+// join, the optimizer's predicate split) reads it here; Materializer builds
+// on it, so the array's own output cannot disagree.
+func Layout(a, b *relation.Schema, spec Spec) (*relation.Schema, []int, error) {
+	if err := spec.validate(a, b); err != nil {
+		return nil, nil, err
+	}
+	bKeep := spec.BKeep(b.Width())
+	names := make(map[string]bool)
+	cols := make([]relation.Column, 0, a.Width()+len(bKeep))
+	for i := 0; i < a.Width(); i++ {
+		c := a.Col(i)
+		names[c.Name] = true
+		cols = append(cols, c)
+	}
+	for _, i := range bKeep {
+		c := b.Col(i)
+		for names[c.Name] {
+			c.Name = "b_" + c.Name
+		}
+		names[c.Name] = true
+		cols = append(cols, c)
+	}
+	s, err := relation.NewSchema(cols...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, bKeep, nil
 }
 
 // Result is the outcome of running the join array.
@@ -225,43 +278,6 @@ func RunTWrap(aKeys, bKeys []relation.Tuple, ops []cells.Op, wrap systolic.Wrap)
 	return t, grid.Stats(), nil
 }
 
-// resultSchema builds the schema of the join result: all columns of A
-// followed by the columns of B, omitting B's join columns when dropB is
-// set. Name collisions get a "b_" prefix.
-func resultSchema(a, b *relation.Relation, spec Spec, dropB bool) (*relation.Schema, []int, error) {
-	drop := make(map[int]bool)
-	if dropB {
-		for _, c := range spec.BCols {
-			drop[c] = true
-		}
-	}
-	names := make(map[string]bool)
-	cols := make([]relation.Column, 0, a.Width()+b.Width())
-	for i := 0; i < a.Width(); i++ {
-		c := a.Schema().Col(i)
-		names[c.Name] = true
-		cols = append(cols, c)
-	}
-	var bKeep []int
-	for i := 0; i < b.Width(); i++ {
-		if drop[i] {
-			continue
-		}
-		c := b.Schema().Col(i)
-		for names[c.Name] {
-			c.Name = "b_" + c.Name
-		}
-		names[c.Name] = true
-		cols = append(cols, c)
-		bKeep = append(bKeep, i)
-	}
-	s, err := relation.NewSchema(cols...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, bKeep, nil
-}
-
 // Keys projects every tuple of r onto the given columns, producing the key
 // tuples fed through the join array. Validation is the caller's job (see
 // Spec.Validate via Join).
@@ -280,7 +296,7 @@ func (s *Spec) Validate(a, b *relation.Relation) error {
 	if a == nil || b == nil {
 		return fmt.Errorf("join: nil relation")
 	}
-	return s.validate(a, b)
+	return s.validate(a.Schema(), b.Schema())
 }
 
 // Materializer generates the join relation C one TRUE t_ij at a time — the
@@ -297,10 +313,7 @@ type Materializer struct {
 
 // NewMaterializer prepares the result schema for joining a and b under spec.
 func NewMaterializer(a, b *relation.Relation, spec Spec) (*Materializer, error) {
-	if spec.Ops == nil {
-		spec.Ops = make([]cells.Op, len(spec.ACols))
-	}
-	schema, bKeep, err := resultSchema(a, b, spec, spec.equi())
+	schema, bKeep, err := Layout(a.Schema(), b.Schema(), spec)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +364,7 @@ func Join(a, b *relation.Relation, spec Spec) (*Result, error) {
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("join: nil relation")
 	}
-	if err := spec.validate(a, b); err != nil {
+	if err := spec.validate(a.Schema(), b.Schema()); err != nil {
 		return nil, err
 	}
 	t, stats, err := RunT(Keys(a, spec.ACols), Keys(b, spec.BCols), spec.Ops)

@@ -21,18 +21,6 @@ import (
 	"systolicdb/internal/relation"
 )
 
-// Predicate is one comparison a track head can evaluate on the fly:
-// tuple[Col] op Value. Track logic is deliberately minimal (1970s
-// head-per-track hardware), so only constant comparisons are supported —
-// anything richer belongs on the systolic arrays. The type is the plan
-// layer's selection predicate (relation.Predicate); the aliases keep this
-// package's historical names source-compatible.
-type Predicate = relation.Predicate
-
-// Query is a conjunction of predicates, the richest filter the track logic
-// evaluates in a single revolution.
-type Query = relation.Query
-
 // Stats describes the cost of one logic-per-track operation.
 type Stats struct {
 	Revolutions   int           // full disk revolutions consumed
@@ -90,7 +78,7 @@ func (d *Disk) Stored() int {
 // Select evaluates the query with every track head in parallel during one
 // revolution and returns the matching tuples. The modeled time is exactly
 // one revolution — independent of relation size — which is the §9 point.
-func (d *Disk) Select(q Query) (*relation.Relation, Stats, error) {
+func (d *Disk) Select(q relation.Query) (*relation.Relation, Stats, error) {
 	if d.schema == nil {
 		return nil, Stats{}, fmt.Errorf("lptdisk: no relation stored")
 	}

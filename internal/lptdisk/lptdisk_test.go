@@ -27,7 +27,7 @@ func storedDisk(t *testing.T, tracks, n int) (*Disk, *relation.Relation) {
 
 func TestSelectMatchesHostFilter(t *testing.T) {
 	d, r := storedDisk(t, 4, 50)
-	q := Query{{Col: 0, Op: cells.LT, Value: 5}}
+	q := relation.Query{{Col: 0, Op: cells.LT, Value: 5}}
 	got, st, err := d.Select(q)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestSelectMatchesHostFilter(t *testing.T) {
 
 func TestConjunction(t *testing.T) {
 	d, r := storedDisk(t, 3, 40)
-	q := Query{
+	q := relation.Query{
 		{Col: 0, Op: cells.GE, Value: 3},
 		{Col: 1, Op: cells.LT, Value: 7},
 	}
@@ -135,17 +135,17 @@ func TestValidation(t *testing.T) {
 	}
 	dd, r := storedDisk(t, 2, 5)
 	_ = r
-	if _, _, err := dd.Select(Query{{Col: 9, Op: cells.EQ, Value: 1}}); err == nil {
+	if _, _, err := dd.Select(relation.Query{{Col: 9, Op: cells.EQ, Value: 1}}); err == nil {
 		t.Error("out-of-range predicate column not rejected")
 	}
 }
 
 func TestQueryMatchesEdge(t *testing.T) {
-	q := Query{{Col: 3, Op: cells.EQ, Value: 1}}
+	q := relation.Query{{Col: 3, Op: cells.EQ, Value: 1}}
 	if q.Matches(relation.Tuple{1, 2}) {
 		t.Error("out-of-range column matched")
 	}
-	if !(Query{}).Matches(relation.Tuple{1}) {
+	if !(relation.Query{}).Matches(relation.Tuple{1}) {
 		t.Error("empty query must match everything")
 	}
 }

@@ -5,7 +5,7 @@ import (
 
 	"systolicdb/internal/cells"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
+	"systolicdb/internal/relation"
 	"systolicdb/internal/workload"
 )
 
@@ -127,7 +127,7 @@ func TestSelectingLoadTakesOneRevolution(t *testing.T) {
 	}
 	res, err := m.Run([]Task{
 		{Op: OpLoad, Base: big, Output: "S",
-			Select: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 5}}},
+			Select: relation.Query{{Col: 0, Op: cells.LT, Value: 5}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ func FuzzNetChaosSpec(f *testing.F) {
 		"",
 		"drop=",
 		"partition=:=:",
+		"partition=a:5s:junk",
 		"latency=±1ms",
 		"drop=NaN",
 	} {

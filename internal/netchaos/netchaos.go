@@ -191,6 +191,11 @@ func (s *Spec) parsePartition(val string) error {
 			continue
 		}
 		if after, dur, err := parseWindow(seg); err == nil {
+			// Only :oneway may follow the window; anything else skipped on
+			// the way here would otherwise be dropped silently.
+			if tail := len(parts) - 1 - i; tail > 1 || tail == 1 && !p.OneWay {
+				return fmt.Errorf("unexpected segment after window")
+			}
 			p.After, p.For, winIdx = after, dur, i
 			break
 		}

@@ -95,6 +95,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"partition=:5s",
 		"partition=shard1",
 		"partition=shard1:5s:oneway:extra",
+		"partition=a:5s:junk",
+		"partition=a:5s:junk:oneway",
 		"bogus=1",
 		"dup=1.01",
 		"drop=NaN",
@@ -105,6 +107,17 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range bad {
 		if s, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) = %+v, want error", spec, s)
+		}
+	}
+}
+
+// TestPartitionTrailingSegment pins the reason: a segment after the window
+// that is not :oneway used to be dropped silently.
+func TestPartitionTrailingSegment(t *testing.T) {
+	for _, spec := range []string{"partition=a:5s:junk", "partition=host:7001:2s+5s:junk:oneway"} {
+		_, err := ParseSpec(spec)
+		if err == nil || !strings.Contains(err.Error(), "unexpected segment after window") {
+			t.Errorf("ParseSpec(%q) error = %v, want unexpected segment after window", spec, err)
 		}
 	}
 }

@@ -56,10 +56,8 @@ func format(sb *strings.Builder, n Node) error {
 		return nil
 	case Join:
 		name := "join"
-		for _, o := range op.Spec.Ops {
-			if o != cells.EQ {
-				name = "theta"
-			}
+		if !op.Spec.IsEqui() {
+			name = "theta"
 		}
 		if len(op.Spec.ACols) == 0 || len(op.Spec.ACols) != len(op.Spec.BCols) {
 			return fmt.Errorf("query: join spec with %d/%d column pairs cannot be formatted",

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"time"
 
-	"systolicdb/internal/cells"
 	"systolicdb/internal/join"
 	"systolicdb/internal/kernel"
 	"systolicdb/internal/machine"
@@ -518,12 +517,12 @@ func (m *membershipIter) Close() {
 // build (B) side — the breaker. Equi-joins probe a hash table on B's
 // join key; θ-joins fall back to a per-probe scan of B applying the
 // comparison operators cell-for-cell like join.ReferenceT. Output rows
-// are the probe tuple followed by B's kept columns (bKeep), matching
-// join.Materialize's layout and row-major emission order.
+// are the probe tuple followed by B's kept columns (join.Layout's bKeep),
+// in join.Materialize's row-major emission order.
 type joinIter struct {
 	iterCore
 	probe, build TupleIterator
-	spec         join.Spec // Ops normalized non-nil
+	spec         join.Spec // Ops may be nil: thetaMatch only runs when !equi
 	equi         bool
 	bKeep        []int
 	built        bool
@@ -752,7 +751,7 @@ func (d *driver) open(n Node) (TupleIterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec, equi, schema, bKeep, err := joinSchema(l.Schema(), r.Schema(), op.Spec)
+		schema, bKeep, err := join.Layout(l.Schema(), r.Schema(), op.Spec)
 		if err != nil {
 			l.Close()
 			r.Close()
@@ -760,7 +759,7 @@ func (d *driver) open(n Node) (TupleIterator, error) {
 		}
 		if d.streaming {
 			return &joinIter{iterCore: d.core(n, schema), probe: l, build: r,
-				spec: spec, equi: equi, bKeep: bKeep}, nil
+				spec: op.Spec, equi: op.Spec.IsEqui(), bKeep: bKeep}, nil
 		}
 		return d.blocking(n, schema, []TupleIterator{l, r}, func(in []*relation.Relation) (*relation.Relation, kernel.Cost, error) {
 			return d.kern.Join(in[0], in[1], op.Spec)
@@ -806,76 +805,6 @@ func (d *driver) openPair(ln, rn Node, compatible bool) (TupleIterator, TupleIte
 		return nil, nil, fmt.Errorf("query: operands are not union-compatible")
 	}
 	return l, r, nil
-}
-
-// joinSchema validates a join spec against the operand schemas and builds
-// the result layout: A's columns, then B's minus the dropped join columns
-// (equi-joins only), name collisions prefixed "b_" — the schema-level
-// mirror of join.Materialize's resultSchema.
-func joinSchema(ls, rs *relation.Schema, spec join.Spec) (join.Spec, bool, *relation.Schema, []int, error) {
-	fail := func(err error) (join.Spec, bool, *relation.Schema, []int, error) {
-		return join.Spec{}, false, nil, nil, err
-	}
-	if len(spec.ACols) == 0 {
-		return fail(fmt.Errorf("join: no join columns specified"))
-	}
-	if len(spec.ACols) != len(spec.BCols) {
-		return fail(fmt.Errorf("join: %d columns of A against %d of B", len(spec.ACols), len(spec.BCols)))
-	}
-	if spec.Ops == nil {
-		spec.Ops = make([]cells.Op, len(spec.ACols))
-	}
-	if len(spec.Ops) != len(spec.ACols) {
-		return fail(fmt.Errorf("join: %d operators for %d column pairs", len(spec.Ops), len(spec.ACols)))
-	}
-	equi := true
-	for k := range spec.ACols {
-		ca, cb := spec.ACols[k], spec.BCols[k]
-		if ca < 0 || ca >= ls.Width() {
-			return fail(fmt.Errorf("join: column %d of A out of range [0,%d)", ca, ls.Width()))
-		}
-		if cb < 0 || cb >= rs.Width() {
-			return fail(fmt.Errorf("join: column %d of B out of range [0,%d)", cb, rs.Width()))
-		}
-		if !ls.Col(ca).Domain.Same(rs.Col(cb).Domain) {
-			return fail(fmt.Errorf("join: columns %q and %q are not drawn from the same underlying domain",
-				ls.Col(ca).Name, rs.Col(cb).Name))
-		}
-		if spec.Ops[k] != cells.EQ {
-			equi = false
-		}
-	}
-	drop := make(map[int]bool)
-	if equi {
-		for _, c := range spec.BCols {
-			drop[c] = true
-		}
-	}
-	names := make(map[string]bool)
-	cols := make([]relation.Column, 0, ls.Width()+rs.Width())
-	for i := 0; i < ls.Width(); i++ {
-		c := ls.Col(i)
-		names[c.Name] = true
-		cols = append(cols, c)
-	}
-	var bKeep []int
-	for i := 0; i < rs.Width(); i++ {
-		if drop[i] {
-			continue
-		}
-		c := rs.Col(i)
-		for names[c.Name] {
-			c.Name = "b_" + c.Name
-		}
-		names[c.Name] = true
-		cols = append(cols, c)
-		bKeep = append(bKeep, i)
-	}
-	schema, err := relation.NewSchema(cols...)
-	if err != nil {
-		return fail(err)
-	}
-	return spec, equi, schema, bKeep, nil
 }
 
 // Open builds the streaming iterator tree for a plan without running it

@@ -3,8 +3,6 @@ package query
 import (
 	"fmt"
 
-	"systolicdb/internal/cells"
-	"systolicdb/internal/join"
 	"systolicdb/internal/relation"
 )
 
@@ -54,22 +52,14 @@ func Optimize(n Node, cat Catalog) (Node, error) {
 // width returns the output width of a plan node.
 func width(n Node, cat Catalog) (int, error) {
 	switch op := n.(type) {
+	case nil:
+		return 0, fmt.Errorf("query: unknown node %T", n)
 	case Scan:
 		r, ok := cat[op.Name]
 		if !ok {
 			return 0, fmt.Errorf("query: unknown relation %q", op.Name)
 		}
 		return r.Width(), nil
-	case Intersect:
-		return width(op.L, cat)
-	case Difference:
-		return width(op.L, cat)
-	case Union:
-		return width(op.L, cat)
-	case Dedup:
-		return width(op.Child, cat)
-	case Select:
-		return width(op.Child, cat)
 	case Project:
 		return len(op.Cols), nil
 	case Join:
@@ -81,122 +71,41 @@ func width(n Node, cat Catalog) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		return lw + len(joinBKeep(op.Spec, rw)), nil
+		return lw + len(op.Spec.BKeep(rw)), nil
 	case Divide:
 		return len(op.AQuot), nil
 	}
-	return 0, fmt.Errorf("query: unknown node %T", n)
+	// Every other operator passes its (left) operand's schema through.
+	return width(n.children()[0], cat)
 }
 
-// joinBKeep mirrors join.Materialize's output layout: the join result is
-// L's columns followed by the R input columns listed here, in order
-// (equi-joins drop R's join columns; θ-joins keep everything).
-func joinBKeep(spec join.Spec, rw int) []int {
-	equi := true
-	for _, o := range spec.Ops {
-		if o != cells.EQ {
-			equi = false
-		}
-	}
-	drop := make(map[int]bool)
-	if equi {
-		for _, c := range spec.BCols {
-			drop[c] = true
-		}
-	}
-	keep := make([]int, 0, rw)
-	for i := 0; i < rw; i++ {
-		if !drop[i] {
-			keep = append(keep, i)
-		}
-	}
-	return keep
-}
-
-// rewrite applies one bottom-up pass of the rules.
+// rewrite applies one bottom-up pass of the rules: the operands first,
+// whatever the operator, then the rules that match the rebuilt node.
 func rewrite(n Node, cat Catalog) (Node, bool, error) {
+	if n == nil {
+		return nil, false, fmt.Errorf("query: unknown node %T", n)
+	}
+	kids, changed := n.children(), false
+	for i, k := range kids {
+		r, c, err := rewrite(k, cat)
+		if err != nil {
+			return nil, false, err
+		}
+		kids[i], changed = r, changed || c
+	}
+	n = n.withChildren(kids)
+
 	switch op := n.(type) {
-	case Scan:
-		return op, false, nil
-
-	case Intersect:
-		l, cl, err := rewrite(op.L, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rewrite(op.R, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		return Intersect{L: l, R: r}, cl || cr, nil
-
-	case Difference:
-		l, cl, err := rewrite(op.L, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rewrite(op.R, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		return Difference{L: l, R: r}, cl || cr, nil
-
-	case Union:
-		l, cl, err := rewrite(op.L, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rewrite(op.R, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		return Union{L: l, R: r}, cl || cr, nil
-
-	case Join:
-		l, cl, err := rewrite(op.L, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rewrite(op.R, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		return Join{L: l, R: r, Spec: op.Spec}, cl || cr, nil
-
-	case Divide:
-		l, cl, err := rewrite(op.L, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		r, cr, err := rewrite(op.R, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		return Divide{L: l, R: r, AQuot: op.AQuot, ADiv: op.ADiv, BCols: op.BCols}, cl || cr, nil
-
 	case Dedup:
-		child, changed, err := rewrite(op.Child, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		switch inner := child.(type) {
-		case Dedup: // rule 5
-			return inner, true, nil
-		case Project: // rule 6
-			return inner, true, nil
-		case Union: // rule 7
+		switch inner := op.Child.(type) {
+		case Dedup, Project, Union: // rules 5, 6, 7
 			return inner, true, nil
 		case Intersect: // rule 8
 			return Intersect{L: Dedup{Child: inner.L}, R: inner.R}, true, nil
 		}
-		return Dedup{Child: child}, changed, nil
 
 	case Project:
-		child, changed, err := rewrite(op.Child, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		if inner, ok := child.(Project); ok { // rule 9
+		if inner, ok := op.Child.(Project); ok { // rule 9
 			composed := make([]int, len(op.Cols))
 			valid := true
 			for i, c := range op.Cols {
@@ -210,32 +119,18 @@ func rewrite(n Node, cat Catalog) (Node, bool, error) {
 				return Project{Child: inner.Child, Cols: composed}, true, nil
 			}
 		}
-		return Project{Child: child, Cols: op.Cols}, changed, nil
 
 	case Select:
-		child, changed, err := rewrite(op.Child, cat)
-		if err != nil {
-			return nil, false, err
-		}
-		switch inner := child.(type) {
+		switch inner := op.Child.(type) {
 		case Select: // rule 1
 			merged := append(append(relation.Query{}, inner.Query...), op.Query...)
 			return Select{Child: inner.Child, Query: merged}, true, nil
-		case Intersect: // rule 2
-			return Intersect{
-				L: Select{Child: inner.L, Query: op.Query},
-				R: Select{Child: inner.R, Query: op.Query},
-			}, true, nil
-		case Union:
-			return Union{
-				L: Select{Child: inner.L, Query: op.Query},
-				R: Select{Child: inner.R, Query: op.Query},
-			}, true, nil
-		case Difference:
-			return Difference{
-				L: Select{Child: inner.L, Query: op.Query},
-				R: Select{Child: inner.R, Query: op.Query},
-			}, true, nil
+		case Intersect, Union, Difference: // rule 2
+			sides := inner.children()
+			for i, side := range sides {
+				sides[i] = Select{Child: side, Query: op.Query}
+			}
+			return inner.withChildren(sides), true, nil
 		case Project: // rule 3
 			mapped := make(relation.Query, len(op.Query))
 			valid := true
@@ -263,7 +158,7 @@ func rewrite(n Node, cat Catalog) (Node, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			bKeep := joinBKeep(inner.Spec, rw)
+			bKeep := inner.Spec.BKeep(rw)
 			var lq, rq relation.Query
 			valid := len(op.Query) > 0
 			for _, p := range op.Query {
@@ -292,7 +187,6 @@ func rewrite(n Node, cat Catalog) (Node, bool, error) {
 				return Join{L: l, R: r, Spec: inner.Spec}, true, nil
 			}
 		}
-		return Select{Child: child, Query: op.Query}, changed, nil
 	}
-	return nil, false, fmt.Errorf("query: unknown node %T", n)
+	return n, changed, nil
 }

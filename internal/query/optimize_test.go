@@ -7,7 +7,6 @@ import (
 
 	"systolicdb/internal/cells"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/relation"
 	"systolicdb/internal/workload"
@@ -26,8 +25,8 @@ func optCatalog(t *testing.T) Catalog {
 	return Catalog{"A": a, "B": b}
 }
 
-func ltQ(col int, v int64) lptdisk.Query {
-	return lptdisk.Query{{Col: col, Op: cells.LT, Value: relation.Element(v)}}
+func ltQ(col int, v int64) relation.Query {
+	return relation.Query{{Col: col, Op: cells.LT, Value: relation.Element(v)}}
 }
 
 func TestOptimizeSinksSelectToScan(t *testing.T) {

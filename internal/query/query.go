@@ -27,6 +27,9 @@ type Node interface {
 	// label returns a short operator name for plan rendering.
 	label() string
 	children() []Node
+	// withChildren returns a copy of the node over kids (as many as
+	// children() returns), keeping columns, spec and predicates.
+	withChildren(kids []Node) Node
 }
 
 // Scan reads a named base relation from the catalog.
@@ -90,6 +93,27 @@ func (n Dedup) children() []Node      { return []Node{n.Child} }
 func (n Project) children() []Node    { return []Node{n.Child} }
 func (n Join) children() []Node       { return []Node{n.L, n.R} }
 func (n Divide) children() []Node     { return []Node{n.L, n.R} }
+
+func (n Scan) withChildren([]Node) Node         { return n }
+func (n Select) withChildren(k []Node) Node     { n.Child = k[0]; return n }
+func (n Dedup) withChildren(k []Node) Node      { n.Child = k[0]; return n }
+func (n Project) withChildren(k []Node) Node    { n.Child = k[0]; return n }
+func (n Intersect) withChildren(k []Node) Node  { n.L, n.R = k[0], k[1]; return n }
+func (n Difference) withChildren(k []Node) Node { n.L, n.R = k[0], k[1]; return n }
+func (n Union) withChildren(k []Node) Node      { n.L, n.R = k[0], k[1]; return n }
+func (n Join) withChildren(k []Node) Node       { n.L, n.R = k[0], k[1]; return n }
+func (n Divide) withChildren(k []Node) Node     { n.L, n.R = k[0], k[1]; return n }
+
+// Children returns n's operand plans in order (none for a Scan). With
+// WithChildren it is the one description of plan shape: a walker that does
+// not care which operator it is looking at — the optimizer's descent, the
+// cluster coordinator's peel-and-rebuild — needs nothing else.
+func Children(n Node) []Node { return n.children() }
+
+// WithChildren returns a copy of n over the given operands, which must be as
+// many as Children(n); everything else about n (projection columns, join
+// spec, predicates) is kept. WithChildren(n, Children(n)...) is n.
+func WithChildren(n Node, kids ...Node) Node { return n.withChildren(kids) }
 
 // Catalog maps base-relation names to relations.
 //

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"systolicdb/internal/cells"
-	"systolicdb/internal/lptdisk"
 	"systolicdb/internal/machine"
+	"systolicdb/internal/relation"
 	"systolicdb/internal/workload"
 )
 
@@ -15,7 +15,7 @@ func TestSelectHostExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := Catalog{"R": r}
-	plan := Select{Child: Scan{Name: "R"}, Query: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 5}}}
+	plan := Select{Child: Scan{Name: "R"}, Query: relation.Query{{Col: 0, Op: cells.LT, Value: 5}}}
 	got, err := Execute(plan, cat)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestSelectOverNonScanHostOnly(t *testing.T) {
 	cat := Catalog{"R": r}
 	plan := Select{
 		Child: Dedup{Scan{Name: "R"}},
-		Query: lptdisk.Query{{Col: 0, Op: cells.GE, Value: 2}},
+		Query: relation.Query{{Col: 0, Op: cells.GE, Value: 2}},
 	}
 	if _, err := Execute(plan, cat); err != nil {
 		t.Errorf("host execution of select over non-scan failed: %v", err)
@@ -60,7 +60,7 @@ func TestSelectCompilesToSingleLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := Catalog{"R": r}
-	plan := Select{Child: Scan{Name: "R"}, Query: lptdisk.Query{{Col: 1, Op: cells.EQ, Value: 3}}}
+	plan := Select{Child: Scan{Name: "R"}, Query: relation.Query{{Col: 1, Op: cells.EQ, Value: 3}}}
 	tasks, out, err := Compile(plan, cat)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestSelectFeedsDownstreamOperators(t *testing.T) {
 	}
 	cat := Catalog{"A": a, "B": b}
 	plan := Intersect{
-		L: Select{Child: Scan{Name: "A"}, Query: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 4}}},
+		L: Select{Child: Scan{Name: "A"}, Query: relation.Query{{Col: 0, Op: cells.LT, Value: 4}}},
 		R: Scan{Name: "B"},
 	}
 	host, err := Execute(plan, cat)
@@ -126,7 +126,7 @@ func TestSelectInvalidColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := Catalog{"R": r}
-	plan := Select{Child: Scan{Name: "R"}, Query: lptdisk.Query{{Col: 9, Op: cells.EQ, Value: 1}}}
+	plan := Select{Child: Scan{Name: "R"}, Query: relation.Query{{Col: 9, Op: cells.EQ, Value: 1}}}
 	if _, err := Execute(plan, cat); err == nil {
 		t.Error("out-of-range predicate column not rejected by host executor")
 	}

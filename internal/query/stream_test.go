@@ -10,7 +10,6 @@ import (
 
 	"systolicdb/internal/cells"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/obs"
 	"systolicdb/internal/relation"
@@ -208,7 +207,7 @@ func TestStreamCancelMidNode(t *testing.T) {
 	// The predicate never matches, so a single Next would otherwise pull
 	// all 4000 input rows before reporting exhaustion.
 	plan := Select{Child: Scan{Name: "A"},
-		Query: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 0}}}
+		Query: relation.Query{{Col: 0, Op: cells.LT, Value: 0}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	it, err := Open(ctx, plan, cat, nil)
 	if err != nil {
@@ -276,7 +275,7 @@ func TestStreamingCancelledExecute(t *testing.T) {
 	}
 	cat := Catalog{"A": a}
 	plan := Select{Child: Scan{Name: "A"},
-		Query: lptdisk.Query{{Col: 0, Op: cells.LT, Value: 0}}}
+		Query: relation.Query{{Col: 0, Op: cells.LT, Value: 0}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := ExecuteCtx(ctx, plan, cat,

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"systolicdb/internal/cluster"
-	"systolicdb/internal/decompose"
 	"systolicdb/internal/fault"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/obs"
@@ -830,26 +829,23 @@ func (s *Server) readRepair(remote map[string]string) error {
 
 func (s *Server) handleGetRelation(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	var rel *relation.Relation
 	if s.cfg.Cluster != nil && !strings.HasPrefix(name, hiddenPrefix) {
 		if _, known := s.cfg.Cluster.Rows(name); !known {
 			writeError(w, http.StatusNotFound, "unknown relation %q", name)
 			return
 		}
-		rel, err := s.cfg.Cluster.Gather(r.Context(), name)
-		if err != nil {
+		var err error
+		if rel, err = s.cfg.Cluster.Gather(r.Context(), name); err != nil {
 			writeError(w, http.StatusBadGateway, "%v", err)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := relation.FormatTableTypes(w, rel); err != nil {
-			s.reg.Counter("server_dump_errors_total", nil).Inc()
+	} else {
+		var ok bool
+		if rel, ok = s.cat.Get(name); !ok {
+			writeError(w, http.StatusNotFound, "unknown relation %q", name)
+			return
 		}
-		return
-	}
-	rel, ok := s.cat.Get(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown relation %q", name)
-		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	// FormatTableTypes leads with a `#% types:` directive, so a dump fed
@@ -1408,21 +1404,7 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryRespons
 		if err != nil {
 			return nil, err
 		}
-		resp.Rows = rel.Cardinality()
-		if !req.NoTable {
-			resp.Columns = rel.Schema().Names()
-			var sb strings.Builder
-			format := relation.FormatTable
-			if req.TableTypes {
-				format = relation.FormatTableTypes
-			}
-			if err := format(&sb, rel); err != nil {
-				return nil, err
-			}
-			resp.Table = sb.String()
-			resp.stampCRC()
-		}
-		return resp, nil
+		return resp, resp.setResult(rel, req)
 	}
 	cat, version := s.cat.SnapshotVersion()
 	plan, cached, err := s.preparePlan(req, resp, cat, version, !req.NoOptimize)
@@ -1444,7 +1426,6 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryRespons
 	if err != nil {
 		return nil, err
 	}
-	resp.Rows = rel.Cardinality()
 	resp.Pulses = st.Pulses
 	resp.WordOps = st.WordOps
 	resp.PeakTuples = st.PeakTuples
@@ -1455,26 +1436,31 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryRespons
 		resp.Pulses = resp.Machine.Pulses
 	}
 	resp.SimTime = perf.Conservative1980.PulseTime(resp.Pulses).Seconds()
-	if !req.NoTable {
-		resp.Columns = rel.Schema().Names()
-		var sb strings.Builder
-		format := relation.FormatTable
-		if req.TableTypes {
-			format = relation.FormatTableTypes
-		}
-		if err := format(&sb, rel); err != nil {
-			return nil, err
-		}
-		resp.Table = sb.String()
-		resp.stampCRC()
-	}
-	return resp, nil
+	return resp, resp.setResult(rel, req)
 }
 
-// stampCRC sets the result table's integrity checksum.
-func (r *queryResponse) stampCRC() {
+// setResult fills in what every answer carries, whichever engine produced
+// rel: the row count and, unless the request declined it, the column names,
+// the result table in the requested format and the table's integrity
+// checksum.
+func (r *queryResponse) setResult(rel *relation.Relation, req *queryRequest) error {
+	r.Rows = rel.Cardinality()
+	if req.NoTable {
+		return nil
+	}
+	r.Columns = rel.Schema().Names()
+	var sb strings.Builder
+	format := relation.FormatTable
+	if req.TableTypes {
+		format = relation.FormatTableTypes
+	}
+	if err := format(&sb, rel); err != nil {
+		return err
+	}
+	r.Table = sb.String()
 	crc := crc32.ChecksumIEEE([]byte(r.Table))
 	r.TableCRC32 = &crc
+	return nil
 }
 
 // machineFault derives the fault configuration for one request's machine:
@@ -1514,20 +1500,9 @@ func (s *Server) runOnMachine(ctx context.Context, plan query.Node, cat query.Ca
 	if err != nil {
 		return nil, nil, false, err
 	}
-	size := decompose.ArraySize{MaxA: s.cfg.ArraySize, MaxB: s.cfg.ArraySize}
-	mach, err := machine.New(machine.Config{
-		Memories: 3,
-		Devices: []machine.DeviceConfig{
-			{Name: "intersect0", Kind: machine.DevIntersect, Size: size},
-			{Name: "join0", Kind: machine.DevJoin, Size: size},
-			{Name: "divide0", Kind: machine.DevDivide, Size: size},
-		},
-		Tech:    perf.Conservative1980,
-		Disk:    perf.Disk1980,
-		Metrics: s.reg,
-		Fault:   s.machineFault(req),
-		Backend: req.backend,
-	})
+	cfg := machine.DefaultConfig1980(s.cfg.ArraySize, s.machineFault(req))
+	cfg.Metrics, cfg.Backend = s.reg, req.backend
+	mach, err := machine.New(cfg)
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -36,7 +36,6 @@ import (
 	"systolicdb/internal/division"
 	"systolicdb/internal/intersect"
 	"systolicdb/internal/join"
-	"systolicdb/internal/lptdisk"
 	"systolicdb/internal/machine"
 	"systolicdb/internal/patternmatch"
 	"systolicdb/internal/perf"
@@ -359,9 +358,9 @@ type (
 
 	// DiskPredicate is one comparison a logic-per-track disk head can
 	// evaluate on the fly (§9, reference [8]).
-	DiskPredicate = lptdisk.Predicate
+	DiskPredicate = relation.Predicate
 	// DiskQuery is a conjunction of disk-head predicates.
-	DiskQuery = lptdisk.Query
+	DiskQuery = relation.Query
 )
 
 // Plan node constructors (aliases of the query package's node types).
