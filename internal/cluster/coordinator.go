@@ -102,21 +102,10 @@ type Coordinator struct {
 	bootID string
 	keySeq atomic.Uint64
 
-	// version counts acked cluster mutations (PutKeyed/DeleteKeyed), the
-	// coordinator-side mirror of server.Catalog's version counter: a
-	// coordinator-mode plan cache stamps entries with it, so a PUT or
-	// DELETE invalidates every cached plan on the next lookup. Shard
-	// daemons need no extra signal — the same write bumps each shard's
-	// own catalog version, invalidating cached per-shard sub-plans there.
-	version atomic.Uint64
-
 	mu     sync.RWMutex // guards widths/rows
 	widths map[string]int
 	rows   map[string]int
 }
-
-// Version returns the cluster mutation counter (see the field docs).
-func (c *Coordinator) Version() uint64 { return c.version.Load() }
 
 // shardSlot is one ring position: a primary client and the replica that
 // takes over if the primary is quarantined.
@@ -146,6 +135,21 @@ func NewCoordinator(specs []ShardSpec, opt CoordinatorOptions) (*Coordinator, er
 	}
 	if opt.Parse == nil {
 		return nil, fmt.Errorf("cluster: coordinator needs a table parser")
+	}
+	// One daemon in two roles would hold two partitions under one name: the
+	// second PUT overwrites the first, and every scatter reads it twice.
+	seen := map[string]bool{}
+	for _, spec := range specs {
+		for _, addr := range []string{spec.Addr, spec.Replica} {
+			if addr == "" {
+				continue
+			}
+			base := httpBase(addr)
+			if seen[base] {
+				return nil, fmt.Errorf("cluster: shard address %s listed twice", base)
+			}
+			seen[base] = true
+		}
 	}
 	if opt.PromoteAfter <= 0 {
 		opt.PromoteAfter = 3
@@ -577,7 +581,6 @@ func (c *Coordinator) PutKeyed(ctx context.Context, name, key string, rel *relat
 	c.widths[name] = rel.Width()
 	c.rows[name] = rel.Cardinality()
 	c.mu.Unlock()
-	c.version.Add(1)
 	c.persistState()
 	return nil
 }
@@ -649,7 +652,6 @@ func (c *Coordinator) DeleteKeyed(ctx context.Context, name, key string) (bool, 
 	delete(c.widths, name)
 	delete(c.rows, name)
 	c.mu.Unlock()
-	c.version.Add(1)
 	c.persistState()
 	return existed, nil
 }

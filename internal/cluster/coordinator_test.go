@@ -274,6 +274,36 @@ func TestParseShardSpecs(t *testing.T) {
 	}
 }
 
+// TestNewCoordinatorRejectsDuplicateAddress: one daemon listed in two
+// roles would hold two partitions under one name, so the later PUT
+// overwrites the earlier and every scatter reads it twice.
+func TestNewCoordinatorRejectsDuplicateAddress(t *testing.T) {
+	parse := func(string) (*relation.Relation, error) { return nil, nil }
+	for _, c := range []struct{ shards, dup string }{
+		{"a,a", "http://a"},
+		{"a=a", "http://a"},
+		{"a=b,b", "http://b"},
+		{"a=b,c=b", "http://b"},
+		{"a,http://a", "http://a"},
+	} {
+		specs, err := cluster.ParseShardSpecs(c.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cluster.NewCoordinator(specs, cluster.CoordinatorOptions{Parse: parse})
+		if err == nil || !strings.Contains(err.Error(), c.dup) {
+			t.Errorf("-shards %s: err = %v, want one naming %s", c.shards, err, c.dup)
+		}
+	}
+	specs, err := cluster.ParseShardSpecs("a=b,c=d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.NewCoordinator(specs, cluster.CoordinatorOptions{Parse: parse}); err != nil {
+		t.Fatalf("distinct addresses refused: %v", err)
+	}
+}
+
 func TestMembershipRelationEncodesTopology(t *testing.T) {
 	rel, err := cluster.MembershipRelation([]cluster.ShardInfo{
 		{ID: 0, Primary: "http://a", Replica: "http://b"},

@@ -49,30 +49,13 @@ var (
 // RecordPrefilter charges one pre-tiling selection into obs.Default: a
 // relation of `before` tuples was reduced to `after` before any tiled
 // operator touched it. The machine's selecting-load path calls this; the
-// tile arithmetic itself is StripsSaved/TilesSaved.
+// tiles that reduction saves are ArraySize.Tiles before minus after.
 func RecordPrefilter(before, after int) {
 	if after > before {
 		after = before
 	}
 	mPrefilterSelects.Inc()
 	mPrefilterRows.Add(int64(before - after))
-}
-
-// StripsSaved reports how many capacity-`max` strips a prefilter saves on
-// one side of a tiled problem: ceil(before/max) - ceil(after/max). Zero
-// when the reduction does not cross a strip boundary.
-func StripsSaved(before, after, max int) int {
-	if max <= 0 || after >= before {
-		return 0
-	}
-	return ceilDiv(before, max) - ceilDiv(after, max)
-}
-
-// TilesSaved reports the tile-count reduction of a tiled nA x nB problem
-// when prefilters reduced side A from beforeA to afterA tuples and side B
-// from beforeB to afterB: Tiles(beforeA, beforeB) - Tiles(afterA, afterB).
-func (s ArraySize) TilesSaved(beforeA, afterA, beforeB, afterB int) int {
-	return s.Tiles(beforeA, beforeB) - s.Tiles(afterA, afterB)
 }
 
 // ArraySize is the capacity of the fixed physical array: the maximum

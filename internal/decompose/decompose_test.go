@@ -142,41 +142,6 @@ func TestTiledEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestStripsSaved(t *testing.T) {
-	cases := []struct {
-		before, after, max, want int
-	}{
-		{100, 40, 10, 6}, // 10 strips -> 4 strips
-		{100, 95, 10, 0}, // reduction inside the last strip
-		{100, 91, 10, 0}, // still 10 strips
-		{100, 90, 10, 1}, // crosses a strip boundary
-		{10, 10, 10, 0},  // no reduction
-		{10, 20, 10, 0},  // growth clamps to zero
-		{10, 5, 0, 0},    // degenerate capacity
-	}
-	for _, c := range cases {
-		if got := StripsSaved(c.before, c.after, c.max); got != c.want {
-			t.Errorf("StripsSaved(%d, %d, %d) = %d, want %d", c.before, c.after, c.max, got, c.want)
-		}
-	}
-}
-
-func TestTilesSaved(t *testing.T) {
-	s := ArraySize{MaxA: 10, MaxB: 10}
-	// 100x100 on a 10x10 array is 100 tiles; prefiltering A to 40 rows
-	// leaves 4x10 = 40 tiles, saving 60.
-	if got := s.TilesSaved(100, 40, 100, 100); got != 60 {
-		t.Errorf("TilesSaved = %d, want 60", got)
-	}
-	// Both sides filtered: 4x4 = 16 tiles left, 84 saved.
-	if got := s.TilesSaved(100, 40, 100, 40); got != 84 {
-		t.Errorf("TilesSaved both = %d, want 84", got)
-	}
-	if got := s.TilesSaved(50, 50, 50, 50); got != 0 {
-		t.Errorf("TilesSaved no-op = %d, want 0", got)
-	}
-}
-
 func TestRecordPrefilter(t *testing.T) {
 	selects0 := mPrefilterSelects.Value()
 	rows0 := mPrefilterRows.Value()

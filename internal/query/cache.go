@@ -12,16 +12,14 @@ import (
 // PlanCache is an LRU of prepared plans keyed by canonical plan text
 // (lossless: Format of the parsed tree) + backend + optimize flag, each entry
 // stamped with the catalog version it was built against. A hit skips
-// Parse and Optimize, and — once the entry has been run on the machine
-// once — Compile as well (the lowered task list is memoized lazily).
+// Parse and Optimize.
 //
 // Invalidation is by version comparison at lookup time, not by eager
 // sweep: the catalog bumps a monotonic counter on every PUT/DELETE, and a
 // hit whose stored version differs is evicted and counted as an
 // invalidation. That makes a PUT O(1) regardless of cache size while
-// still guaranteeing no query ever runs a plan prepared against a
-// catalog it can no longer see (prepared plans capture relation
-// pointers; see CachedPlan.Tasks).
+// still guaranteeing no query ever runs a plan rewritten against relation
+// widths the catalog no longer has.
 //
 // A raw-text alias map fronts the canonical index so an exactly-repeated
 // query string skips Parse too; aliases are dropped with their entry.
@@ -41,22 +39,16 @@ type planEntry struct {
 	key       string
 	aliasKeys []string
 	version   uint64
-	plan      Node   // optimized (or raw, when the entry was built with optimize off)
-	canonical string // display text of the parsed tree (pre-optimization)
-	rendered  string // Render of plan
-	compiled  bool
-	tasks     []machine.Task
-	output    string
+	// cp.Plan is optimized (or raw, when the entry was built with optimize
+	// off); each hit gets its own copy of cp.
+	cp CachedPlan
 }
 
-// CachedPlan is the caller's view of a cache hit (or a fresh insert): the
-// prepared plan plus the lazily-compiled machine transaction.
+// CachedPlan is the caller's view of a cache hit (or a fresh insert).
 type CachedPlan struct {
 	Plan      Node
 	Canonical string // canonical (pre-optimization) plan text
 	Rendered  string // prepared plan text
-	cache     *PlanCache
-	entry     *planEntry
 }
 
 // NewPlanCache builds a cache holding at most capacity prepared plans
@@ -98,13 +90,14 @@ func (c *PlanCache) Lookup(raw string, backend machine.Backend, optimize bool, v
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key, ok := c.aliases[rawKey(raw, backend, optimize)]
+	rk := rawKey(raw, backend, optimize)
+	key, ok := c.aliases[rk]
 	if !ok {
 		// Not counted as a miss yet: the caller retries via
 		// LookupCanonical after parsing, which settles hit vs miss.
 		return nil, false
 	}
-	return c.lookupLocked(key, version)
+	return c.lookupLocked(key, rk, version)
 }
 
 // LookupCanonical resolves a parsed plan's canonical text, learning the
@@ -116,14 +109,12 @@ func (c *PlanCache) LookupCanonical(raw, canonical string, backend machine.Backe
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cp, ok := c.lookupLocked(cacheKey(canonical, backend, optimize), version)
-	if ok {
-		c.aliasLocked(cp.entry, rawKey(raw, backend, optimize))
-	}
-	return cp, ok
+	return c.lookupLocked(cacheKey(canonical, backend, optimize), rawKey(raw, backend, optimize), version)
 }
 
-func (c *PlanCache) lookupLocked(key string, version uint64) (*CachedPlan, bool) {
+// lookupLocked resolves an index key, learning rk as an alias of the entry
+// on a hit (a no-op when rk is how the entry was found).
+func (c *PlanCache) lookupLocked(key, rk string, version uint64) (*CachedPlan, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses.Inc()
@@ -138,7 +129,9 @@ func (c *PlanCache) lookupLocked(key string, version uint64) (*CachedPlan, bool)
 	}
 	c.ll.MoveToFront(el)
 	c.hits.Inc()
-	return &CachedPlan{Plan: e.plan, Canonical: e.canonical, Rendered: e.rendered, cache: c, entry: e}, true
+	c.aliasLocked(e, rk)
+	cp := e.cp
+	return &cp, true
 }
 
 // Insert records a freshly prepared plan under its canonical text and
@@ -161,14 +154,7 @@ func (c *PlanCache) InsertKeyed(raw, key, canonical string, backend machine.Back
 	if c == nil || c.cap <= 0 {
 		return cp
 	}
-	e := &planEntry{
-		key:       cacheKey(key, backend, optimize),
-		version:   version,
-		plan:      plan,
-		canonical: canonical,
-		rendered:  cp.Rendered,
-	}
-	cp.cache, cp.entry = c, e
+	e := &planEntry{key: cacheKey(key, backend, optimize), version: version, cp: *cp}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[e.key]; ok {
@@ -208,40 +194,6 @@ func (c *PlanCache) removeLocked(el *list.Element) {
 		}
 	}
 	c.size.Set(float64(c.ll.Len()))
-}
-
-// Tasks returns the machine transaction for the cached plan, compiling
-// it on first use and memoizing the result in the entry. The returned
-// slice is a fresh copy each call (machine.Run receives its own tasks).
-// Compilation captures *relation.Relation pointers out of cat, which is
-// safe precisely because the entry is version-stamped: equal versions
-// imply the catalog maps the same names to the same (immutable) relation
-// values.
-func (cp *CachedPlan) Tasks(cat Catalog, o *Options) ([]machine.Task, string, error) {
-	if cp.cache == nil || cp.entry == nil {
-		return CompileOpts(cp.Plan, cat, o)
-	}
-	c, e := cp.cache, cp.entry
-	c.mu.Lock()
-	if e.compiled {
-		tasks := append([]machine.Task(nil), e.tasks...)
-		out := e.output
-		c.mu.Unlock()
-		return tasks, out, nil
-	}
-	c.mu.Unlock()
-	tasks, out, err := CompileOpts(cp.Plan, cat, o) // compile outside the lock
-	if err != nil {
-		return nil, "", err
-	}
-	c.mu.Lock()
-	if !e.compiled {
-		e.compiled = true
-		e.tasks = append([]machine.Task(nil), tasks...)
-		e.output = out
-	}
-	c.mu.Unlock()
-	return tasks, out, nil
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness, shaped

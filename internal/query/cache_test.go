@@ -137,39 +137,6 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCachedPlanTasksMemoized(t *testing.T) {
-	cat := streamCatalog(t, 10)
-	reg := obs.NewRegistry()
-	c := NewPlanCache(4, reg)
-	plan := Intersect{L: Scan{Name: "A"}, R: Scan{Name: "B"}}
-	cp := c.Insert("q", Render(plan), machine.BackendPulse, true, 1, plan)
-
-	o := &Options{Metrics: obs.NewRegistry()}
-	t1, out1, err := cp.Tasks(cat, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, out2, err := cp.Tasks(cat, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out1 != out2 || len(t1) != len(t2) {
-		t.Fatalf("memoized compile differs: %d/%s vs %d/%s", len(t1), out1, len(t2), out2)
-	}
-	// Callers get independent slices: mutating one run's tasks must not
-	// poison the cache.
-	if len(t1) > 0 {
-		t1[0].ID = "clobbered"
-		t3, _, err := cp.Tasks(cat, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if t3[0].ID == "clobbered" {
-			t.Fatal("cached task list aliased to a caller's slice")
-		}
-	}
-}
-
 func TestScanNames(t *testing.T) {
 	plan := Union{
 		L: Join{L: Scan{Name: "A"}, R: Scan{Name: "B"}},
@@ -225,7 +192,7 @@ func TestPlanCacheConcurrentInvalidation(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if _, _, err := cp.Tasks(cat, &Options{Metrics: obs.NewRegistry()}); err != nil {
+				if _, _, err := CompileOpts(cp.Plan, cat, &Options{Metrics: obs.NewRegistry()}); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}

@@ -263,15 +263,6 @@ func ExecuteOnMachine(ctx context.Context, n Node, cat Catalog, o *Options,
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return ExecuteTasks(ctx, n, cat, o, m, fallback, tasks, out)
-}
-
-// ExecuteTasks is ExecuteOnMachine for an already-compiled transaction —
-// the plan-cache hit path, which skips CompileOpts entirely. The plan n
-// is still needed for the host-fallback rung of the degradation ladder.
-func ExecuteTasks(ctx context.Context, n Node, cat Catalog, o *Options,
-	m *machine.Machine, fallback bool, tasks []machine.Task, out string) (rel *relation.Relation, res *machine.Result, fellBack bool, err error) {
-
 	if err := ctx.Err(); err != nil {
 		return nil, nil, false, err
 	}

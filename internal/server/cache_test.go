@@ -30,16 +30,26 @@ func queryOnce(t *testing.T, url string, req map[string]any) cacheQueryResp {
 }
 
 // TestPlanCacheIntegration drives the PUT-invalidates-cache contract end
-// to end: repeat queries hit, a catalog mutation invalidates, and the
+// to end, on the host executor and on the §9 machine: repeat queries hit,
+// a catalog mutation invalidates and changes the next answer, and the
 // health endpoint exposes the cache counters.
 func TestPlanCacheIntegration(t *testing.T) {
+	for _, machine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("machine=%t", machine), func(t *testing.T) {
+			testPlanCacheIntegration(t, machine)
+		})
+	}
+}
+
+func testPlanCacheIntegration(t *testing.T, machine bool) {
 	_, ts := testServer(t, Config{})
 	for _, put := range []struct{ name, body string }{{"S", suppliersTable}, {"P", partsTable}} {
 		if code, body := do(t, "PUT", ts.URL+"/relations/"+put.name, put.body); code != http.StatusOK {
 			t.Fatalf("PUT %s: %d %s", put.name, code, body)
 		}
 	}
-	plan := map[string]any{"plan": "project(join(scan(S), scan(P), 0=0), 1, 2)"}
+	query := func(text string) map[string]any { return map[string]any{"plan": text, "machine": machine} }
+	plan := query("project(join(scan(S), scan(P), 0=0), 1, 2)")
 
 	first := queryOnce(t, ts.URL, plan)
 	if first.CacheHit {
@@ -54,26 +64,31 @@ func TestPlanCacheIntegration(t *testing.T) {
 	}
 
 	// Spelling variations still hit through the canonical index.
-	variant := queryOnce(t, ts.URL, map[string]any{
-		"plan": "project( join( scan(S), scan(P), 0=0 ), 1, 2 )"})
+	variant := queryOnce(t, ts.URL, query("project( join( scan(S), scan(P), 0=0 ), 1, 2 )"))
 	if !variant.CacheHit {
 		t.Error("respelled plan text missed the canonical cache index")
 	}
 
-	// A PUT bumps the catalog version; the cached plan must not survive.
-	if code, body := do(t, "PUT", ts.URL+"/relations/S", suppliersTable); code != http.StatusOK {
+	// A PUT bumps the catalog version; the cached plan must not survive,
+	// and the next answer reads the new S (supplier 3 gone: P's sid-3 row
+	// no longer joins).
+	const fewerSuppliers = "#% types: int, dict:names\nsid\tsname\n1\tacme\n2\tglobex\n"
+	if code, body := do(t, "PUT", ts.URL+"/relations/S", fewerSuppliers); code != http.StatusOK {
 		t.Fatalf("re-PUT S: %d %s", code, body)
 	}
 	third := queryOnce(t, ts.URL, plan)
 	if third.CacheHit {
 		t.Fatal("cache served a plan prepared against a replaced catalog")
 	}
-	if third.Rows != first.Rows {
-		t.Fatalf("rows after invalidation = %d, want %d", third.Rows, first.Rows)
+	if want := first.Rows - 1; third.Rows != want {
+		t.Fatalf("rows after re-PUT = %d, want %d", third.Rows, want)
 	}
 	fourth := queryOnce(t, ts.URL, plan)
 	if !fourth.CacheHit {
 		t.Fatal("re-prepared plan not re-cached")
+	}
+	if fourth.Table != third.Table {
+		t.Fatal("re-cached plan produced a different result")
 	}
 
 	// DELETE invalidates too.
@@ -107,8 +122,8 @@ func TestPlanCacheIntegration(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMachinePath: machine-mode repeats reuse the memoized
-// compiled transaction and still produce the same table.
+// TestPlanCacheMachinePath: machine-mode repeats hit the plan cache and
+// still produce the same table.
 func TestPlanCacheMachinePath(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	if code, body := do(t, "PUT", ts.URL+"/relations/S", suppliersTable); code != http.StatusOK {

@@ -308,6 +308,30 @@ func TestCoordinatorHiddenNamesStayLocal(t *testing.T) {
 	}
 }
 
+// TestCoordinatorPlanCacheSurvivesPut: a coordinator caches only the
+// parsed plan, which no mutation can make stale, so a repeated query
+// still hits across a PUT and answers from the new rows.
+func TestCoordinatorPlanCacheSurvivesPut(t *testing.T) {
+	coordURL, _ := clusterHarness(t, 2)
+	if code, body := do(t, "PUT", coordURL+"/relations/a", clusterKVTable); code != http.StatusOK {
+		t.Fatalf("put: %d %s", code, body)
+	}
+	plan := map[string]any{"plan": "scan(a)"}
+	if first := queryOnce(t, coordURL, plan); first.CacheHit || first.Rows != 6 {
+		t.Fatalf("first query: hit=%v rows=%d, want a 6-row miss", first.CacheHit, first.Rows)
+	}
+	if second := queryOnce(t, coordURL, plan); !second.CacheHit {
+		t.Fatal("repeat query missed the coordinator's plan cache")
+	}
+	fewer := "#% types: int, int\nk\tv\n1\t10\n2\t20\n"
+	if code, body := do(t, "PUT", coordURL+"/relations/a", fewer); code != http.StatusOK {
+		t.Fatalf("re-put: %d %s", code, body)
+	}
+	if third := queryOnce(t, coordURL, plan); !third.CacheHit || third.Rows != 2 {
+		t.Fatalf("after PUT: hit=%v rows=%d, want a 2-row hit", third.CacheHit, third.Rows)
+	}
+}
+
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	coordURL, _ := clusterHarness(t, 4)
 	_, single := testServer(t, Config{})

@@ -132,9 +132,9 @@ type Config struct {
 	Cluster *cluster.Coordinator
 
 	// PlanCacheSize bounds the LRU of prepared plans keyed by canonical
-	// plan text + backend, invalidated by the catalog version counter
-	// (the coordinator's own counter in cluster mode). 0 selects the
-	// default (256); negative disables plan caching entirely.
+	// plan text + backend, invalidated by the catalog version counter (in
+	// cluster mode entries are parsed plans only and never invalidate). 0
+	// selects the default (256); negative disables plan caching entirely.
 	PlanCacheSize int
 
 	// ScrubEvery runs the WAL's anti-entropy scrubber at this interval,
@@ -220,8 +220,8 @@ type Server struct {
 	dedup  *dedupWindow  // idempotency keys already committed
 
 	// planCache memoizes prepared plans across requests; nil when
-	// disabled. Entries are stamped with the catalog (or coordinator)
-	// version, so PUT/DELETE invalidate by bumping the counter.
+	// disabled. Entries are stamped with the catalog version, so PUT/DELETE
+	// invalidate by bumping the counter.
 	planCache *query.PlanCache
 
 	// commitMu orders WAL appends against catalog publishes: each mutation
@@ -1333,15 +1333,15 @@ func (s *Server) observeQueryDuration(d time.Duration) {
 // touches no hidden relations — inserts it stamped with the given
 // version. resp.Plan/Optimized/CacheHit are filled either way.
 func (s *Server) preparePlan(req *queryRequest, resp *queryResponse, cat query.Catalog,
-	version uint64, optimize bool) (query.Node, *query.CachedPlan, error) {
+	version uint64, optimize bool) (query.Node, error) {
 
 	if cp, ok := s.planCache.Lookup(req.Plan, req.backend, optimize, version); ok {
 		resp.Plan, resp.Optimized, resp.CacheHit = cp.Canonical, cp.Rendered, true
-		return cp.Plan, cp, nil
+		return cp.Plan, nil
 	}
 	parsed, err := query.Parse(req.Plan)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	canonical := query.Render(parsed)
 	resp.Plan = canonical
@@ -1350,24 +1350,23 @@ func (s *Server) preparePlan(req *queryRequest, resp *queryResponse, cat query.C
 	// only in a constant would otherwise share one prepared plan.
 	key, err := query.Format(parsed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if cp, ok := s.planCache.LookupCanonical(req.Plan, key, req.backend, optimize, version); ok {
 		resp.Optimized, resp.CacheHit = cp.Rendered, true
-		return cp.Plan, cp, nil
+		return cp.Plan, nil
 	}
 	plan := parsed
 	if optimize {
 		if plan, err = query.Optimize(plan, cat); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	resp.Optimized = query.Render(plan)
-	var cached *query.CachedPlan
 	if s.planCache != nil && cacheablePlan(parsed) {
-		cached = s.planCache.InsertKeyed(req.Plan, key, canonical, req.backend, optimize, version, plan)
+		s.planCache.InsertKeyed(req.Plan, key, canonical, req.backend, optimize, version, plan)
 	}
-	return plan, cached, nil
+	return plan, nil
 }
 
 // cacheablePlan reports whether a plan may be cached: plans reading
@@ -1390,10 +1389,12 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryRespons
 		// Coordinator mode: the optimizer needs catalog cardinalities the
 		// coordinator doesn't hold, so the plan scatters as written; the
 		// executor's own strategies (co-partition, broadcast, shuffle) do
-		// the distributed planning. The cache still skips Parse, stamped
-		// with the coordinator's version counter (shard daemons invalidate
-		// their own sub-plan caches through their catalog counters).
-		plan, _, err := s.preparePlan(req, resp, nil, s.cfg.Cluster.Version(), false)
+		// the distributed planning. The cache still skips Parse; a parsed
+		// plan depends on its text alone, so every entry carries the same
+		// constant version and no PUT invalidates it (shard daemons
+		// invalidate their own sub-plan caches through their catalog
+		// counters).
+		plan, err := s.preparePlan(req, resp, nil, 0, false)
 		if err != nil {
 			return nil, err
 		}
@@ -1407,7 +1408,7 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryRespons
 		return resp, resp.setResult(rel, req)
 	}
 	cat, version := s.cat.SnapshotVersion()
-	plan, cached, err := s.preparePlan(req, resp, cat, version, !req.NoOptimize)
+	plan, err := s.preparePlan(req, resp, cat, version, !req.NoOptimize)
 	if err != nil {
 		return nil, err
 	}
@@ -1419,7 +1420,7 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryRespons
 	opts := &query.Options{Metrics: s.reg, Stats: &st, Backend: req.backend, Streaming: req.Streaming}
 	resp.Backend = req.backend.String()
 	if req.Machine {
-		rel, resp.Machine, resp.Degraded, err = s.runOnMachine(ctx, plan, cat, opts, req, cached)
+		rel, resp.Machine, resp.Degraded, err = s.runOnMachine(ctx, plan, cat, opts, req)
 	} else {
 		rel, err = query.ExecuteCtx(ctx, plan, cat, opts)
 	}
@@ -1478,35 +1479,21 @@ func (s *Server) machineFault(req *queryRequest) *machine.FaultConfig {
 	return &fc
 }
 
-// runOnMachine compiles the plan to a transaction — or reuses the cached
-// plan's memoized compilation — and runs it on a §9 machine recording
-// into the server registry, degrading to the host executor when the
-// machine gives up (unless the request forbids it). The machine
-// simulation itself is not cancellable, but the context is checked
+// runOnMachine compiles the plan to a transaction and runs it on a §9
+// machine recording into the server registry, degrading to the host
+// executor when the machine gives up (unless the request forbids it). The
+// machine simulation itself is not cancellable, but the context is checked
 // before committing to the run.
 func (s *Server) runOnMachine(ctx context.Context, plan query.Node, cat query.Catalog,
-	opts *query.Options, req *queryRequest, cached *query.CachedPlan) (*relation.Relation, *machineReport, bool, error) {
+	opts *query.Options, req *queryRequest) (*relation.Relation, *machineReport, bool, error) {
 
-	var (
-		tasks []machine.Task
-		out   string
-		err   error
-	)
-	if cached != nil {
-		tasks, out, err = cached.Tasks(cat, opts)
-	} else {
-		tasks, out, err = query.CompileOpts(plan, cat, opts)
-	}
-	if err != nil {
-		return nil, nil, false, err
-	}
 	cfg := machine.DefaultConfig1980(s.cfg.ArraySize, s.machineFault(req))
 	cfg.Metrics, cfg.Backend = s.reg, req.backend
 	mach, err := machine.New(cfg)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	rel, res, fellBack, err := query.ExecuteTasks(ctx, plan, cat, opts, mach, !req.NoFallback, tasks, out)
+	rel, res, fellBack, err := query.ExecuteOnMachine(ctx, plan, cat, opts, mach, !req.NoFallback)
 	if err != nil {
 		return nil, nil, fellBack, err
 	}
