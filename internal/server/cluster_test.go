@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -432,6 +433,58 @@ func TestFollowerReplicatesThroughServer(t *testing.T) {
 	}
 	if f.Seq() != 4 {
 		t.Fatalf("follower seq = %d after catch-up, want 4", f.Seq())
+	}
+}
+
+// TestFollowerSurvivesPrimaryCompactingRestart: a primary that writes its
+// final compacting snapshot and restarts keeps its sequence numbers, so a
+// follower whose cursor predates the restart still applies the next PUT
+// instead of reading itself as caught up.
+func TestFollowerSurvivesPrimaryCompactingRestart(t *testing.T) {
+	dir := t.TempDir()
+	var primary atomic.Pointer[Server]
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		primary.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	s, _ := durableServer(t, dir, 1000)
+	primary.Store(s)
+	for _, name := range []string{"a", "b"} {
+		if code, body := do(t, "PUT", ts.URL+"/relations/"+name, clusterKVTable); code != http.StatusOK {
+			t.Fatalf("put %s: %d %s", name, code, body)
+		}
+	}
+
+	repCat := NewCatalog()
+	replica, _ := testServer(t, Config{Catalog: repCat})
+	parse := func(text string) (*relation.Relation, error) {
+		return repCat.ParseTable(strings.NewReader(text), "")
+	}
+	f := cluster.NewFollower(cluster.NewShardClient(ts.URL, parse, cluster.ClientOptions{}), replica.Replicator(), parse, 0, nil)
+	if err := f.Sync(context.Background()); err != nil || f.Seq() != 2 {
+		t.Fatalf("first sync: follower seq %d, err %v", f.Seq(), err)
+	}
+
+	// Graceful restart: the final compacting snapshot, then a new server
+	// recovering the same directory behind the same address.
+	if err := s.WriteSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	s.Shutdown(context.Background())
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := durableServer(t, dir, 1000)
+	primary.Store(s2)
+
+	if code, body := do(t, "PUT", ts.URL+"/relations/c", clusterKVTable); code != http.StatusOK {
+		t.Fatalf("put c after the restart: %d %s", code, body)
+	}
+	if err := f.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := repCat.Get("c"); !ok || f.Seq() != 3 {
+		t.Fatalf("replica missed the first PUT after the primary's compacting restart (follower seq %d)", f.Seq())
 	}
 }
 

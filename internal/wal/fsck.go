@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"systolicdb/internal/diskchaos"
-	"systolicdb/internal/fault"
 	"systolicdb/internal/relation"
 )
 
@@ -54,175 +53,82 @@ type FsckReport struct {
 	Errors       []string `json:"errors,omitempty"`
 }
 
-// OK reports whether the directory would recover cleanly (a torn tail on
-// the newest segment is fine; any hard corruption is not).
+// OK reports whether the directory is clean: no live file breaks the rule
+// book (exactly the condition under which Open recovers it) and no
+// idempotency key was applied twice, an anomaly recovery itself accepts.
 func (r *FsckReport) OK() bool { return len(r.Errors) == 0 }
 
-// Fsck validates a WAL data directory without modifying it: every frame's
-// CRC, every record's syntax, every relation's decodability and logged
-// checksum, snapshot header/footer integrity, and the torn/corrupt
-// distinction on segment tails. Unlike Open it keeps scanning after the
-// first problem, so the report names every damaged file. The error return
-// is for I/O failure only; validation problems land in the report.
+// Fsck validates a WAL data directory without modifying it. It lists and
+// checks files exactly as Open does (DESIGN.md §6, "The WAL rule book"),
+// verifying every put of the live files, and also checks stale files and
+// idempotency keys across live segments. Unlike Open it keeps scanning
+// after the first problem, so the report names every damaged file; a live
+// file with an Err is what makes Open refuse. The error return is for I/O
+// failure only; validation problems land in the report.
 func Fsck(dir string, decode DecodeFunc) (*FsckReport, error) {
 	if decode == nil {
 		return nil, fmt.Errorf("wal: fsck needs a decode function")
 	}
+	files, _, err := listFiles(diskchaos.OS, dir)
+	if err != nil {
+		return nil, fmt.Errorf("wal: fsck: %w", err)
+	}
 	rep := &FsckReport{Dir: dir}
-	fail := func(format string, args ...any) {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(format, args...))
-	}
-
-	snaps, err := listGens(diskchaos.OS, dir, "snap-", ".snap")
-	if err != nil {
-		return nil, fmt.Errorf("wal: fsck: %w", err)
-	}
-	segs, err := listGens(diskchaos.OS, dir, "wal-", ".log")
-	if err != nil {
-		return nil, fmt.Errorf("wal: fsck: %w", err)
-	}
-	var base uint64 // newest snapshot generation
-	if len(snaps) > 0 {
-		base = snaps[len(snaps)-1]
-	}
-
-	state := make(map[string]*relation.Relation)
-	verify := func(rec *record, where string) error {
-		rel, err := decode(rec.table)
-		if err != nil {
-			return fmt.Errorf("%s: relation %q does not decode: %v", where, rec.name, err)
-		}
-		sum, err := fault.RelationChecksum(rel)
-		if err != nil {
-			return fmt.Errorf("%s: relation %q: %v", where, rec.name, err)
-		}
-		if v := fault.Verify(fault.VerifyChecksum, sum, rec.sum); !v.OK {
-			return fmt.Errorf("%s: relation %q fails checksum verification: %s", where, rec.name, v.Reason)
-		}
-		rep.Verified++
-		state[rec.name] = rel
-		return nil
-	}
-
-	for _, gen := range snaps {
-		name := snapName(gen)
-		fr := FileReport{Name: name, Stale: gen < base}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("wal: fsck: %w", err)
-		}
-		fr.Bytes = int64(len(data))
-		live := gen == base
-		var header, footer *record
-		res := scanFrames(data, false, func(off int64, payload []byte) error {
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				return fmt.Errorf("%s offset %d: %v", name, off, err)
-			}
-			fr.Records++
-			fr.CoveredBytes += frameHeaderSize + int64(len(payload))
-			switch rec.op {
-			case opSnap:
-				header = rec
-			case opCommit:
-				footer = rec
-			case opPut:
-				if live {
-					return verify(rec, fmt.Sprintf("%s offset %d", name, off))
-				}
-			default:
-				return fmt.Errorf("%s offset %d: unexpected %q record in snapshot", name, off, rec.op)
-			}
-			return nil
-		})
-		switch {
-		case res.corrupt != nil:
-			fr.Err = res.corrupt.Error()
-		case res.torn > 0:
-			fr.Err = fmt.Sprintf("%s: %d trailing bytes; snapshots must be complete (atomic rename)", name, res.torn)
-		case header == nil || footer == nil:
-			fr.Err = fmt.Sprintf("%s: missing snapshot header/commit footer", name)
-		case live && (header.rels != len(state) || footer.rels != len(state)):
-			fr.Err = fmt.Sprintf("%s: header/footer count %d/%d != %d relations present", name, header.rels, footer.rels, len(state))
-		}
-		if fr.Err != "" && live {
-			fail("%s", fr.Err)
-		}
-		rep.Snapshots = append(rep.Snapshots, fr)
-	}
-
+	catalog := make(map[string]bool)    // names recovery would hold
 	seenKeys := make(map[string]string) // key -> first location
-	for i, gen := range segs {
-		name := segName(gen)
-		fr := FileReport{Name: name, Stale: gen < base}
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.name))
 		if err != nil {
 			return nil, fmt.Errorf("wal: fsck: %w", err)
 		}
-		fr.Bytes = int64(len(data))
-		newest := i == len(segs)-1
-		live := !fr.Stale
-		var lastSeq uint64
-		res := scanFrames(data, newest, func(off int64, payload []byte) error {
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				return fmt.Errorf("%s offset %d: %v", name, off, err)
+		verify := decode
+		if !f.live {
+			verify = nil // stale files are checked, never replayed
+		}
+		c := checkFile(f, data, f.tail, verify, func(off int64, rec *record, _ *relation.Relation) {
+			if !f.live || rec.op == opSnap || rec.op == opCommit {
+				return
 			}
-			fr.Records++
-			fr.CoveredBytes += frameHeaderSize + int64(len(payload))
-			where := fmt.Sprintf("%s offset %d", name, off)
+			if rec.op == opPut {
+				catalog[rec.name] = true
+				rep.Verified++
+			} else {
+				delete(catalog, rec.name)
+			}
+			if f.snap {
+				return
+			}
+			rep.Records++
+			if rec.key == "" {
+				return
+			}
 			// A duplicate key is a logical anomaly (the dedup window
 			// failed), not physical log corruption: it goes to rep.Errors
 			// and the scan continues, so further duplicates and checksum
 			// problems later in the segment still get reported.
-			checkKey := func() {
-				if rec.key == "" || !live {
-					return
-				}
-				rep.KeyedRecords++
-				if first, dup := seenKeys[rec.key]; dup {
-					fail("%s: idempotency key %q already applied at %s (retried write committed twice)", where, rec.key, first)
-					return
-				}
-				seenKeys[rec.key] = where
+			rep.KeyedRecords++
+			where := fmt.Sprintf("%s offset %d", f.name, off)
+			if first, dup := seenKeys[rec.key]; dup {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s: idempotency key %q already applied at %s (retried write committed twice)", where, rec.key, first))
+				return
 			}
-			switch rec.op {
-			case opPut:
-				if rec.seq <= lastSeq {
-					return fmt.Errorf("%s: record sequence %d not after %d", where, rec.seq, lastSeq)
-				}
-				lastSeq = rec.seq
-				checkKey()
-				if live {
-					rep.Records++
-					return verify(rec, where)
-				}
-			case opDel:
-				if rec.seq <= lastSeq {
-					return fmt.Errorf("%s: record sequence %d not after %d", where, rec.seq, lastSeq)
-				}
-				lastSeq = rec.seq
-				checkKey()
-				if live {
-					rep.Records++
-					delete(state, rec.name)
-				}
-			default:
-				return fmt.Errorf("%s: unexpected %q record in log segment", where, rec.op)
-			}
-			return nil
+			seenKeys[rec.key] = where
 		})
-		fr.TornBytes = res.torn
-		if res.corrupt != nil {
-			fr.Err = res.corrupt.Error()
-			if live {
-				fail("%s", fr.Err)
+		fr := FileReport{Name: f.name, Bytes: int64(len(data)), Records: c.records,
+			TornBytes: c.torn, Stale: !f.live, CoveredBytes: c.covered}
+		if c.corrupt != nil {
+			fr.Err = c.corrupt.Error()
+			if f.live {
+				rep.Errors = append(rep.Errors, fr.Err)
 			}
 		}
-		rep.Segments = append(rep.Segments, fr)
+		if f.snap {
+			rep.Snapshots = append(rep.Snapshots, fr)
+		} else {
+			rep.Segments = append(rep.Segments, fr)
+		}
 	}
-
-	rep.Relations = len(state)
-	sort.Slice(rep.Errors, func(i, j int) bool { return rep.Errors[i] < rep.Errors[j] })
+	rep.Relations = len(catalog)
+	sort.Strings(rep.Errors)
 	return rep, nil
 }

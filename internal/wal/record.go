@@ -36,7 +36,7 @@ const (
 //
 //	put <seq> <quoted-name> <cardinality> <parity-hex> [<quoted-key>]
 //	del <seq> <quoted-name> [<quoted-key>]
-//	snap <gen> <relations>
+//	snap <gen> <relations> [<seq>]
 //	commit <gen> <relations>
 //
 // A put header is followed by the relation serialised with
@@ -52,6 +52,11 @@ const (
 // ack replayed through the log can be recognised and dropped instead of
 // applied twice. Records written before keys existed simply omit the
 // field; the decoder accepts both forms.
+//
+// The snapshot header's trailing seq is the log's sequence number when
+// the snapshot was written, so Seq survives a compacting restart. Headers
+// written before it existed omit it and read as 0; a decoder that
+// predates it cannot read the three-field form.
 const (
 	opPut    = "put"
 	opDel    = "del"
@@ -62,7 +67,8 @@ const (
 // record is one decoded payload.
 type record struct {
 	op    string
-	seq   uint64 // mutation sequence (put/del); generation (snap/commit)
+	seq   uint64 // mutation sequence (put/del); the log's seq when written (snap; 0 if absent)
+	gen   uint64 // snap/commit only: the snapshot's generation
 	name  string
 	key   string // put/del only: idempotency key, "" when absent
 	sum   fault.Checksum
@@ -106,9 +112,15 @@ func encodeDelete(seq uint64, name, key string) []byte {
 	return []byte(fmt.Sprintf("%s %d %s\n", opDel, seq, strconv.Quote(name)))
 }
 
-// encodeMark serialises a snapshot header or footer.
-func encodeMark(op string, gen uint64, rels int) []byte {
-	return []byte(fmt.Sprintf("%s %d %d\n", op, gen, rels))
+// encodeHeader serialises a snapshot header; seq is the log's sequence
+// number when the snapshot was written.
+func encodeHeader(gen uint64, rels int, seq uint64) []byte {
+	return fmt.Appendf(nil, "%s %d %d %d\n", opSnap, gen, rels, seq)
+}
+
+// encodeFooter serialises a snapshot's commit footer.
+func encodeFooter(gen uint64, rels int) []byte {
+	return fmt.Appendf(nil, "%s %d %d\n", opCommit, gen, rels)
 }
 
 // decodeRecord parses one payload back into a record.
@@ -160,12 +172,20 @@ func decodeRecord(payload []byte) (*record, error) {
 			return nil, fmt.Errorf("wal: bad del seq %q", seqs)
 		}
 	case opSnap, opCommit:
-		gens, relss, _ := strings.Cut(args, " ")
-		if r.seq, err = strconv.ParseUint(gens, 10, 64); err != nil {
-			return nil, fmt.Errorf("wal: bad %s generation %q", op, gens)
+		fields := strings.Fields(args)
+		if len(fields) != 2 && (len(fields) != 3 || op != opSnap) {
+			return nil, fmt.Errorf("wal: bad %s header %q", op, head)
 		}
-		if r.rels, err = strconv.Atoi(strings.TrimSpace(relss)); err != nil {
-			return nil, fmt.Errorf("wal: bad %s relation count %q", op, relss)
+		if r.gen, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
+			return nil, fmt.Errorf("wal: bad %s generation %q", op, fields[0])
+		}
+		if r.rels, err = strconv.Atoi(fields[1]); err != nil {
+			return nil, fmt.Errorf("wal: bad %s relation count %q", op, fields[1])
+		}
+		if len(fields) == 3 {
+			if r.seq, err = strconv.ParseUint(fields[2], 10, 64); err != nil {
+				return nil, fmt.Errorf("wal: bad snap seq %q", fields[2])
+			}
 		}
 	default:
 		return nil, fmt.Errorf("wal: unknown record op %q", op)

@@ -1,229 +1,102 @@
 package wal
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"systolicdb/internal/diskchaos"
-	"systolicdb/internal/fault"
 	"systolicdb/internal/relation"
 )
 
-// recover rebuilds catalog state from the data directory: newest valid
-// snapshot first, then every log segment of that generation and later in
-// order. It fills l.rec, l.seq and l.snapGen, and truncates a torn tail
-// off the newest segment. Caller is Open; no lock is held (nothing else
-// can touch the Log yet).
+// recover rebuilds catalog state from the data directory's live files —
+// the newest snapshot, then every segment of its generation and later, in
+// order — and chooses the segment appends continue in. It fills l.rec,
+// l.seq, l.snapGen, l.gen and l.size, and truncates a torn tail off the
+// newest segment. Caller is Open; no lock is held (nothing else can touch
+// the Log yet).
 func (l *Log) recover() error {
 	l.rec = Recovery{Relations: make(map[string]*relation.Relation)}
-
-	snaps, err := listGens(l.fs, l.opt.Dir, "snap-", ".snap")
+	files, base, err := listFiles(l.fs, l.opt.Dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	// Snapshots are written atomically (temp + rename), so any snapshot
-	// present is expected to be complete; the newest is the recovery
-	// base and damage to it is refused, not silently skipped.
-	if n := len(snaps); n > 0 {
-		gen := snaps[n-1]
-		if err := l.loadSnapshot(gen); err != nil {
-			return err
+	l.snapGen, l.rec.SnapshotGen, l.gen = base, base, max(base, 1)
+	for _, f := range files {
+		if !f.snap {
+			l.gen = max(l.gen, f.gen)
 		}
-		l.snapGen = gen
-		l.rec.SnapshotGen = gen
-		l.rec.SnapshotRels = len(l.rec.Relations)
-	}
-
-	segs, err := listGens(l.fs, l.opt.Dir, "wal-", ".log")
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	for i, gen := range segs {
-		if gen < l.snapGen {
+		if !f.live {
 			continue // superseded by the snapshot; GC'd on next snapshot
 		}
-		newest := i == len(segs)-1
-		if err := l.replaySegment(gen, newest); err != nil {
+		if err := l.replay(f); err != nil {
 			return err
 		}
-		l.rec.Segments++
 	}
 	return nil
 }
 
-// loadSnapshot reads and verifies one snapshot file into l.rec.Relations.
-func (l *Log) loadSnapshot(gen uint64) error {
-	path := filepath.Join(l.opt.Dir, snapName(gen))
-	data, err := readConfirmed(l.fs, path, false)
+// replay applies one live file to the recovered state: a snapshot's
+// relations, or a segment's mutations. A rule-book violation refuses
+// recovery; a torn tail (only the newest segment may have one) was never
+// acked, so it is truncated away.
+func (l *Log) replay(f dataFile) error {
+	path := filepath.Join(l.opt.Dir, f.name)
+	data, err := readConfirmed(l.fs, path, f.tail)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var (
-		header, footer *record
-		loaded         int
-	)
-	res := scanFrames(data, false, func(off int64, payload []byte) error {
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("%s offset %d: %w", snapName(gen), off, err)
-		}
+	c := checkFile(f, data, f.tail, l.opt.Decode, func(_ int64, rec *record, rel *relation.Relation) {
 		switch rec.op {
-		case opSnap:
-			if header != nil {
-				return fmt.Errorf("%s: duplicate snapshot header", snapName(gen))
-			}
-			header = rec
 		case opPut:
-			if header == nil || footer != nil {
-				return fmt.Errorf("%s offset %d: relation outside snapshot body", snapName(gen), off)
-			}
-			rel, err := l.decodeVerified(rec, fmt.Sprintf("%s offset %d", snapName(gen), off))
-			if err != nil {
-				return err
-			}
 			l.rec.Relations[rec.name] = rel
-			loaded++
-		case opCommit:
-			footer = rec
-		default:
-			return fmt.Errorf("%s offset %d: unexpected %q record in snapshot", snapName(gen), off, rec.op)
+			l.rec.Verified++
+		case opDel:
+			delete(l.rec.Relations, rec.name)
 		}
+		if f.snap {
+			return // a snapshot is state, not mutations
+		}
+		if rec.key != "" {
+			l.rec.AppliedKeys = append(l.rec.AppliedKeys, rec.key)
+		}
+		l.rec.Records++
+	})
+	if c.corrupt != nil {
+		if errors.Is(c.corrupt, errChecksum) {
+			l.reg.Counter("wal_recovery_checksum_failures_total", nil).Inc()
+		}
+		return fmt.Errorf("wal: %s is corrupt: %w (run fsck)", f.name, c.corrupt)
+	}
+	l.seq = max(l.seq, c.seq)
+	if f.snap {
+		l.rec.SnapshotRels = len(l.rec.Relations)
 		return nil
-	})
-	if res.corrupt != nil {
-		return fmt.Errorf("wal: snapshot %s is corrupt: %w (run fsck)", snapName(gen), res.corrupt)
 	}
-	if res.torn > 0 || footer == nil || header == nil {
-		return fmt.Errorf("wal: snapshot %s is incomplete (no commit footer); run fsck", snapName(gen))
-	}
-	if header.seq != gen || footer.seq != gen || footer.rels != loaded || header.rels != loaded {
-		return fmt.Errorf("wal: snapshot %s header/footer disagree with contents (%d relations loaded, header %d, footer %d)",
-			snapName(gen), loaded, header.rels, footer.rels)
-	}
-	return nil
-}
-
-// replaySegment applies one log segment's records to l.rec.Relations.
-// Only the newest segment may end in a torn record, which is truncated
-// away; everything else must be fully valid.
-func (l *Log) replaySegment(gen uint64, newest bool) error {
-	name := segName(gen)
-	path := filepath.Join(l.opt.Dir, name)
-	data, err := readConfirmed(l.fs, path, newest)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	res := scanFrames(data, newest, func(off int64, payload []byte) error {
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("%s offset %d: %w", name, off, err)
-		}
-		return l.apply(rec, fmt.Sprintf("%s offset %d", name, off))
-	})
-	if res.corrupt != nil {
-		return fmt.Errorf("wal: segment %s is corrupt: %w (run fsck)", name, res.corrupt)
-	}
-	if res.torn > 0 {
+	l.rec.Segments++
+	if c.torn > 0 {
 		// A write cut short by a crash: whatever it was, it was never
 		// acked. Truncate so the next append starts on a frame boundary.
-		l.opt.Logf("truncating %d torn byte(s) from %s (unacked write cut short by a crash)", res.torn, name)
-		if err := l.fs.Truncate(path, res.good); err != nil {
-			return fmt.Errorf("wal: truncating torn tail of %s: %w", name, err)
+		l.opt.Logf("truncating %d torn byte(s) from %s (unacked write cut short by a crash)", c.torn, f.name)
+		if err := l.fs.Truncate(path, c.good); err != nil {
+			return fmt.Errorf("wal: truncating torn tail of %s: %w", f.name, err)
 		}
-		f, err := l.fs.OpenFile(path, os.O_WRONLY, 0o644)
+		fh, err := l.fs.OpenFile(path, os.O_WRONLY, 0o644)
 		if err == nil {
-			err = f.Sync()
-			if cerr := f.Close(); err == nil {
+			err = fh.Sync()
+			if cerr := fh.Close(); err == nil {
 				err = cerr
 			}
 		}
 		if err != nil {
-			return fmt.Errorf("wal: syncing truncated %s: %w", name, err)
+			return fmt.Errorf("wal: syncing truncated %s: %w", f.name, err)
 		}
-		l.rec.TornBytes += res.torn
+		l.rec.TornBytes += c.torn
 	}
-	if newest {
+	if f.tail {
 		// The bytes that survive recovery are the acked-frame tail boundary
 		// failed appends restore to.
-		l.size = res.good
+		l.size = c.good
 	}
 	return nil
-}
-
-// readConfirmed reads a whole file through the seam. When the frame-level
-// scan of the content would drive a destructive or refusing decision — a
-// torn tail recovery truncates, a corrupt frame recovery refuses on — the
-// read is repeated until two consecutive reads agree: a fault in the read
-// path (bit rot in transit, not at rest) must never truncate an acked
-// record or refuse an otherwise recoverable directory. At-rest damage
-// reads back identically every time and is acted on.
-func readConfirmed(fsys diskchaos.FS, path string, allowTorn bool) ([]byte, error) {
-	nop := func(int64, []byte) error { return nil }
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if res := scanFrames(data, allowTorn, nop); res.corrupt == nil && res.torn == 0 {
-		return data, nil
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		again, err := fsys.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if bytes.Equal(again, data) {
-			return data, nil // stable: the damage is at rest
-		}
-		data = again
-		if res := scanFrames(data, allowTorn, nop); res.corrupt == nil && res.torn == 0 {
-			return data, nil // the re-read is clean: the fault was in transit
-		}
-	}
-	return data, nil // reads never stabilised; act on the last and let fsck report
-}
-
-// apply replays one mutation record during recovery.
-func (l *Log) apply(rec *record, where string) error {
-	switch rec.op {
-	case opPut:
-		rel, err := l.decodeVerified(rec, where)
-		if err != nil {
-			return err
-		}
-		l.rec.Relations[rec.name] = rel
-	case opDel:
-		delete(l.rec.Relations, rec.name)
-	default:
-		return fmt.Errorf("%s: unexpected %q record in log segment", where, rec.op)
-	}
-	if rec.key != "" {
-		l.rec.AppliedKeys = append(l.rec.AppliedKeys, rec.key)
-	}
-	if rec.seq > l.seq {
-		l.seq = rec.seq
-	}
-	l.rec.Records++
-	return nil
-}
-
-// decodeVerified rebuilds a put record's relation and checks it against
-// the logged cardinality and checksum — the same Verify machinery the
-// fault layer uses on tile results.
-func (l *Log) decodeVerified(rec *record, where string) (*relation.Relation, error) {
-	rel, err := l.opt.Decode(rec.table)
-	if err != nil {
-		return nil, fmt.Errorf("%s: relation %q does not decode: %w", where, rec.name, err)
-	}
-	sum, err := fault.RelationChecksum(rel)
-	if err != nil {
-		return nil, fmt.Errorf("%s: relation %q: %w", where, rec.name, err)
-	}
-	if v := fault.Verify(fault.VerifyChecksum, sum, rec.sum); !v.OK {
-		l.reg.Counter("wal_recovery_checksum_failures_total", nil).Inc()
-		return nil, fmt.Errorf("%s: relation %q fails recovery verification: %s", where, rec.name, v.Reason)
-	}
-	l.rec.Verified++
-	return rel, nil
 }

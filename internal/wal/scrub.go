@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"systolicdb/internal/diskchaos"
-	"systolicdb/internal/fault"
 )
 
 // Anti-entropy scrubbing: the WAL's CRC frames and per-relation
@@ -34,13 +33,15 @@ type ScrubReport struct {
 // OK reports whether the pass found no at-rest damage.
 func (r *ScrubReport) OK() bool { return len(r.Corrupt) == 0 }
 
-// Scrub re-verifies every live on-disk file — frame CRCs, record syntax,
+// Scrub re-verifies every live on-disk file against the rule book Open
+// and Fsck apply — frame CRCs, record kinds and order, snapshot structure,
 // and each put's relation against its logged cardinality/XOR checksum —
 // through the same confirmed-read discipline recovery uses, so a
 // transient fault in the read path is never reported as at-rest damage.
 // The active segment is read under the log's mutex (consistent with
-// appends); sealed files are read unlocked, and a file GC'd mid-scrub is
-// skipped, not an error.
+// appends) and checked up to its acked bytes, so even its final frame
+// must be whole; sealed files are read unlocked, and a file GC'd
+// mid-scrub is skipped, not an error.
 func (l *Log) Scrub() (*ScrubReport, error) {
 	rep := &ScrubReport{}
 	l.reg.Counter("wal_scrub_runs_total", nil).Inc()
@@ -50,12 +51,12 @@ func (l *Log) Scrub() (*ScrubReport, error) {
 		l.mu.Unlock()
 		return nil, fmt.Errorf("wal: log is closed")
 	}
-	snapGen, activeGen := l.snapGen, l.gen
 	// The active segment: capture its acked bytes while no append can be
 	// mid-frame. Anything past l.size is residue of a refused append (only
 	// possible while wedged) and is not scrubbed.
-	activeName := segName(activeGen)
-	activeData, activeErr := l.fs.ReadFile(filepath.Join(l.opt.Dir, activeName))
+	active := dataFile{name: segName(l.gen), gen: l.gen}
+	activePath := filepath.Join(l.opt.Dir, active.name)
+	activeData, activeErr := l.fs.ReadFile(activePath)
 	if activeErr == nil && int64(len(activeData)) > l.size {
 		activeData = activeData[:l.size]
 	}
@@ -72,49 +73,36 @@ func (l *Log) Scrub() (*ScrubReport, error) {
 		} else {
 			return nil, fmt.Errorf("wal: scrub: %w", activeErr)
 		}
-	} else if err := l.scrubBytes(activeName, activeData, false, rep); err != nil {
+	} else if err := l.scrubFile(active, activeData, rep); err != nil {
 		// The copy we hold was captured under the mutex; confirm against a
 		// fresh read so a bit flipped in transit is not condemned as rot.
-		if again, rerr := l.fs.ReadFile(filepath.Join(l.opt.Dir, activeName)); rerr == nil {
-			if int64(len(again)) > int64(len(activeData)) {
+		if again, rerr := l.fs.ReadFile(activePath); rerr == nil {
+			if len(again) > len(activeData) {
 				again = again[:len(activeData)]
 			}
-			if l.scrubBytes(activeName, again, true, rep) != nil {
-				condemn(activeName, err.Error())
+			if l.scrubFile(active, again, nil) != nil {
+				condemn(active.name, err.Error())
 			}
 		} else {
-			condemn(activeName, err.Error())
+			condemn(active.name, err.Error())
 		}
 	}
 
-	// Sealed files: the newest snapshot and any segment at or past its
-	// generation (minus the active one, handled above).
-	snaps, err := listGens(l.fs, l.opt.Dir, "snap-", ".snap")
+	// Sealed files: the newest snapshot and every live segment but the
+	// active one, handled above.
+	files, _, err := listFiles(l.fs, l.opt.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: scrub: %w", err)
 	}
-	segs, err := listGens(l.fs, l.opt.Dir, "wal-", ".log")
-	if err != nil {
-		return nil, fmt.Errorf("wal: scrub: %w", err)
-	}
-	var files []string
-	for _, gen := range snaps {
-		if gen == snapGen {
-			files = append(files, snapName(gen))
-		} else {
+	for _, f := range files {
+		switch {
+		case !f.snap && f.gen == active.gen:
+			continue
+		case !f.live:
 			rep.Skipped++
+			continue
 		}
-	}
-	for _, gen := range segs {
-		if gen >= snapGen && gen != activeGen {
-			files = append(files, segName(gen))
-		} else if gen != activeGen {
-			rep.Skipped++
-		}
-	}
-	for _, name := range files {
-		path := filepath.Join(l.opt.Dir, name)
-		data, err := readConfirmed(l.fs, path, false)
+		data, err := readConfirmed(l.fs, filepath.Join(l.opt.Dir, f.name), false)
 		if err != nil {
 			if os.IsNotExist(err) {
 				rep.Skipped++ // GC'd between listing and read
@@ -122,8 +110,8 @@ func (l *Log) Scrub() (*ScrubReport, error) {
 			}
 			return nil, fmt.Errorf("wal: scrub: %w", err)
 		}
-		if serr := l.scrubBytes(name, data, false, rep); serr != nil {
-			condemn(name, serr.Error())
+		if serr := l.scrubFile(f, data, rep); serr != nil {
+			condemn(f.name, serr.Error())
 		}
 	}
 
@@ -134,58 +122,19 @@ func (l *Log) Scrub() (*ScrubReport, error) {
 	return rep, nil
 }
 
-// scrubBytes verifies one file's captured bytes: frame CRCs, record
-// syntax, and every put relation's decoded checksum. quiet suppresses
-// report accounting (used for the confirming re-scan of the active
-// segment, whose first pass already counted).
-func (l *Log) scrubBytes(name string, data []byte, quiet bool, rep *ScrubReport) error {
-	var bad error
-	res := scanFrames(data, false, func(off int64, payload []byte) error {
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("%s offset %d: %v", name, off, err)
-		}
-		if !quiet {
-			rep.Records++
-		}
-		if rec.op == opPut {
-			if err := l.decodeScrubbed(rec); err != nil {
-				return fmt.Errorf("%s offset %d: %v", name, off, err)
-			}
-		}
-		return nil
-	})
-	switch {
-	case res.corrupt != nil:
-		bad = res.corrupt
-	case res.torn > 0:
-		bad = fmt.Errorf("%s: %d trailing bytes beyond the acked frame boundary", name, res.torn)
-	}
-	if !quiet {
+// scrubFile checks one file's captured bytes against the rule book with
+// every put verified and no torn tail allowed. rep, when non-nil, counts
+// the pass; the confirming re-read of the active segment passes nil.
+func (l *Log) scrubFile(f dataFile, data []byte, rep *ScrubReport) error {
+	c := checkFile(f, data, false, l.opt.Decode, nil)
+	if rep != nil {
+		rep.Records += c.records
 		rep.Bytes += int64(len(data))
-		if bad == nil {
+		if c.corrupt == nil {
 			rep.Files++
 		}
 	}
-	return bad
-}
-
-// decodeScrubbed is decodeVerified without the recovery-report side
-// effects: decode the relation and check it against the logged
-// cardinality and XOR checksum via the fault package's Verify machinery.
-func (l *Log) decodeScrubbed(rec *record) error {
-	rel, err := l.opt.Decode(rec.table)
-	if err != nil {
-		return fmt.Errorf("relation %q does not decode: %v", rec.name, err)
-	}
-	sum, err := fault.RelationChecksum(rel)
-	if err != nil {
-		return fmt.Errorf("relation %q: %v", rec.name, err)
-	}
-	if v := fault.Verify(fault.VerifyChecksum, sum, rec.sum); !v.OK {
-		return fmt.Errorf("relation %q fails scrub verification: %s", rec.name, v.Reason)
-	}
-	return nil
+	return c.corrupt
 }
 
 // RepairReport summarises an offline Repair pass.

@@ -3,6 +3,8 @@ package wal
 import (
 	"fmt"
 	"path/filepath"
+
+	"systolicdb/internal/relation"
 )
 
 // Log shipping: a shard's follower replicates by reading the primary's
@@ -42,8 +44,9 @@ func (l *Log) Seq() uint64 {
 }
 
 // ReadSince returns every logged mutation with seq > afterSeq, in order,
-// scanning the on-disk segment files. It holds the log's mutex for the
-// duration, so the scan never races an append mid-frame.
+// scanning the live segment files; a stale segment, superseded by the
+// newest snapshot, is skipped as Open skips it. It holds the log's mutex
+// for the duration, so the scan never races an append mid-frame.
 //
 // needFull reports that the log cannot bridge from afterSeq: some records
 // in (afterSeq, Seq] were compacted into a snapshot and GC'd, or the
@@ -61,34 +64,25 @@ func (l *Log) ReadSince(afterSeq uint64) (recs []ShipRecord, needFull bool, err 
 		return nil, false, nil // follower is caught up
 	}
 
-	segs, err := listGens(l.fs, l.opt.Dir, "wal-", ".log")
+	files, _, err := listFiles(l.fs, l.opt.Dir)
 	if err != nil {
 		return nil, false, fmt.Errorf("wal: ship: %w", err)
 	}
-	for i, gen := range segs {
-		newest := i == len(segs)-1
-		data, err := l.fs.ReadFile(filepath.Join(l.opt.Dir, segName(gen)))
+	for _, f := range files {
+		if f.snap || !f.live {
+			continue
+		}
+		data, err := l.fs.ReadFile(filepath.Join(l.opt.Dir, f.name))
 		if err != nil {
 			return nil, false, fmt.Errorf("wal: ship: %w", err)
 		}
-		res := scanFrames(data, newest, func(off int64, payload []byte) error {
-			rec, err := decodeRecord(payload)
-			if err != nil {
-				return fmt.Errorf("%s offset %d: %w", segName(gen), off, err)
+		c := checkFile(f, data, f.tail, nil, func(_ int64, rec *record, _ *relation.Relation) {
+			if rec.seq > afterSeq {
+				recs = append(recs, ShipRecord{Seq: rec.seq, Op: rec.op, Name: rec.name, Key: rec.key, Table: rec.table})
 			}
-			if rec.seq <= afterSeq {
-				return nil
-			}
-			switch rec.op {
-			case opPut:
-				recs = append(recs, ShipRecord{Seq: rec.seq, Op: opPut, Name: rec.name, Key: rec.key, Table: rec.table})
-			case opDel:
-				recs = append(recs, ShipRecord{Seq: rec.seq, Op: "del", Name: rec.name, Key: rec.key})
-			}
-			return nil
 		})
-		if res.corrupt != nil {
-			return nil, false, fmt.Errorf("wal: ship: %w (run fsck)", res.corrupt)
+		if c.corrupt != nil {
+			return nil, false, fmt.Errorf("wal: ship: %w (run fsck)", c.corrupt)
 		}
 	}
 

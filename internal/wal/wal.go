@@ -16,21 +16,21 @@
 //     so a snapshot is atomic), after which the segments it supersedes
 //     are deleted. Snapshots bound both recovery time and disk use.
 //
-//   - On boot, Open replays the newest valid snapshot plus every later
-//     segment. A final record cut short by a crash (a torn tail) is
-//     truncated and recovery proceeds; a corrupt record anywhere else is
-//     refused with an error naming the file and offset — run Fsck for
-//     the full report. Every recovered relation is re-verified against
-//     its logged cardinality and order-independent XOR checksum through
-//     the fault package's Verify machinery, so recovery-time integrity
-//     failures are caught the same way tile-level faults are.
+//   - On boot, Open replays the newest snapshot plus every later segment,
+//     re-verifying every relation against its logged cardinality and
+//     order-independent XOR checksum through the fault package's Verify
+//     machinery, so recovery-time integrity failures are caught the same
+//     way tile-level faults are. Which files are live, what each may
+//     hold, and what Open, Fsck, Scrub and ReadSince each do with a
+//     violation is the rule book tabled in DESIGN.md §6 ("The WAL rule
+//     book"); walk.go is its one implementation.
 //
 // The file layout under the data directory is generation-numbered:
 // wal-<g>.log holds the mutations of generation g, and snap-<g>.snap
 // holds the full catalog as of the rotation that opened generation g
 // (records are full-state puts, so replaying a segment the snapshot
-// already covers is idempotent). Recovery loads the newest valid
-// snapshot and replays every segment of that generation and later.
+// already covers is idempotent). Recovery loads the newest snapshot and
+// replays every segment of that generation and later.
 package wal
 
 import (
@@ -209,26 +209,12 @@ func Open(opts Options) (*Log, error) {
 	// see them, or a daemon that crash-loops never compacts.
 	l.lag = int64(l.rec.Records)
 
-	// Open (or create) the newest segment for appending.
-	segs, err := listGens(l.fs, opts.Dir, "wal-", ".log")
+	// Open (or create) the segment recovery chose for appending.
+	f, err := l.fs.OpenFile(filepath.Join(opts.Dir, segName(l.gen)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l.gen = l.snapGen
-	if n := len(segs); n > 0 && segs[n-1] > l.gen {
-		l.gen = segs[n-1]
-	}
-	if l.gen == 0 {
-		l.gen = 1
-	}
-	if len(segs) == 0 || segs[len(segs)-1] != l.gen {
-		l.size = 0 // a fresh segment is about to be created
-	}
-	path := filepath.Join(opts.Dir, segName(l.gen))
-	l.f, err = l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
+	l.f = f
 	if err := l.syncDir(); err != nil {
 		l.f.Close()
 		return nil, err
@@ -417,6 +403,10 @@ func (l *Log) writeSnapshot(gen uint64, state map[string]*relation.Relation) err
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// The header carries the log's seq, so Seq survives a compacting restart.
+	l.mu.Lock()
+	seq := l.seq
+	l.mu.Unlock()
 
 	tmp := filepath.Join(l.opt.Dir, snapName(gen)+".tmp")
 	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -430,7 +420,7 @@ func (l *Log) writeSnapshot(gen uint64, state map[string]*relation.Relation) err
 	// that needs one success instead of one per relation is the
 	// difference between degraded-mode recovery converging and starving.
 	var body bytes.Buffer
-	body.Write(frame(encodeMark(opSnap, gen, len(names))))
+	body.Write(frame(encodeHeader(gen, len(names), seq)))
 	for _, name := range names {
 		var payload []byte
 		if payload, err = encodePut(0, name, "", state[name]); err != nil {
@@ -439,7 +429,7 @@ func (l *Log) writeSnapshot(gen uint64, state map[string]*relation.Relation) err
 		body.Write(frame(payload))
 	}
 	if err == nil {
-		body.Write(frame(encodeMark(opCommit, gen, len(names))))
+		body.Write(frame(encodeFooter(gen, len(names))))
 		var n int
 		if n, err = f.Write(body.Bytes()); err == nil && n != body.Len() {
 			err = io.ErrShortWrite
@@ -475,30 +465,26 @@ func (l *Log) writeSnapshot(gen uint64, state map[string]*relation.Relation) err
 	// corrupt are quarantined into corrupt/ for forensics instead of
 	// deleted — but only now, once the fresh snapshot is the recovery base
 	// and abandoning their records cannot lose state.
-	for _, kind := range []struct{ prefix, suffix string }{{"wal-", ".log"}, {"snap-", ".snap"}} {
-		gens, err := listGens(l.fs, l.opt.Dir, kind.prefix, kind.suffix)
-		if err != nil {
-			return fmt.Errorf("wal: snapshot gc: %w", err)
+	files, _, err := listFiles(l.fs, l.opt.Dir)
+	if err != nil {
+		return fmt.Errorf("wal: snapshot gc: %w", err)
+	}
+	for _, df := range files {
+		if df.gen >= gen {
+			continue
 		}
-		for _, g := range gens {
-			if g >= gen {
-				continue
-			}
-			name := fmt.Sprintf("%s%016d%s", kind.prefix, g, kind.suffix)
-			path := filepath.Join(l.opt.Dir, name)
-			if quarantine[name] {
-				if err := quarantineFile(l.fs, l.opt.Dir, name); err != nil {
-					return fmt.Errorf("wal: snapshot gc: %w", err)
-				}
-				l.reg.Counter("wal_quarantined_total", nil).Inc()
-				l.mu.Lock()
-				delete(l.corrupt, name)
-				l.mu.Unlock()
-				continue
-			}
-			if err := l.fs.Remove(path); err != nil && !os.IsNotExist(err) {
+		if quarantine[df.name] {
+			if err := quarantineFile(l.fs, l.opt.Dir, df.name); err != nil {
 				return fmt.Errorf("wal: snapshot gc: %w", err)
 			}
+			l.reg.Counter("wal_quarantined_total", nil).Inc()
+			l.mu.Lock()
+			delete(l.corrupt, df.name)
+			l.mu.Unlock()
+			continue
+		}
+		if err := l.fs.Remove(filepath.Join(l.opt.Dir, df.name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("wal: snapshot gc: %w", err)
 		}
 	}
 	return l.syncDir()
