@@ -3,96 +3,110 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"systolicdb/internal/obs"
 )
 
-// fakeClock drives a breaker through time without sleeping.
+// fakeClock drives a slot's circuit through time without sleeping.
 type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func testBreaker(threshold int, cooldown time.Duration) (*breaker, *fakeClock) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := newBreaker(threshold, cooldown)
-	b.now = clk.now
-	return b, clk
+// testBreaker is an unreplicated slot whose circuit opens after threshold
+// failures and which never reaches quarantine, so the tests below see the
+// breaker rungs alone.
+func testBreaker(threshold int, cooldown time.Duration) (*shardSlot, *fakeClock) {
+	return testSlot(obs.NewRegistry(), threshold, 1<<30, cooldown, false)
+}
+
+// The breaker's former methods, as results settled on the current primary.
+func (s *shardSlot) allow() bool { _, _, ok := s.admit(); return ok }
+func (s *shardSlot) success()    { s.settle(s.current(), callOK) }
+func (s *shardSlot) failure()    { s.settle(s.current(), callTimedOut) }
+func (s *shardSlot) abort()      { s.settle(s.current(), callAborted) }
+
+func (s *shardSlot) breakerState() string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slotBreaker[s.ladder.State()]
 }
 
 func TestBreakerOpensAtThreshold(t *testing.T) {
 	b, _ := testBreaker(3, time.Second)
 	for i := 0; i < 2; i++ {
-		if !b.Allow() {
+		if !b.allow() {
 			t.Fatalf("closed breaker denied call %d", i)
 		}
-		b.Failure()
+		b.failure()
 	}
-	if b.State() != "closed" {
-		t.Fatalf("state after 2/3 failures = %s, want closed", b.State())
+	if b.breakerState() != "closed" {
+		t.Fatalf("state after 2/3 failures = %s, want closed", b.breakerState())
 	}
-	b.Failure() // third consecutive failure opens the circuit
-	if b.State() != "open" {
-		t.Fatalf("state after threshold failures = %s, want open", b.State())
+	b.failure() // third consecutive failure opens the circuit
+	if b.breakerState() != "open" {
+		t.Fatalf("state after threshold failures = %s, want open", b.breakerState())
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("open breaker allowed a call inside the cooldown")
 	}
 }
 
 func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 	b, _ := testBreaker(3, time.Second)
-	b.Failure()
-	b.Failure()
-	b.Success() // breaks the consecutive run
-	b.Failure()
-	b.Failure()
-	if b.State() != "closed" {
-		t.Fatalf("non-consecutive failures opened the circuit: %s", b.State())
+	b.failure()
+	b.failure()
+	b.success() // breaks the consecutive run
+	b.failure()
+	b.failure()
+	if b.breakerState() != "closed" {
+		t.Fatalf("non-consecutive failures opened the circuit: %s", b.breakerState())
 	}
 }
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	b, clk := testBreaker(1, time.Second)
-	b.Failure()
-	if b.State() != "open" {
-		t.Fatalf("state = %s, want open", b.State())
+	b.failure()
+	if b.breakerState() != "open" {
+		t.Fatalf("state = %s, want open", b.breakerState())
 	}
 
 	clk.advance(time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("cooldown elapsed but probe was denied")
 	}
-	if b.State() != "half-open" {
-		t.Fatalf("state during probe = %s, want half-open", b.State())
+	if b.breakerState() != "half-open" {
+		t.Fatalf("state during probe = %s, want half-open", b.breakerState())
 	}
 	// Only one probe at a time: a concurrent caller is still denied.
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("second probe admitted while the first is in flight")
 	}
 
 	// Probe succeeds: the circuit closes and stays closed.
-	b.Success()
-	if b.State() != "closed" || !b.Allow() {
-		t.Fatalf("successful probe did not re-close the circuit (state %s)", b.State())
+	b.success()
+	if b.breakerState() != "closed" || !b.allow() {
+		t.Fatalf("successful probe did not re-close the circuit (state %s)", b.breakerState())
 	}
 }
 
 func TestBreakerFailedProbeReopens(t *testing.T) {
 	b, clk := testBreaker(1, time.Second)
-	b.Failure()
+	b.failure()
 	clk.advance(time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("probe denied after cooldown")
 	}
-	b.Failure() // the probe failed
-	if b.State() != "open" {
-		t.Fatalf("state after failed probe = %s, want open", b.State())
+	b.failure() // the probe failed
+	if b.breakerState() != "open" {
+		t.Fatalf("state after failed probe = %s, want open", b.breakerState())
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("re-opened breaker allowed a call before the next cooldown")
 	}
 	// The re-open restarted the cooldown clock.
 	clk.advance(time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("probe denied after the second cooldown")
 	}
 }

@@ -91,7 +91,6 @@ type CoordinatorOptions struct {
 type Coordinator struct {
 	opt    CoordinatorOptions
 	ring   *Ring
-	health *fault.Health
 	reg    *obs.Registry
 	slots  []*shardSlot
 	engine *Engine
@@ -106,26 +105,6 @@ type Coordinator struct {
 	widths map[string]int
 	rows   map[string]int
 }
-
-// shardSlot is one ring position: a primary client and the replica that
-// takes over if the primary is quarantined.
-type shardSlot struct {
-	id int
-	br *breaker // circuit breaker for the current primary
-
-	mu       sync.RWMutex
-	primary  *ShardClient
-	replica  *ShardClient // nil = unreplicated (or already consumed)
-	promoted bool
-}
-
-func (s *shardSlot) current() *ShardClient {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.primary
-}
-
-func (s *shardSlot) name() string { return fmt.Sprintf("shard-%d", s.id) }
 
 // NewCoordinator builds a coordinator over the given shard specs. Shard
 // order is ring position and must be stable across restarts.
@@ -167,7 +146,6 @@ func NewCoordinator(specs []ShardSpec, opt CoordinatorOptions) (*Coordinator, er
 	c := &Coordinator{
 		opt:    opt,
 		ring:   ring,
-		health: fault.NewHealth(opt.PromoteAfter),
 		reg:    opt.Metrics,
 		bootID: newBootID(),
 		widths: map[string]int{},
@@ -180,15 +158,12 @@ func NewCoordinator(specs []ShardSpec, opt CoordinatorOptions) (*Coordinator, er
 		Wrap:           opt.WrapTransport,
 	}
 	for i, spec := range specs {
-		slot := &shardSlot{
-			id:      i,
-			br:      newBreaker(opt.BreakerThreshold, opt.BreakerCooldown),
-			primary: NewShardClient(httpBase(spec.Addr), opt.Parse, clientOpt),
-		}
+		var replica *ShardClient
 		if spec.Replica != "" {
-			slot.replica = NewShardClient(httpBase(spec.Replica), opt.Parse, clientOpt)
+			replica = NewShardClient(httpBase(spec.Replica), opt.Parse, clientOpt)
 		}
-		c.slots = append(c.slots, slot)
+		primary := NewShardClient(httpBase(spec.Addr), opt.Parse, clientOpt)
+		c.slots = append(c.slots, newShardSlot(i, primary, replica, opt, c.reg, nil))
 	}
 	execs := make([]ShardExec, len(c.slots))
 	for i, slot := range c.slots {
@@ -355,14 +330,14 @@ func (f *failoverShard) DeleteTemp(ctx context.Context, name string) error {
 
 // errBreakerOpen is the immediate failure an open circuit substitutes for
 // a network call. It is retryable by classification but carries no new
-// evidence about the shard: the health ladder advances on the half-open
-// probes instead, so an open circuit under heavy load cannot snowball
-// three noise failures into a quarantine.
+// evidence about the shard: the ladder advances on the half-open probes
+// instead, so an open circuit under heavy load cannot snowball three noise
+// failures into a quarantine.
 var errBreakerOpen = fmt.Errorf("cluster: circuit breaker open")
 
 // withFailover runs op against the slot's current primary, retrying
-// retryable failures with backoff. When the health tracker quarantines
-// the shard (K consecutive failures), the replica is promoted and the
+// retryable failures with backoff. When the slot's ladder quarantines the
+// primary (K consecutive failures), the replica is promoted and the
 // attempt budget starts over on the new primary. With no replica left,
 // the quarantine stands and the call fails.
 //
@@ -377,46 +352,43 @@ func withFailover[T any](ctx context.Context, c *Coordinator, slot *shardSlot, o
 	}
 	attempt := 0
 	for {
-		if c.health.Quarantined(slot.name()) {
-			// Serialise against a promotion in flight: failure accounting
-			// runs under slot.mu, so once the lock is acquired the
-			// quarantine is either revived (a promotion won the race) or
-			// final (no replica was left to promote).
-			slot.mu.RLock()
-			still := c.health.Quarantined(slot.name())
-			slot.mu.RUnlock()
-			if still {
-				// Terminal rung: quarantined with nothing to promote.
-				return zero, fmt.Errorf("cluster: %s is quarantined (no replica left)", slot.name())
-			}
-		}
-		cl := slot.current()
+		cl, rung, admitted := slot.admit()
 		var v T
 		var err error
-		allowed := slot.br.Allow()
-		if allowed {
+		switch {
+		case admitted:
 			v, err = op(cl)
-		} else {
+		case rung == slotTerminal:
+			return zero, fmt.Errorf("cluster: %s is quarantined (no replica left)", slot.name())
+		default:
 			err = errBreakerOpen
 			c.reg.Counter("cluster_breaker_denials_total", obs.Labels{"shard": slot.name()}).Inc()
 		}
 		if err == nil {
-			c.recordSuccess(slot, cl)
+			slot.settle(cl, callOK)
 			return v, nil
 		}
 		if ctx.Err() != nil || !RetryableShardError(err) {
 			// The ladder is exiting without retrying, but an admitted call
-			// still owes the breaker its outcome: if it was the half-open
-			// probe, skipping this would leave the probe marked in flight
-			// forever and the breaker would deny every future call to the
-			// shard. A probe timing out against a partitioned shard is the
-			// common case here.
-			if allowed {
-				c.recordAbort(slot, cl, err)
+			// still owes the slot its outcome: if it was the half-open
+			// probe, skipping this would leave the probe in flight forever
+			// and every future call to the shard would be denied. A probe
+			// timing out against a partitioned shard is the common case
+			// here. Its retryable failure charges the circuit (a failed
+			// probe re-opens for another cooldown); a non-retryable error
+			// means the shard answered and the query itself was bad, so
+			// the probe is only released. Quarantine advances on the retry
+			// ladder's evidence, not on exits from it.
+			if admitted {
+				res := callAborted
+				if RetryableShardError(err) {
+					res = callTimedOut
+				}
+				slot.settle(cl, res)
 			}
 			return zero, err
 		}
-		if err == errBreakerOpen {
+		if !admitted {
 			// A denial is the breaker doing its job, not the shard failing
 			// again — only the probes change the evidence. A concurrent
 			// promotion may have swapped the primary out from under the
@@ -427,8 +399,11 @@ func withFailover[T any](ctx context.Context, c *Coordinator, slot *shardSlot, o
 			}
 		} else {
 			c.reg.Counter("cluster_shard_failures_total", obs.Labels{"shard": slot.name()}).Inc()
-			switch c.recordFailure(slot, cl) {
+			switch slot.settle(cl, callFailed) {
 			case failoverPromoted:
+				c.persistState()
+				fallthrough
+			case failoverRestart:
 				attempt = 0
 				continue
 			case failoverTerminal:
@@ -449,94 +424,6 @@ func withFailover[T any](ctx context.Context, c *Coordinator, slot *shardSlot, o
 			return zero, ctx.Err()
 		}
 	}
-}
-
-// recordSuccess credits a successful call to the slot, guarded the same
-// way recordFailure is: under concurrent load a call can succeed against
-// a daemon that has since been demoted, and that stale success must not
-// re-close the new primary's breaker or reset its health run.
-func (c *Coordinator) recordSuccess(slot *shardSlot, cl *ShardClient) {
-	slot.mu.RLock()
-	same := slot.primary == cl
-	slot.mu.RUnlock()
-	if !same {
-		return
-	}
-	slot.br.Success()
-	c.health.RecordSuccess(slot.name())
-}
-
-// recordAbort settles the breaker for an admitted call that ran but is
-// leaving the ladder without retrying. A retryable failure (typically a
-// context deadline spent against a dead or partitioned shard) is network
-// evidence and charges the breaker — a failed half-open probe re-opens
-// for another cooldown. A non-retryable error means the shard answered
-// and the query itself was bad: no evidence either way, so only the
-// in-flight probe mark is released. Health accounting is untouched on
-// both paths — quarantine advances on the retry ladder's evidence, not
-// on exits from it.
-func (c *Coordinator) recordAbort(slot *shardSlot, cl *ShardClient, err error) {
-	slot.mu.RLock()
-	same := slot.primary == cl
-	slot.mu.RUnlock()
-	if !same {
-		return
-	}
-	if RetryableShardError(err) {
-		slot.br.Failure()
-	} else {
-		slot.br.Abort()
-	}
-}
-
-type failoverOutcome int
-
-const (
-	failoverRetry failoverOutcome = iota
-	failoverPromoted
-	failoverTerminal
-)
-
-// recordFailure charges one failure against the slot, promoting the
-// replica when the failure tips the shard into quarantine. Accounting is
-// serialised under slot.mu and checked against the client that actually
-// failed: under concurrent load, dozens of in-flight calls can fail
-// against a dead primary after one of them has already promoted the
-// replica, and those stale failures must not re-quarantine the healthy
-// new primary (that would consume the slot's last rung and go terminal).
-//
-// The promoted replica has been following the old primary's WAL, and
-// dual-written PUTs make it current for every acked write — promotion
-// loses nothing that was acknowledged.
-func (c *Coordinator) recordFailure(slot *shardSlot, cl *ShardClient) failoverOutcome {
-	slot.mu.Lock()
-	if slot.primary != cl {
-		// A concurrent caller already promoted past the daemon that failed
-		// this op. Restart the ladder against the new primary.
-		slot.mu.Unlock()
-		return failoverPromoted
-	}
-	slot.br.Failure()
-	if !c.health.RecordFailure(slot.name()) {
-		slot.mu.Unlock()
-		return failoverRetry
-	}
-	if slot.replica == nil {
-		slot.mu.Unlock()
-		return failoverTerminal
-	}
-	slot.primary = slot.replica
-	slot.replica = nil
-	slot.promoted = true
-	// The new primary starts with a clean circuit.
-	slot.br.Success()
-	// Revive before releasing the lock so no caller can observe the
-	// promoted slot still quarantined.
-	c.health.Revive(slot.name())
-	slot.mu.Unlock()
-	c.reg.Counter("cluster_promotions_total", obs.Labels{"shard": slot.name()}).Inc()
-	c.persistState()
-	return failoverPromoted
 }
 
 // Execute evaluates a plan across the cluster.
@@ -698,13 +585,13 @@ func (c *Coordinator) Topology() []ShardInfo {
 	out := make([]ShardInfo, len(c.slots))
 	for i, slot := range c.slots {
 		slot.mu.RLock()
-		info := ShardInfo{ID: slot.id, Primary: slot.primary.Addr(), Promoted: slot.promoted}
+		rung := slot.ladder.State()
+		info := ShardInfo{ID: slot.id, Primary: slot.primary.Addr(), Promoted: slot.promoted,
+			Quarantined: rung == slotTerminal, Breaker: slotBreaker[rung]}
 		if slot.replica != nil {
 			info.Replica = slot.replica.Addr()
 		}
 		slot.mu.RUnlock()
-		info.Quarantined = c.health.Quarantined(slot.name())
-		info.Breaker = slot.br.State()
 		out[i] = info
 	}
 	return out

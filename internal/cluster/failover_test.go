@@ -23,24 +23,22 @@ func testParse(string) (*relation.Relation, error) {
 func testCoordinator() *Coordinator {
 	return &Coordinator{
 		opt:    CoordinatorOptions{Retry: fault.RetryPolicy{MaxAttempts: 3, BaseDelay: 1, MaxDelay: 1}},
-		health: fault.NewHealth(3),
 		reg:    obs.NewRegistry(),
 		widths: map[string]int{},
 		rows:   map[string]int{},
 	}
 }
 
-func testSlot(threshold int, cooldown time.Duration, replicated bool) (*shardSlot, *fakeClock) {
-	br, clk := testBreaker(threshold, cooldown)
-	slot := &shardSlot{
-		id:      0,
-		br:      br,
-		primary: NewShardClient("http://primary.invalid", testParse, ClientOptions{}),
-	}
+// testSlot builds slot 0 on a fake clock, counting into reg.
+func testSlot(reg *obs.Registry, threshold, promoteAfter int, cooldown time.Duration, replicated bool) (*shardSlot, *fakeClock) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	var replica *ShardClient
 	if replicated {
-		slot.replica = NewShardClient("http://replica.invalid", testParse, ClientOptions{})
+		replica = NewShardClient("http://replica.invalid", testParse, ClientOptions{})
 	}
-	return slot, clk
+	opt := CoordinatorOptions{BreakerThreshold: threshold, PromoteAfter: promoteAfter, BreakerCooldown: cooldown}
+	primary := NewShardClient("http://primary.invalid", testParse, ClientOptions{})
+	return newShardSlot(0, primary, replica, opt, reg, clk.now), clk
 }
 
 // TestWithFailoverSettlesProbeOnContextExpiry pins the fix for the wedged
@@ -51,11 +49,11 @@ func testSlot(threshold int, cooldown time.Duration, replicated bool) (*shardSlo
 // circuit and the next cooldown must admit a fresh probe.
 func TestWithFailoverSettlesProbeOnContextExpiry(t *testing.T) {
 	c := testCoordinator()
-	slot, clk := testSlot(1, time.Second, false)
+	slot, clk := testSlot(c.reg, 1, 3, time.Second, false)
 
 	// Open the circuit, then pass the cooldown so the next admitted call
 	// is the half-open probe.
-	slot.br.Failure()
+	slot.failure()
 	clk.advance(time.Second)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -68,11 +66,11 @@ func TestWithFailoverSettlesProbeOnContextExpiry(t *testing.T) {
 	if err == nil {
 		t.Fatal("withFailover succeeded through an expired context")
 	}
-	if got := slot.br.State(); got != "open" {
+	if got := slot.breakerState(); got != "open" {
 		t.Fatalf("breaker state after failed probe = %s, want open", got)
 	}
 	clk.advance(time.Second)
-	if !slot.br.Allow() {
+	if !slot.allow() {
 		t.Fatal("breaker wedged: no probe admitted after the next cooldown")
 	}
 }
@@ -82,8 +80,8 @@ func TestWithFailoverSettlesProbeOnContextExpiry(t *testing.T) {
 // but the probe slot must be released so the ladder can keep probing.
 func TestWithFailoverReleasesProbeOnNonRetryableError(t *testing.T) {
 	c := testCoordinator()
-	slot, clk := testSlot(1, time.Second, false)
-	slot.br.Failure()
+	slot, clk := testSlot(c.reg, 1, 3, time.Second, false)
+	slot.failure()
 	clk.advance(time.Second)
 
 	_, err := withFailover(context.Background(), c, slot, func(*ShardClient) (struct{}, error) {
@@ -92,7 +90,7 @@ func TestWithFailoverReleasesProbeOnNonRetryableError(t *testing.T) {
 	if err == nil {
 		t.Fatal("withFailover retried a non-retryable error to success")
 	}
-	if !slot.br.Allow() {
+	if !slot.allow() {
 		t.Fatal("probe slot not released after a non-retryable answer")
 	}
 }
@@ -101,16 +99,16 @@ func TestWithFailoverReleasesProbeOnNonRetryableError(t *testing.T) {
 // clears the in-flight probe mark without charging the circuit.
 func TestBreakerAbortReleasesProbe(t *testing.T) {
 	b, clk := testBreaker(1, time.Second)
-	b.Failure()
+	b.failure()
 	clk.advance(time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("probe denied after cooldown")
 	}
-	b.Abort()
-	if b.State() != "half-open" {
-		t.Fatalf("state after Abort = %s, want half-open", b.State())
+	b.abort()
+	if b.breakerState() != "half-open" {
+		t.Fatalf("state after Abort = %s, want half-open", b.breakerState())
 	}
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("Abort did not release the probe slot")
 	}
 }
@@ -122,7 +120,7 @@ func TestBreakerAbortReleasesProbe(t *testing.T) {
 // zero acked-write-loss invariant breaks.
 func TestWriteBothRerunsAfterConcurrentPromotion(t *testing.T) {
 	c := testCoordinator()
-	slot, _ := testSlot(3, time.Second, true)
+	slot, _ := testSlot(c.reg, 3, 3, time.Second, true)
 	oldPrimary, replica := slot.primary, slot.replica
 
 	var got []*ShardClient
@@ -153,7 +151,7 @@ func TestWriteBothRerunsAfterConcurrentPromotion(t *testing.T) {
 // copies exactly once.
 func TestWriteBothWritesPrimaryThenReplica(t *testing.T) {
 	c := testCoordinator()
-	slot, _ := testSlot(3, time.Second, true)
+	slot, _ := testSlot(c.reg, 3, 3, time.Second, true)
 
 	var got []*ShardClient
 	err := c.writeBoth(context.Background(), slot, func(cl *ShardClient) error {
@@ -172,7 +170,7 @@ func TestWriteBothWritesPrimaryThenReplica(t *testing.T) {
 // ex-primary must not re-close the new primary's breaker.
 func TestRecordSuccessIgnoresStaleClient(t *testing.T) {
 	c := testCoordinator()
-	slot, _ := testSlot(1, time.Second, true)
+	slot, _ := testSlot(c.reg, 1, 3, time.Second, true)
 	stale := slot.primary
 
 	// Promote, then open the new primary's circuit.
@@ -180,13 +178,13 @@ func TestRecordSuccessIgnoresStaleClient(t *testing.T) {
 	slot.primary = slot.replica
 	slot.replica = nil
 	slot.mu.Unlock()
-	slot.br.Failure()
-	if slot.br.State() != "open" {
-		t.Fatalf("setup: breaker %s, want open", slot.br.State())
+	slot.failure()
+	if slot.breakerState() != "open" {
+		t.Fatalf("setup: breaker %s, want open", slot.breakerState())
 	}
 
-	c.recordSuccess(slot, stale)
-	if slot.br.State() != "open" {
-		t.Fatalf("stale success re-closed the new primary's breaker (state %s)", slot.br.State())
+	slot.settle(stale, callOK)
+	if slot.breakerState() != "open" {
+		t.Fatalf("stale success re-closed the new primary's breaker (state %s)", slot.breakerState())
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -151,7 +150,7 @@ type slotHarness struct {
 // runSlot builds a fresh slot and fires path at it.
 func runSlot(replicated bool, path []string) (h *slotHarness, lastDenied bool) {
 	c := testCoordinator()
-	slot, clk := testSlot(2, time.Second, replicated)
+	slot, clk := testSlot(c.reg, 2, 3, time.Second, replicated)
 	h = &slotHarness{c: c, slot: slot, clk: clk,
 		stale: NewShardClient("http://stale.invalid", testParse, ClientOptions{})}
 	for _, ev := range path {
@@ -159,11 +158,6 @@ func runSlot(replicated bool, path []string) (h *slotHarness, lastDenied bool) {
 	}
 	return h, lastDenied
 }
-
-var (
-	errRetryableProbe = fmt.Errorf("read tcp: i/o timeout")
-	errFatalProbe     = fmt.Errorf("shard answered: %w", context.Canceled)
-)
 
 // fire delivers one event and reports whether it was a denied call.
 func (h *slotHarness) fire(ev string) (denied bool) {
@@ -176,20 +170,16 @@ func (h *slotHarness) fire(ev string) (denied bool) {
 		h.clk.advance(time.Second)
 		fallthrough
 	case "call":
-		// withFailover's gate: a quarantined slot refuses before the
-		// breaker is asked.
-		if h.c.health.Quarantined(h.slot.name()) {
-			return true
-		}
-		return !h.slot.br.Allow()
+		_, _, ok := h.slot.admit()
+		return !ok
 	case "success":
-		h.c.recordSuccess(h.slot, cl)
+		h.slot.settle(cl, callOK)
 	case "failure":
-		h.c.recordFailure(h.slot, cl)
+		h.slot.settle(cl, callFailed)
 	case "abort-retryable":
-		h.c.recordAbort(h.slot, cl, errRetryableProbe)
+		h.slot.settle(cl, callTimedOut)
 	case "abort-fatal":
-		h.c.recordAbort(h.slot, cl, errFatalProbe)
+		h.slot.settle(cl, callAborted)
 	}
 	return false
 }
@@ -204,17 +194,16 @@ func (h *slotHarness) observe(replicated bool, path []string) string {
 	promoted := s.promoted
 	s.mu.RUnlock()
 	var out string
-	if h.c.health.Quarantined(s.name()) {
+	s.mu.RLock()
+	rung, f := s.ladder.State(), s.fails
+	s.mu.RUnlock()
+	switch rung {
+	case slotTerminal:
 		out = "terminal"
-	} else {
-		s.br.mu.Lock()
-		rung := s.br.state.String()
-		if s.br.probing {
-			rung = "probing"
-		}
-		f := s.br.failures
-		s.br.mu.Unlock()
-		out = fmt.Sprintf("%s f=%d s=%d", rung, f, 3-failuresToQuarantine(replicated, path))
+	case slotProbing:
+		out = fmt.Sprintf("probing f=%d s=%d", f, 3-failuresToQuarantine(replicated, path))
+	default:
+		out = fmt.Sprintf("%s f=%d s=%d", slotBreaker[rung], f, 3-failuresToQuarantine(replicated, path))
 	}
 	if promoted {
 		out += " promoted"
@@ -225,7 +214,7 @@ func (h *slotHarness) observe(replicated bool, path []string) string {
 func failuresToQuarantine(replicated bool, path []string) int {
 	r, _ := runSlot(replicated, path)
 	for n := 1; ; n++ {
-		if r.c.recordFailure(r.slot, r.slot.current()) != failoverRetry {
+		if r.slot.settle(r.slot.current(), callFailed) != failoverRetry {
 			return n
 		}
 	}

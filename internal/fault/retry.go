@@ -81,10 +81,39 @@ func (p RetryPolicy) Delay(n int) time.Duration {
 // stays quarantined for the next — that persistence is what /healthz
 // surfaces as the "degraded" state.
 type Health struct {
-	mu    sync.Mutex
-	k     int
-	fails map[string]int
-	quar  map[string]bool
+	mu   sync.Mutex
+	k    int
+	devs map[string]*device
+}
+
+// device is one device's rung on the quarantine ladder and its run of
+// consecutive failures.
+type device struct {
+	ladder *Ladder[deviceState, deviceEvent, string]
+	fails  int
+}
+
+type deviceState int
+
+const (
+	deviceHealthy deviceState = iota
+	deviceQuarantined
+)
+
+type deviceEvent int
+
+const (
+	deviceFail       deviceEvent = iota // a failure short of k in a row
+	deviceQuarantine                    // the k-th consecutive failure
+	deviceSuccess
+	deviceRevive // an operator action; nothing revives devices automatically
+)
+
+// deviceTable is the quarantine ladder. A quarantined device refuses
+// failures and successes alike until it is revived.
+var deviceTable = Table[deviceState, deviceEvent]{
+	deviceHealthy:     {deviceFail: deviceHealthy, deviceQuarantine: deviceQuarantined, deviceSuccess: deviceHealthy, deviceRevive: deviceHealthy},
+	deviceQuarantined: {deviceRevive: deviceHealthy},
 }
 
 // NewHealth returns a tracker that quarantines a device after k
@@ -93,14 +122,37 @@ func NewHealth(k int) *Health {
 	if k <= 0 {
 		k = 3
 	}
-	return &Health{k: k, fails: make(map[string]int), quar: make(map[string]bool)}
+	return &Health{k: k, devs: make(map[string]*device)}
+}
+
+// move fires one event at a device's ladder and keeps its failure run: an
+// accepted failure extends the run, any other accepted event ends it.
+// Caller holds mu.
+func (h *Health) move(name string, on deviceEvent) bool {
+	d := h.devs[name]
+	if d == nil {
+		d = &device{ladder: NewLadder[deviceState, deviceEvent, string](deviceTable, nil, nil)}
+		h.devs[name] = d
+	}
+	if on == deviceFail && d.fails+1 >= h.k {
+		on = deviceQuarantine
+	}
+	if !d.ladder.Move(on, "") {
+		return false
+	}
+	if on == deviceFail {
+		d.fails++
+	} else {
+		d.fails = 0
+	}
+	return true
 }
 
 // RecordSuccess clears a device's consecutive-failure count.
 func (h *Health) RecordSuccess(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.fails[name] = 0
+	h.move(name, deviceSuccess)
 }
 
 // RecordFailure counts one failure and reports whether the device was
@@ -108,31 +160,24 @@ func (h *Health) RecordSuccess(name string) {
 func (h *Health) RecordFailure(name string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.quar[name] {
-		return false
-	}
-	h.fails[name]++
-	if h.fails[name] >= h.k {
-		h.quar[name] = true
-		return true
-	}
-	return false
+	return h.move(name, deviceFail) && h.devs[name].ladder.State() == deviceQuarantined
 }
 
 // Quarantined reports whether a device is quarantined.
 func (h *Health) Quarantined(name string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.quar[name]
+	d := h.devs[name]
+	return d != nil && d.ladder.State() == deviceQuarantined
 }
 
 // QuarantinedNames returns the sorted quarantined device names.
 func (h *Health) QuarantinedNames() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.quar))
-	for n, q := range h.quar {
-		if q {
+	out := make([]string, 0, len(h.devs))
+	for n, d := range h.devs {
+		if d.ladder.State() == deviceQuarantined {
 			out = append(out, n)
 		}
 	}
@@ -141,19 +186,14 @@ func (h *Health) QuarantinedNames() []string {
 }
 
 // Degraded reports whether any device is quarantined.
-func (h *Health) Degraded() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.quar) > 0
-}
+func (h *Health) Degraded() bool { return len(h.QuarantinedNames()) > 0 }
 
 // Revive clears a device's quarantine (an operator action; nothing revives
 // devices automatically).
 func (h *Health) Revive(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	delete(h.quar, name)
-	h.fails[name] = 0
+	h.move(name, deviceRevive)
 }
 
 // Device is one systolic device an Executor can run tiles on. A nil Plan

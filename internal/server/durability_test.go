@@ -129,7 +129,7 @@ func TestDrainRefusesMutations(t *testing.T) {
 	if code, _ := do(t, "PUT", ts.URL+"/relations/S", suppliersTable); code != http.StatusOK {
 		t.Fatal("seed PUT failed")
 	}
-	s.draining.Store(true)
+	s.drain()
 
 	req, _ := http.NewRequest("PUT", ts.URL+"/relations/X", strings.NewReader(suppliersTable))
 	resp, err := http.DefaultClient.Do(req)

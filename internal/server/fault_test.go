@@ -203,7 +203,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("query never reached its first retry")
 	}
-	s.draining.Store(true)
+	s.drain()
 	close(release)
 
 	select {

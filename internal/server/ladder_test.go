@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -155,4 +156,57 @@ func countDeltas(before, after map[string]int64) string {
 	}
 	sort.Strings(out)
 	return strings.Join(out, " ")
+}
+
+// TestHealthzDrainOutranksReadOnly: a server that is read-only from a disk
+// fault and then shuts down must tell the load balancer it is draining.
+// The drain used to be overwritten by the read-only block's "degraded".
+func TestHealthzDrainOutranksReadOnly(t *testing.T) {
+	s, ts, ffs := flakyServer(t, t.TempDir(), Config{ProbeEvery: time.Hour})
+	ffs.set(true, false)
+	if code, _ := do(t, "PUT", ts.URL+"/relations/X", suppliersTable); code != http.StatusServiceUnavailable {
+		t.Fatalf("PUT on broken disk: %d, want 503", code)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, body := do(t, "GET", ts.URL+"/healthz", "")
+	if !strings.Contains(body, `"status":"draining"`) || !strings.Contains(body, `"mode":"read-only"`) {
+		t.Fatalf("healthz of a read-only server draining: %s", body)
+	}
+}
+
+// TestReadOnlyHeldForEveryCause: at-rest damage found while an append
+// fault already holds the latch must keep the server read-only after the
+// disk heals and the probe loop clears the append fault. The scrub cause
+// used to be dropped, and writes reopened over unrepaired damage.
+func TestReadOnlyHeldForEveryCause(t *testing.T) {
+	s, ts, ffs := flakyServer(t, t.TempDir(), Config{ProbeEvery: 10 * time.Millisecond})
+	ffs.set(true, false)
+	if code, _ := do(t, "PUT", ts.URL+"/relations/X", suppliersTable); code != http.StatusServiceUnavailable {
+		t.Fatalf("PUT on broken disk: %d, want 503", code)
+	}
+	s.tripReadOnly("scrub")
+	ffs.set(false, false)
+	waitFor(t, 5*time.Second, "the probe loop to clear the append fault", func() bool {
+		mode, cause := healthzDurability(t, ts.URL)
+		return mode == "ok" || cause == "scrub"
+	})
+	if mode, cause := healthzDurability(t, ts.URL); mode != "read-only" || cause != "scrub" {
+		t.Fatalf("healthz durability = %q/%q, want read-only/scrub", mode, cause)
+	}
+	if code, _ := do(t, "PUT", ts.URL+"/relations/X", suppliersTable); code != http.StatusServiceUnavailable {
+		t.Fatalf("PUT over unrepaired damage: %d, want 503", code)
+	}
+	s.clearReadOnly("scrub")
+	if code, body := do(t, "PUT", ts.URL+"/relations/X", suppliersTable); code != http.StatusOK {
+		t.Fatalf("PUT after the scrub repair: %d %s", code, body)
+	}
+	_, metrics := do(t, "GET", ts.URL+"/metrics", "")
+	for _, want := range []string{`server_readonly_trips_total{cause="append"} 1`,
+		`server_readonly_trips_total{cause="scrub"} 1`, "server_readonly_recoveries_total 1"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("missing %s in:\n%s", want, grepMetrics(metrics, "server_readonly"))
+		}
+	}
 }

@@ -233,23 +233,23 @@ type Server struct {
 	commitMu     sync.Mutex
 	snapshotting atomic.Bool // a background snapshot is in flight
 
-	// readOnly is the storage degradation latch: a disk fault the commit
+	// latch is the storage degradation ladder: a disk fault the commit
 	// path could not absorb (failed append, unrelievable ENOSPC) or
-	// confirmed at-rest corruption (scrub) trips it. Mutations answer 503
-	// + Retry-After while it holds; reads keep serving from the catalog.
-	// roCause says which failure tripped it — append/enospc clear via the
-	// probe loop, scrub clears when its repair lands.
-	readOnly atomic.Bool
-	roMu     sync.Mutex
-	roCause  string
+	// confirmed at-rest corruption (scrub) trips it read-only. Mutations
+	// answer 503 + Retry-After while any cause holds it; reads keep
+	// serving from the catalog. append/enospc clear via the probe loop,
+	// scrub clears when its repair lands. life is the lifecycle ladder,
+	// which Shutdown moves to draining. ladderMu serialises both.
+	ladderMu sync.Mutex
+	latch    *fault.Ladder[latchState, latchEvent, string]
+	life     *fault.Ladder[lifeState, lifeEvent, string]
 
 	// stopCh ends the background probe and scrub loops at Shutdown.
 	stopCh   chan struct{}
 	stopOnce sync.Once
 
-	sem      chan struct{} // worker slots; len == running queries
-	waiting  atomic.Int64  // queries queued for a slot
-	draining atomic.Bool   // set once Shutdown begins
+	sem     chan struct{} // worker slots; len == running queries
+	waiting atomic.Int64  // queries queued for a slot
 
 	// drainDeadline is the Shutdown context's deadline (unix nanos, 0 =
 	// none): rejects during a drain tell clients to retry after it.
@@ -282,6 +282,8 @@ func New(cfg Config) *Server {
 	if cfg.PlanCacheSize > 0 {
 		s.planCache = query.NewPlanCache(cfg.PlanCacheSize, cfg.Metrics)
 	}
+	s.latch = fault.NewLadder(latchTable, s.countLatch, nil)
+	s.life = fault.NewLadder[lifeState, lifeEvent, string](lifeTable, nil, nil)
 	if s.wal != nil {
 		// Re-seed the idempotency window from the log, so a retry that
 		// lands after a crash+restart is still recognised: dedup is exactly
@@ -370,7 +372,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if dl, ok := ctx.Deadline(); ok {
 		s.drainDeadline.Store(dl.UnixNano())
 	}
-	s.draining.Store(true)
+	s.drain()
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	if s.httpSrv == nil {
 		return nil
@@ -415,20 +417,28 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handlePutRelation(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		// A mutation accepted during a drain could outrun the final
-		// snapshot; refuse up front rather than ack something the shutdown
-		// path may not persist.
+// refuseMutation answers 503 for a mutation of name that the server's
+// ladders forbid, and reports whether it did. A mutation accepted during a
+// drain could outrun the final snapshot, so it is refused up front rather
+// than acked where the shutdown path may not persist it. Temps bypass the
+// WAL entirely, so read-only storage can't refuse them — mid-query staging
+// keeps working while degraded.
+func (s *Server) refuseMutation(w http.ResponseWriter, name string) bool {
+	switch {
+	case s.draining():
 		s.reject(w, http.StatusServiceUnavailable, "shutdown", "server is shutting down")
-		return
-	}
-	name := r.PathValue("name")
-	if s.readOnly.Load() && !IsTemp(name) {
-		// Temps bypass the WAL entirely, so the broken disk can't refuse
-		// them — mid-query staging keeps working while degraded.
+	case s.readOnly() && !IsTemp(name):
 		s.reject(w, http.StatusServiceUnavailable, "read_only",
 			"server is read-only (disk fault: %s); retry after the disk recovers", s.readOnlyCause())
+	default:
+		return false
+	}
+	return true
+}
+
+func (s *Server) handlePutRelation(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	if s.refuseMutation(w, name) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -672,39 +682,101 @@ func (s *Server) compactLocked() error {
 	return s.wal.WriteSnapshot(gen, s.cat.Snapshot())
 }
 
-// tripReadOnly latches the server read-only. First cause wins; later
-// failures while already read-only don't re-count.
+type latchState int
+
+const (
+	latchOK latchState = iota
+	latchReadOnly
+)
+
+type latchEvent int
+
+const (
+	latchTrip  latchEvent = iota // a disk fault, for its cause
+	latchClear                   // the fault behind a cause is repaired
+)
+
+// latchTable is the read-only latch. Each cause ("append", "enospc",
+// "scrub") holds it read-only on its own: a trip adds its cause to the
+// held set, a clear releases only its own, and writes reopen once none is
+// left.
+var latchTable = fault.Table[latchState, latchEvent]{
+	latchOK:       {latchTrip: latchReadOnly},
+	latchReadOnly: {latchTrip: latchReadOnly, latchClear: latchOK},
+}
+
+// countLatch keeps the latch's metrics: a trip counts its cause as it
+// joins the held set, a recovery counts the set emptying.
+func (s *Server) countLatch(_, to latchState, on latchEvent, cause string) {
+	switch {
+	case on == latchTrip:
+		s.reg.Counter("server_readonly_trips_total", obs.Labels{"cause": cause}).Inc()
+		s.reg.Gauge("server_readonly", nil).Set(1)
+	case to == latchOK:
+		s.reg.Counter("server_readonly_recoveries_total", nil).Inc()
+		s.reg.Gauge("server_readonly", nil).Set(0)
+	}
+}
+
+type lifeState int
+
+const (
+	lifeServing lifeState = iota
+	lifeDraining
+)
+
+type lifeEvent int
+
+const lifeDrain lifeEvent = 0
+
+// lifeTable is the lifecycle ladder: a drain, once begun, is final.
+var lifeTable = fault.Table[lifeState, lifeEvent]{lifeServing: {lifeDrain: lifeDraining}}
+
+// tripReadOnly holds the server read-only for cause; a cause already held
+// is not counted again.
 func (s *Server) tripReadOnly(cause string) {
-	s.roMu.Lock()
-	defer s.roMu.Unlock()
-	if s.readOnly.Load() {
-		return
-	}
-	s.roCause = cause
-	s.readOnly.Store(true)
-	s.reg.Counter("server_readonly_trips_total", obs.Labels{"cause": cause}).Inc()
-	s.reg.Gauge("server_readonly", nil).Set(1)
+	s.ladderMu.Lock()
+	defer s.ladderMu.Unlock()
+	s.latch.Move(latchTrip, cause)
 }
 
-// clearReadOnly releases the latch iff it is still held for cause — the
-// probe loop must not clear a scrub trip whose repair hasn't landed, and
-// vice versa.
+// clearReadOnly releases cause's hold on the latch; the server stays
+// read-only while any other cause holds it.
 func (s *Server) clearReadOnly(cause string) {
-	s.roMu.Lock()
-	defer s.roMu.Unlock()
-	if !s.readOnly.Load() || s.roCause != cause {
-		return
-	}
-	s.roCause = ""
-	s.readOnly.Store(false)
-	s.reg.Counter("server_readonly_recoveries_total", nil).Inc()
-	s.reg.Gauge("server_readonly", nil).Set(0)
+	s.ladderMu.Lock()
+	defer s.ladderMu.Unlock()
+	s.latch.Move(latchClear, cause)
 }
 
+func (s *Server) readOnly() bool { return s.latch.State() == latchReadOnly }
+
+// readOnlyCause is the earliest cause still holding the latch ("" = none).
 func (s *Server) readOnlyCause() string {
-	s.roMu.Lock()
-	defer s.roMu.Unlock()
-	return s.roCause
+	s.ladderMu.Lock()
+	defer s.ladderMu.Unlock()
+	return s.latch.Cause()
+}
+
+// drain begins the drain: from here on queries and mutations are refused.
+func (s *Server) drain() {
+	s.ladderMu.Lock()
+	defer s.ladderMu.Unlock()
+	s.life.Move(lifeDrain, "")
+}
+
+func (s *Server) draining() bool { return s.life.State() == lifeDraining }
+
+// status ranks every ladder into /healthz's one word, by one precedence:
+// draining > degraded > ok. A drain outranks degradation because it is the
+// signal a load balancer must act on.
+func (s *Server) status(degraded bool) string {
+	switch {
+	case s.draining():
+		return "draining"
+	case degraded:
+		return "degraded"
+	}
+	return "ok"
 }
 
 // probeLoop is the way back from append/enospc read-only: a periodic
@@ -722,18 +794,18 @@ func (s *Server) probeLoop() {
 			return
 		case <-t.C:
 		}
-		if !s.readOnly.Load() {
+		if !s.readOnly() {
 			continue
 		}
 		// The probe always runs: a scrub repair attempt can wedge the
 		// log (a failed rotate, a failed tail restore) and Probe is the
 		// only path that un-wedges it — without this the scrub loop's
 		// next repair fails the same way forever. Only the CLEAR is
-		// cause-gated: a scrub trip is released by the scrub loop alone,
+		// cause-gated: a scrub hold is released by the scrub loop alone,
 		// once its repair has landed.
-		cause := s.readOnlyCause()
-		if err := s.wal.Probe(); err == nil && cause != "scrub" {
-			s.clearReadOnly(cause)
+		if err := s.wal.Probe(); err == nil {
+			s.clearReadOnly("append")
+			s.clearReadOnly("enospc")
 		}
 	}
 }
@@ -858,14 +930,8 @@ func (s *Server) handleGetRelation(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteRelation(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.reject(w, http.StatusServiceUnavailable, "shutdown", "server is shutting down")
-		return
-	}
 	name := r.PathValue("name")
-	if s.readOnly.Load() && !IsTemp(name) {
-		s.reject(w, http.StatusServiceUnavailable, "read_only",
-			"server is read-only (disk fault: %s); retry after the disk recovers", s.readOnlyCause())
+	if s.refuseMutation(w, name) {
 		return
 	}
 	if s.cfg.Cluster != nil && !strings.HasPrefix(name, hiddenPrefix) {
@@ -948,17 +1014,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WriteText(w)
 }
 
-// handleHealthz reports the degradation ladder's current rung: "ok" (all
-// devices healthy), "degraded" (some device quarantined; queries still
-// answer via surviving devices or the host), or "draining" (shutdown has
-// begun). The probe always answers 200 — degradation is survivable by
-// design; only the load balancer's routing policy should change.
+// handleHealthz reports the degradation ladders' current rungs, summed up
+// by status: "draining" (shutdown has begun), "degraded" (a device is
+// quarantined, a shard promoted or quarantined, or the server read-only;
+// queries still answer), or "ok". The probe always answers 200 —
+// degradation is survivable by design; only the load balancer's routing
+// policy should change.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	status := "ok"
+	degraded := false
 	body := map[string]any{"relations": s.cat.Len()}
 	if s.health != nil {
 		if q := s.health.QuarantinedNames(); len(q) > 0 {
-			status = "degraded"
+			degraded = true
 			body["quarantined"] = q
 		}
 	}
@@ -978,15 +1045,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			"shards":  topo,
 			"serving": serving,
 		}
-		if c.Degraded() {
-			status = "degraded"
-		}
+		degraded = degraded || c.Degraded()
 	}
 	if s.planCache != nil {
 		body["plan_cache"] = s.planCache.Stats()
-	}
-	if s.draining.Load() {
-		status = "draining"
 	}
 	if s.wal != nil {
 		// Durability state: data dir, fsync policy, WAL lag, what the last
@@ -994,13 +1056,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// "read-only" with the tripping cause while a disk fault holds
 		// mutations at bay (reads keep answering, hence still 200).
 		d := durabilityView{Status: s.wal.Status(), Mode: "ok"}
-		if s.readOnly.Load() {
-			d.Mode, d.Cause = "read-only", s.readOnlyCause()
-			status = "degraded"
+		if d.Cause = s.readOnlyCause(); d.Cause != "" {
+			d.Mode, degraded = "read-only", true
 		}
 		body["durability"] = d
 	}
-	body["status"] = status
+	body["status"] = s.status(degraded)
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -1117,7 +1178,7 @@ type queryOutcome struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.draining() {
 		s.reject(w, http.StatusServiceUnavailable, "shutdown", "server is shutting down")
 		return
 	}
@@ -1205,7 +1266,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				// Retry-After — including for queries already in flight
 				// when a drain began.
 				reason := "degraded"
-				if s.draining.Load() {
+				if s.draining() {
 					reason = "shutdown"
 				}
 				s.reject(w, http.StatusServiceUnavailable, reason, "%v", out.err)

@@ -270,7 +270,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if code, _ := do(t, "PUT", ts.URL+"/relations/A", "x\n1\n"); code != http.StatusOK {
 		t.Fatal("PUT failed")
 	}
-	s.draining.Store(true)
+	s.drain()
 	code, body := postQuery(t, ts.URL, map[string]any{"plan": "scan(A)"})
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "shutting down") {
 		t.Errorf("draining query: %d %s", code, body)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"systolicdb/internal/diskchaos"
@@ -91,4 +92,44 @@ func observeWAL(l *Log) string {
 		return "wedged"
 	}
 	return "healthy"
+}
+
+// TestWedgeCountedOnce: a wedged log that fails to repair stays wedged
+// without counting or logging another wedge, whether the failure comes
+// through Probe or Repair.
+func TestWedgeCountedOnce(t *testing.T) {
+	ffs := &failFS{FS: diskchaos.OS}
+	var lines []string
+	l, err := Open(Options{Dir: t.TempDir(), Fsync: true, Decode: testDecoder(), FS: ffs,
+		Logf: func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ffs.failCreate, ffs.failReopen = true, true
+	if _, err := l.Rotate(); err == nil || l.Wedged() == nil {
+		t.Fatalf("failed rotate + reopen did not wedge the log (err %v)", err)
+	}
+	if l.Probe() == nil || l.Repair() == nil || l.Repair() == nil {
+		t.Fatal("repair on a broken disk reported success")
+	}
+	if n := l.reg.Counter("wal_wedged_total", nil).Value(); n != 1 {
+		t.Errorf("wal_wedged_total = %d, want 1", n)
+	}
+	wedged := 0
+	for _, line := range lines {
+		if strings.HasPrefix(line, "wal wedged") {
+			wedged++
+		}
+	}
+	if wedged != 1 {
+		t.Errorf("logged %d wedges, want 1: %q", wedged, lines)
+	}
+	ffs.failCreate, ffs.failReopen = false, false
+	if err := l.Repair(); err != nil || l.Wedged() != nil {
+		t.Fatalf("Repair on a healed disk: %v (wedged: %v)", err, l.Wedged())
+	}
+	if n := l.reg.Counter("wal_repairs_total", nil).Value(); n != 1 {
+		t.Errorf("wal_repairs_total = %d, want 1", n)
+	}
 }

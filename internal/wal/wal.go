@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"systolicdb/internal/diskchaos"
+	"systolicdb/internal/fault"
 	"systolicdb/internal/obs"
 	"systolicdb/internal/relation"
 )
@@ -136,9 +137,13 @@ type Log struct {
 	lag     int64           // appends since the last completed snapshot
 	snapGen uint64          // generation of the newest completed snapshot
 	size    int64           // bytes of complete, acked frames in the current segment
-	wedged  error           // non-nil: the segment tail could not be restored; appends refuse until Repair
 	corrupt map[string]bool // files to quarantine (not delete) at the next snapshot GC
 	closed  bool
+
+	// ladder is the append state: healthy, or wedged with the error that
+	// wedged it, when the segment tail could not be restored; appends
+	// refuse until Repair.
+	ladder *fault.Ladder[appendState, appendEvent, error]
 }
 
 func segName(gen uint64) string  { return fmt.Sprintf("wal-%016d.log", gen) }
@@ -198,6 +203,7 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{opt: opts, reg: opts.Metrics, fs: opts.FS}
+	l.ladder = fault.NewLadder(appendTable, l.countAppend, nil)
 
 	start := time.Now()
 	if err := l.recover(); err != nil {
@@ -303,8 +309,8 @@ func (l *Log) append(op string, payload []byte) error {
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
-	if l.wedged != nil {
-		return fmt.Errorf("wal: log is wedged pending repair: %w", l.wedged)
+	if err := l.ladder.Cause(); err != nil {
+		return fmt.Errorf("wal: log is wedged pending repair: %w", err)
 	}
 	buf := frame(payload)
 	if n, err := l.f.Write(buf); err != nil || n != len(buf) {
@@ -312,7 +318,7 @@ func (l *Log) append(op string, payload []byte) error {
 			err = io.ErrShortWrite
 		}
 		l.reg.Counter("wal_append_errors_total", nil).Inc()
-		l.restoreTail()
+		l.unwedge() // a failed restore wedges the log
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	if l.opt.Fsync {
@@ -321,7 +327,7 @@ func (l *Log) append(op string, payload []byte) error {
 		stop()
 		if err != nil {
 			l.reg.Counter("wal_append_errors_total", nil).Inc()
-			l.restoreTail()
+			l.unwedge() // a failed restore wedges the log
 			return fmt.Errorf("wal: fsync: %w", err)
 		}
 	}
@@ -346,8 +352,8 @@ func (l *Log) Rotate() (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log is closed")
 	}
-	if l.wedged != nil {
-		return 0, fmt.Errorf("wal: log is wedged pending repair: %w", l.wedged)
+	if err := l.ladder.Cause(); err != nil {
+		return 0, fmt.Errorf("wal: log is wedged pending repair: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
 		return 0, fmt.Errorf("wal: sealing %s: %w", segName(l.gen), err)
@@ -499,7 +505,7 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	if l.f == nil { // wedged with no handle; nothing left to seal
-		return l.wedged
+		return l.ladder.Cause()
 	}
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
@@ -517,22 +523,48 @@ func (l *Log) syncDir() error {
 	return nil
 }
 
-// restoreTail returns the current segment to its last acked frame
-// boundary after a failed append. Failure to restore wedges the log.
-// Caller holds mu.
-func (l *Log) restoreTail() {
-	if err := l.truncateReopen(); err != nil {
-		l.wedge(err)
-	}
+type appendState int
+
+const (
+	appendHealthy appendState = iota
+	appendWedged              // the append handle is unusable; appends refuse until Repair
+)
+
+type appendEvent int
+
+const (
+	appendWedge   appendEvent = iota // the segment tail or handle could not be restored
+	appendUnwedge                    // the tail was restored to the last acked frame
+)
+
+// appendTable is the log's append-state ladder. A wedged log refuses a
+// second wedge: it keeps the error that wedged it, and neither counts nor
+// logs the repeat.
+var appendTable = fault.Table[appendState, appendEvent]{
+	appendHealthy: {appendWedge: appendWedged},
+	appendWedged:  {appendUnwedge: appendHealthy},
 }
 
-// wedge puts the log into its defined failed state: the append handle is
-// considered unusable and every append refuses until Repair succeeds.
-// Caller holds mu.
-func (l *Log) wedge(err error) {
-	l.wedged = err
-	l.reg.Counter("wal_wedged_total", nil).Inc()
-	l.opt.Logf("wal wedged: %v", err)
+func (l *Log) countAppend(_, to appendState, _ appendEvent, err error) {
+	if to == appendWedged {
+		l.reg.Counter("wal_wedged_total", nil).Inc()
+		l.opt.Logf("wal wedged: %v", err)
+		return
+	}
+	l.reg.Counter("wal_repairs_total", nil).Inc()
+}
+
+// unwedge restores the current segment's tail to the last acked frame
+// boundary and reopens the handle: after a failed append, and as Repair's
+// and Probe's one way back into service. A failed restore wedges a healthy
+// log and leaves a wedged one as it was. Caller holds mu.
+func (l *Log) unwedge() error {
+	if err := l.truncateReopen(); err != nil {
+		l.ladder.Move(appendWedge, err)
+		return err
+	}
+	l.ladder.Move(appendUnwedge, nil)
+	return nil
 }
 
 // truncateReopen re-establishes the append handle on the current segment
@@ -567,7 +599,7 @@ func (l *Log) reopenCurrent() {
 	f, err := l.fs.OpenFile(filepath.Join(l.opt.Dir, segName(l.gen)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		l.f = nil
-		l.wedge(fmt.Errorf("wal: reopening %s after failed rotation: %w", segName(l.gen), err))
+		l.ladder.Move(appendWedge, fmt.Errorf("wal: reopening %s after failed rotation: %w", segName(l.gen), err))
 		return
 	}
 	l.f = f
@@ -582,22 +614,14 @@ func (l *Log) Repair() error {
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
-	if err := l.truncateReopen(); err != nil {
-		l.wedge(err)
-		return err
-	}
-	if l.wedged != nil {
-		l.reg.Counter("wal_repairs_total", nil).Inc()
-		l.wedged = nil
-	}
-	return nil
+	return l.unwedge()
 }
 
 // Wedged reports the log's failed state, nil when appendable.
 func (l *Log) Wedged() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.wedged
+	return l.ladder.Cause()
 }
 
 // Probe verifies the data directory accepts durable writes again: repair
@@ -609,13 +633,10 @@ func (l *Log) Probe() error {
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
-	if l.wedged != nil {
-		if err := l.truncateReopen(); err != nil {
-			l.wedged = err
+	if l.ladder.State() == appendWedged {
+		if err := l.unwedge(); err != nil {
 			return err
 		}
-		l.reg.Counter("wal_repairs_total", nil).Inc()
-		l.wedged = nil
 	}
 	path := filepath.Join(l.opt.Dir, "probe.tmp")
 	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
