@@ -20,7 +20,8 @@ func testBreaker(threshold int, cooldown time.Duration) (*shardSlot, *fakeClock)
 	return testSlot(obs.NewRegistry(), threshold, 1<<30, cooldown, false)
 }
 
-// The breaker's former methods, as results settled on the current primary.
+// Breaker shorthands: each asks the slot's ladder for a call, or settles
+// one result of a call on the current primary.
 func (s *shardSlot) allow() bool { _, _, ok := s.admit(); return ok }
 func (s *shardSlot) success()    { s.settle(s.current(), callOK) }
 func (s *shardSlot) failure()    { s.settle(s.current(), callTimedOut) }

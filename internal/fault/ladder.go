@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// Table is a ladder's transition table: table[from][on] is the state event
-// on moves the ladder to from state from.
+// Table is a ladder's transition table: table[from][on] is the state that
+// event on moves the ladder to from state from.
 type Table[S, E ~int] map[S]map[E]S
 
 // Ladder is one degradation ladder: a state, the causes holding it there,

@@ -2,7 +2,9 @@ package fault
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestHealthLadder enumerates the device quarantine ladder over every
@@ -94,4 +96,42 @@ func observeHealth(h *Health, path []string) string {
 		n++
 	}
 	return fmt.Sprintf("healthy s=%d", 3-n)
+}
+
+// TestLadderCauses pins the core's cause rules on a two-rung latch: causes
+// join as they trip it, each clear releases only its own, the earliest
+// cause still held is the one reported, the base returns only with the
+// last cause, and a duplicate trip or a stray clear is refused without
+// reaching the counters. Entry times follow the ladder's clock.
+func TestLadderCauses(t *testing.T) {
+	const (
+		ok, held   = 0, 1
+		trip, free = 0, 1
+	)
+	clock := time.Unix(0, 0)
+	var moves []string
+	l := NewLadder(Table[int, int]{ok: {trip: held}, held: {trip: held, free: ok}},
+		func(from, to, _ int, cause string) { moves = append(moves, fmt.Sprintf("%d>%d:%s", from, to, cause)) },
+		func() time.Time { return clock })
+	step := func(on int, cause string, want bool, state int, first string) {
+		t.Helper()
+		clock = clock.Add(time.Second)
+		if got := l.Move(on, cause); got != want || l.State() != state || l.Cause() != first {
+			t.Fatalf("Move(%d, %q) = %v, state %d, cause %q; want %v, %d, %q",
+				on, cause, got, l.State(), l.Cause(), want, state, first)
+		}
+	}
+	step(free, "a", false, ok, "")
+	step(trip, "a", true, held, "a")
+	step(trip, "b", true, held, "a")
+	if l.Since() != time.Second {
+		t.Errorf("Since = %v, want 1s: a self-loop must not restart the entry time", l.Since())
+	}
+	step(trip, "a", false, held, "a")
+	step(free, "a", true, held, "b")
+	step(free, "a", false, held, "b")
+	step(free, "b", true, ok, "")
+	if got, want := strings.Join(moves, " "), "0>1:a 1>1:b 1>1:a 1>0:b"; got != want {
+		t.Errorf("counted moves %q, want %q", got, want)
+	}
 }

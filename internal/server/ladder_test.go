@@ -159,8 +159,8 @@ func countDeltas(before, after map[string]int64) string {
 }
 
 // TestHealthzDrainOutranksReadOnly: a server that is read-only from a disk
-// fault and then shuts down must tell the load balancer it is draining.
-// The drain used to be overwritten by the read-only block's "degraded".
+// fault and then shuts down must tell the load balancer it is draining —
+// draining outranks degraded.
 func TestHealthzDrainOutranksReadOnly(t *testing.T) {
 	s, ts, ffs := flakyServer(t, t.TempDir(), Config{ProbeEvery: time.Hour})
 	ffs.set(true, false)
@@ -178,8 +178,8 @@ func TestHealthzDrainOutranksReadOnly(t *testing.T) {
 
 // TestReadOnlyHeldForEveryCause: at-rest damage found while an append
 // fault already holds the latch must keep the server read-only after the
-// disk heals and the probe loop clears the append fault. The scrub cause
-// used to be dropped, and writes reopened over unrepaired damage.
+// disk heals and the probe loop clears the append fault; writes reopen
+// only once the scrub repair clears its own cause.
 func TestReadOnlyHeldForEveryCause(t *testing.T) {
 	s, ts, ffs := flakyServer(t, t.TempDir(), Config{ProbeEvery: 10 * time.Millisecond})
 	ffs.set(true, false)
