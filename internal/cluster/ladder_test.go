@@ -122,7 +122,7 @@ func TestSlotLadder(t *testing.T) {
 	for _, st := range states {
 		for _, ev := range events {
 			path := append(append([]string(nil), st.path...), ev)
-			h, _ := runSlot(st.replicated, st.path)
+			h := runSlot(st.replicated, st.path)
 			before, promos := h.observe(st.replicated, st.path), h.promotions()
 			denied := h.fire(ev)
 			got := outcome{want: h.observe(st.replicated, path), promotions: h.promotions() - promos}
@@ -148,15 +148,15 @@ type slotHarness struct {
 }
 
 // runSlot builds a fresh slot and fires path at it.
-func runSlot(replicated bool, path []string) (h *slotHarness, lastDenied bool) {
+func runSlot(replicated bool, path []string) *slotHarness {
 	c := testCoordinator()
 	slot, clk := testSlot(c.reg, 2, 3, time.Second, replicated)
-	h = &slotHarness{c: c, slot: slot, clk: clk,
+	h := &slotHarness{c: c, slot: slot, clk: clk,
 		stale: NewShardClient("http://stale.invalid", testParse, ClientOptions{})}
 	for _, ev := range path {
-		lastDenied = h.fire(ev)
+		h.fire(ev)
 	}
-	return h, lastDenied
+	return h
 }
 
 // fire delivers one event and reports whether it was a denied call.
@@ -212,7 +212,7 @@ func (h *slotHarness) observe(replicated bool, path []string) string {
 }
 
 func failuresToQuarantine(replicated bool, path []string) int {
-	r, _ := runSlot(replicated, path)
+	r := runSlot(replicated, path)
 	for n := 1; ; n++ {
 		if r.slot.settle(r.slot.current(), callFailed) != failoverRetry {
 			return n
