@@ -163,7 +163,7 @@ func NewCoordinator(specs []ShardSpec, opt CoordinatorOptions) (*Coordinator, er
 			replica = NewShardClient(httpBase(spec.Replica), opt.Parse, clientOpt)
 		}
 		primary := NewShardClient(httpBase(spec.Addr), opt.Parse, clientOpt)
-		c.slots = append(c.slots, newShardSlot(i, primary, replica, opt, c.reg, nil))
+		c.slots = append(c.slots, newShardSlot(i, primary, replica, opt, c.reg, time.Now))
 	}
 	execs := make([]ShardExec, len(c.slots))
 	for i, slot := range c.slots {
@@ -379,12 +379,10 @@ func withFailover[T any](ctx context.Context, c *Coordinator, slot *shardSlot, o
 			// means the shard answered and the query itself was bad, so
 			// the probe is only released. Quarantine advances on the retry
 			// ladder's evidence, not on exits from it.
-			if admitted {
-				res := callAborted
-				if RetryableShardError(err) {
-					res = callTimedOut
-				}
-				slot.settle(cl, res)
+			if admitted && RetryableShardError(err) {
+				slot.settle(cl, callTimedOut)
+			} else if admitted {
+				slot.settle(cl, callAborted)
 			}
 			return zero, err
 		}
@@ -400,13 +398,13 @@ func withFailover[T any](ctx context.Context, c *Coordinator, slot *shardSlot, o
 		} else {
 			c.reg.Counter("cluster_shard_failures_total", obs.Labels{"shard": slot.name()}).Inc()
 			switch slot.settle(cl, callFailed) {
-			case failoverPromoted:
+			case slotPromote:
 				c.persistState()
 				fallthrough
-			case failoverRestart:
+			case slotNone: // the primary changed under the call, or the slot is terminal
 				attempt = 0
 				continue
-			case failoverTerminal:
+			case slotStrand:
 				return zero, fmt.Errorf("cluster: %s quarantined after repeated failures: %w", slot.name(), err)
 			}
 		}
@@ -588,6 +586,9 @@ func (c *Coordinator) Topology() []ShardInfo {
 		rung := slot.ladder.State()
 		info := ShardInfo{ID: slot.id, Primary: slot.primary.Addr(), Promoted: slot.promoted,
 			Quarantined: rung == slotTerminal, Breaker: slotBreaker[rung]}
+		if rung == slotTerminal && slot.fails < slot.opt.BreakerThreshold {
+			info.Breaker = "closed" // stranded before its circuit took a threshold of failures
+		}
 		if slot.replica != nil {
 			info.Replica = slot.replica.Addr()
 		}

@@ -136,6 +136,20 @@ func TestSlotLadder(t *testing.T) {
 			}
 		}
 	}
+	// Topology reports a terminal slot's circuit as the stranding failure
+	// left it: open at the threshold above, still closed when the breaker
+	// threshold is above PromoteAfter.
+	for threshold, want := range map[int]string{2: "open", 5: "closed"} {
+		c := testCoordinator()
+		slot, _ := testSlot(c.reg, threshold, 3, time.Second, false)
+		c.slots = []*shardSlot{slot}
+		for range 3 {
+			slot.settle(slot.current(), callFailed)
+		}
+		if got := c.Topology()[0]; !got.Quarantined || got.Breaker != want {
+			t.Errorf("threshold %d: terminal topology %+v, want quarantined with breaker %q", threshold, got, want)
+		}
+	}
 }
 
 // slotHarness drives one shard slot through the coordinator's ladder
@@ -214,7 +228,7 @@ func (h *slotHarness) observe(replicated bool, path []string) string {
 func failuresToQuarantine(replicated bool, path []string) int {
 	r := runSlot(replicated, path)
 	for n := 1; ; n++ {
-		if r.slot.settle(r.slot.current(), callFailed) != failoverRetry {
+		if on := r.slot.settle(r.slot.current(), callFailed); on == slotPromote || on == slotStrand {
 			return n
 		}
 	}

@@ -28,74 +28,66 @@ import (
 // circuit heals on the first successful probe without threatening
 // promotion. Everything below mu is guarded by it.
 type shardSlot struct {
-	id           int
-	threshold    int           // consecutive failures that open the circuit
-	promoteAfter int           // consecutive failures that quarantine the primary
-	cooldown     time.Duration // open period before a half-open probe
+	id  int
+	opt CoordinatorOptions // BreakerThreshold, PromoteAfter and BreakerCooldown
 
 	mu       sync.RWMutex
 	primary  *ShardClient
 	replica  *ShardClient // nil = unreplicated (or already consumed)
 	promoted bool
-	ladder   *fault.Ladder[slotState, slotEvent, string]
+	ladder   *fault.Ladder[string]
 	fails    int // consecutive failures charged to the circuit
 	strikes  int // consecutive failures charged to quarantine
 }
 
-type slotState int
-
+// The slot's rungs.
 const (
-	slotClosed   slotState = iota // calls flow
-	slotOpen                      // calls fail fast until the cooldown passes
-	slotHalfOpen                  // the next call is the probe
-	slotProbing                   // the probe is in flight; other calls fail fast
-	slotTerminal                  // quarantined with no replica left to promote
+	slotClosed   = iota // calls flow
+	slotOpen            // calls fail fast until the cooldown passes
+	slotHalfOpen        // the next call is the probe
+	slotProbing         // the probe is in flight; other calls fail fast
+	slotTerminal        // quarantined with no replica left to promote
 )
 
-// slotBreaker names each rung's circuit for /healthz; a terminal slot's
-// circuit stays open for good.
-var slotBreaker = [...]string{slotClosed: "closed", slotOpen: "open", slotHalfOpen: "half-open",
-	slotProbing: "half-open", slotTerminal: "open"}
+// slotBreaker names each rung's circuit for /healthz. A terminal slot's
+// circuit stays as the stranding failure left it: open, unless the slot was
+// stranded before its circuit had taken a threshold of failures.
+var slotBreaker = [...]string{slotClosed: "closed", slotOpen: "open", slotHalfOpen: "half-open", slotProbing: "half-open", slotTerminal: "open"}
 
-type slotEvent int
-
+// The slot's events.
 const (
-	slotCall    slotEvent = iota // a call asks to run
-	slotCooled                   // a call asks to run on an open circuit whose cooldown has passed
-	slotSuccess                  // the primary answered
-	slotFail                     // the primary failed, short of opening the circuit
-	slotTrip                     // the failure that opens a closed circuit
-	slotRelease                  // the probe ended without evidence either way
-	slotPromote                  // the failure that quarantines the primary, onto the replica
-	slotStrand                   // the failure that quarantines the primary, with no replica left
+	slotNone    = iota - 1 // no event: settle took no result (a stale primary's, or a terminal slot's)
+	slotCall               // a call asks to run
+	slotCooled             // a call asks to run on an open circuit whose cooldown has passed
+	slotSuccess            // the primary answered
+	slotFail               // the primary failed, short of opening the circuit
+	slotTrip               // the failure that opens a closed circuit
+	slotRelease            // the probe ended without evidence either way
+	slotPromote            // the failure that quarantines the primary, onto the replica
+	slotStrand             // the failure that quarantines the primary, with no replica left
 )
 
 // slotTable is the slot's transition table. A refused call is a breaker
 // denial (or, when terminal, the end of the ladder); any other refused
 // event is evidence the rung has no use for. Terminal refuses everything.
-var slotTable = fault.Table[slotState, slotEvent]{
-	slotClosed: {slotCall: slotClosed, slotSuccess: slotClosed, slotFail: slotClosed, slotTrip: slotOpen,
-		slotPromote: slotClosed, slotStrand: slotTerminal},
-	slotOpen: {slotCooled: slotProbing, slotSuccess: slotClosed, slotFail: slotOpen,
-		slotPromote: slotClosed, slotStrand: slotTerminal},
-	slotHalfOpen: {slotCall: slotProbing, slotSuccess: slotClosed, slotFail: slotOpen,
-		slotPromote: slotClosed, slotStrand: slotTerminal},
-	slotProbing: {slotSuccess: slotClosed, slotFail: slotOpen, slotRelease: slotHalfOpen,
-		slotPromote: slotClosed, slotStrand: slotTerminal},
+var slotTable = fault.Table{
+	slotClosed:   {slotCall: slotClosed, slotSuccess: slotClosed, slotFail: slotClosed, slotTrip: slotOpen, slotPromote: slotClosed, slotStrand: slotTerminal},
+	slotOpen:     {slotCooled: slotProbing, slotSuccess: slotClosed, slotFail: slotOpen, slotPromote: slotClosed, slotStrand: slotTerminal},
+	slotHalfOpen: {slotCall: slotProbing, slotSuccess: slotClosed, slotFail: slotOpen, slotPromote: slotClosed, slotStrand: slotTerminal},
+	slotProbing:  {slotSuccess: slotClosed, slotFail: slotOpen, slotRelease: slotHalfOpen, slotPromote: slotClosed, slotStrand: slotTerminal},
 }
 
 // defaultBreakerCooldown is the open period before a half-open probe.
 const defaultBreakerCooldown = 500 * time.Millisecond
 
-// newShardSlot builds slot id over its clients. now (nil = time.Now) is the
-// ladder's clock, which times the cooldown.
+// newShardSlot builds slot id over its clients. now is the ladder's clock,
+// which times the cooldown.
 func newShardSlot(id int, primary, replica *ShardClient, opt CoordinatorOptions, reg *obs.Registry, now func() time.Time) *shardSlot {
-	s := &shardSlot{id: id, threshold: opt.BreakerThreshold, promoteAfter: opt.PromoteAfter,
-		cooldown: opt.BreakerCooldown, primary: primary, replica: replica}
-	if s.cooldown <= 0 {
-		s.cooldown = defaultBreakerCooldown
+	if opt.BreakerCooldown <= 0 {
+		opt.BreakerCooldown = defaultBreakerCooldown
 	}
-	s.ladder = fault.NewLadder(slotTable, func(_, _ slotState, on slotEvent, _ string) {
+	s := &shardSlot{id: id, opt: opt, primary: primary, replica: replica}
+	s.ladder = fault.NewLadder(slotTable, func(_, _, on int, _ string) {
 		if on == slotPromote {
 			reg.Counter("cluster_promotions_total", obs.Labels{"shard": s.name()}).Inc()
 		}
@@ -114,11 +106,11 @@ func (s *shardSlot) current() *ShardClient {
 // admit asks the ladder to let one call through, and returns the primary
 // to call and the rung that answered. An open circuit admits exactly one
 // half-open probe once its cooldown has passed.
-func (s *shardSlot) admit() (*ShardClient, slotState, bool) {
+func (s *shardSlot) admit() (*ShardClient, int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	on, rung := slotCall, s.ladder.State()
-	if rung == slotOpen && s.ladder.Since() >= s.cooldown {
+	if rung == slotOpen && s.ladder.Since() >= s.opt.BreakerCooldown {
 		on = slotCooled
 	}
 	return s.primary, rung, s.ladder.Move(on, "")
@@ -134,61 +126,51 @@ const (
 	callAborted                    // the shard answered, the request was bad: no evidence
 )
 
-type failoverOutcome int
-
-const (
-	failoverRetry    failoverOutcome = iota
-	failoverRestart                  // the primary changed under the call
-	failoverPromoted                 // this failure promoted the replica
-	failoverTerminal
-)
-
-// settle charges the result of a call admitted against cl to the slot.
-// Under concurrent load dozens of in-flight calls can finish against a
-// primary that one of them has already had demoted; their results are
-// stale, and must neither re-close the new primary's circuit nor
-// re-quarantine it (that would consume the slot's last rung and go
-// terminal). They are refused here, once for every result.
+// settle charges the result of a call admitted against cl to the slot and
+// returns the event the ladder took, or slotNone when it took none. Under
+// concurrent load dozens of in-flight calls can finish against a primary
+// that one of them has already had demoted; their results are stale, and
+// must neither re-close the new primary's circuit nor re-quarantine it
+// (that would consume the slot's last rung and go terminal). They are
+// refused here, once for every result.
 //
 // The promoted replica has been following the old primary's WAL, and
 // dual-written PUTs make it current for every acked write — promotion
 // loses nothing that was acknowledged.
-func (s *shardSlot) settle(cl *ShardClient, res callResult) failoverOutcome {
+func (s *shardSlot) settle(cl *ShardClient, res callResult) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.primary != cl {
-		return failoverRestart
-	}
+	from, on := s.ladder.State(), slotFail
 	switch {
+	case s.primary != cl:
+		return slotNone
 	case res == callOK:
-		if s.ladder.Move(slotSuccess, "") {
-			s.fails, s.strikes = 0, 0
-		}
+		on = slotSuccess
 	case res == callAborted:
-		s.ladder.Move(slotRelease, "")
-	case res == callFailed && s.strikes+1 >= s.promoteAfter && s.replica == nil:
-		if s.ladder.Move(slotStrand, "") {
-			return failoverTerminal
+		on = slotRelease
+	case res == callFailed && s.strikes+1 >= s.opt.PromoteAfter && s.replica == nil:
+		on = slotStrand
+	case res == callFailed && s.strikes+1 >= s.opt.PromoteAfter:
+		on = slotPromote
+	case from == slotClosed && s.fails+1 >= s.opt.BreakerThreshold:
+		on = slotTrip
+	}
+	if !s.ladder.Move(on, "") {
+		return slotNone
+	}
+	switch on {
+	case slotPromote:
+		s.primary, s.replica, s.promoted = s.replica, nil, true
+		fallthrough
+	case slotSuccess:
+		s.fails, s.strikes = 0, 0
+	case slotFail, slotTrip, slotStrand:
+		if from == slotClosed {
+			s.fails++
 		}
-	case res == callFailed && s.strikes+1 >= s.promoteAfter:
-		if s.ladder.Move(slotPromote, "") {
-			s.primary, s.replica, s.promoted = s.replica, nil, true
-			s.fails, s.strikes = 0, 0
-			return failoverPromoted
-		}
-	default:
-		from, on := s.ladder.State(), slotFail
-		if from == slotClosed && s.fails+1 >= s.threshold {
-			on = slotTrip
-		}
-		if s.ladder.Move(on, "") {
-			if from == slotClosed {
-				s.fails++
-			}
-			if res == callFailed {
-				s.strikes++
-			}
+		if res == callFailed {
+			s.strikes++
 		}
 	}
-	return failoverRetry
+	return on
 }

@@ -9,25 +9,26 @@ import (
 	"time"
 )
 
-// Table is a ladder's transition table: table[from][on] is the state that
-// event on moves the ladder to from state from.
-type Table[S, E ~int] map[S]map[E]S
+// Table is a ladder's transition table: table[from][on] is the rung that
+// event on moves the ladder to from rung from. Rungs and events are small
+// integers each ladder names for itself.
+type Table map[int]map[int]int
 
-// Ladder is one degradation ladder: a state, the causes holding it there,
-// and the time it was entered. Only Move changes it, by looking the (state,
+// Ladder is one degradation ladder: a rung, the causes holding it there,
+// and the time it was entered. Only Move changes it, by looking the (rung,
 // event) pair up in the ladder's transition table; a pair with no rule is
 // refused and changes nothing.
 //
-// The zero state is the base rung, where nothing is wrong. An event that
-// moves the ladder anywhere else adds its cause to the held set; an event
-// that moves it to the base releases its cause (every cause, for the zero
-// cause), and the ladder reaches the base only once no cause holds it.
+// Rung 0 is the base, where nothing is wrong. An event that moves the
+// ladder anywhere else adds its cause to the held set; an event that moves
+// it to the base releases its cause (every cause, for the zero cause), and
+// the ladder reaches the base only once no cause holds it.
 //
 // A Ladder has no lock: its owner calls Move and the accessors under the
 // lock that guards the rest of its data. State alone may be read without it.
-type Ladder[S, E ~int, C comparable] struct {
-	table  Table[S, E]
-	count  func(from, to S, on E, cause C)
+type Ladder[C comparable] struct {
+	table  Table
+	count  func(from, to, on int, cause C)
 	now    func() time.Time
 	state  atomic.Int64
 	causes []C
@@ -36,44 +37,32 @@ type Ladder[S, E ~int, C comparable] struct {
 
 // NewLadder returns a ladder on its base rung. count, when non-nil, updates
 // the owner's counters and gauges for each accepted move; Move is its only
-// caller. now stamps entry times; nil selects time.Now.
-func NewLadder[S, E ~int, C comparable](table Table[S, E], count func(from, to S, on E, cause C), now func() time.Time) *Ladder[S, E, C] {
-	if now == nil {
-		now = time.Now
-	}
-	return &Ladder[S, E, C]{table: table, count: count, now: now, since: now()}
+// caller. now stamps entry times (time.Now outside tests).
+func NewLadder[C comparable](table Table, count func(from, to, on int, cause C), now func() time.Time) *Ladder[C] {
+	return &Ladder[C]{table: table, count: count, now: now, since: now()}
 }
 
 // Move fires event on for cause (the zero C for none) and reports whether
 // the ladder accepted it. Besides a pair missing from the table, Move
 // refuses a cause that is already held on a self-loop and the release of a
 // cause that is not held: neither would change anything.
-func (l *Ladder[S, E, C]) Move(on E, cause C) bool {
+func (l *Ladder[C]) Move(on int, cause C) bool {
 	from := l.State()
 	to, ok := l.table[from][on]
-	if !ok {
-		return false
-	}
 	var none C
 	switch held := slices.Index(l.causes, cause); {
+	case !ok, cause != none && (to == 0 && held < 0 || from == to && held >= 0):
+		return false // no rule, a stray release, or a cause already held
+	case cause == none && to == 0:
+		l.causes = nil
 	case cause == none:
-		if to == 0 {
-			l.causes = nil
-		}
-	case to != 0:
-		if held >= 0 && from == to {
-			return false
-		}
-		if held < 0 {
-			l.causes = append(l.causes, cause)
-		}
-	case held < 0:
-		return false
-	default:
+	case to == 0:
 		l.causes = slices.Delete(l.causes, held, held+1)
 		if len(l.causes) > 0 {
 			to = from // other causes still hold the rung
 		}
+	case held < 0:
+		l.causes = append(l.causes, cause)
 	}
 	if to != from {
 		l.state.Store(int64(to))
@@ -86,16 +75,19 @@ func (l *Ladder[S, E, C]) Move(on E, cause C) bool {
 }
 
 // State is the ladder's current rung.
-func (l *Ladder[S, E, C]) State() S { return S(l.state.Load()) }
+func (l *Ladder[C]) State() int { return int(l.state.Load()) }
+
+// Causes are the causes holding the ladder, earliest first. The slice is
+// the ladder's own: copy it to keep or change it.
+func (l *Ladder[C]) Causes() []C { return l.causes }
 
 // Cause is the earliest cause still held, or the zero C.
-func (l *Ladder[S, E, C]) Cause() C {
-	if len(l.causes) == 0 {
-		var none C
-		return none
+func (l *Ladder[C]) Cause() (first C) {
+	if len(l.causes) > 0 {
+		first = l.causes[0]
 	}
-	return l.causes[0]
+	return first
 }
 
 // Since is how long the ladder has been on its current rung.
-func (l *Ladder[S, E, C]) Since() time.Duration { return l.now().Sub(l.since) }
+func (l *Ladder[C]) Since() time.Duration { return l.now().Sub(l.since) }

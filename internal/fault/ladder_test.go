@@ -110,7 +110,7 @@ func TestLadderCauses(t *testing.T) {
 	)
 	clock := time.Unix(0, 0)
 	var moves []string
-	l := NewLadder(Table[int, int]{ok: {trip: held}, held: {trip: held, free: ok}},
+	l := NewLadder(Table{ok: {trip: held}, held: {trip: held, free: ok}},
 		func(from, to, _ int, cause string) { moves = append(moves, fmt.Sprintf("%d>%d:%s", from, to, cause)) },
 		func() time.Time { return clock })
 	step := func(on int, cause string, want bool, state int, first string) {

@@ -4,7 +4,7 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,40 +81,22 @@ func (p RetryPolicy) Delay(n int) time.Duration {
 // stays quarantined for the next — that persistence is what /healthz
 // surfaces as the "degraded" state.
 type Health struct {
-	mu   sync.Mutex
-	k    int
-	devs map[string]*device
+	mu    sync.Mutex
+	k     int
+	fails map[string]int
+	// quar is the quarantine ladder: every quarantined device is a cause
+	// holding it degraded until an operator revives the device.
+	quar *Ladder[string]
 }
 
-// device is one device's rung on the quarantine ladder and its run of
-// consecutive failures.
-type device struct {
-	ladder *Ladder[deviceState, deviceEvent, string]
-	fails  int
-}
-
-type deviceState int
-
+// The quarantine ladder's rung and events. A quarantined device is not
+// quarantined again; nothing revives a device automatically.
 const (
-	deviceHealthy deviceState = iota
-	deviceQuarantined
+	healthQuarantine, healthRevive = 0, 1
+	healthDegraded                 = 1
 )
 
-type deviceEvent int
-
-const (
-	deviceFail       deviceEvent = iota // a failure short of k in a row
-	deviceQuarantine                    // the k-th consecutive failure
-	deviceSuccess
-	deviceRevive // an operator action; nothing revives devices automatically
-)
-
-// deviceTable is the quarantine ladder. A quarantined device refuses
-// failures and successes alike until it is revived.
-var deviceTable = Table[deviceState, deviceEvent]{
-	deviceHealthy:     {deviceFail: deviceHealthy, deviceQuarantine: deviceQuarantined, deviceSuccess: deviceHealthy, deviceRevive: deviceHealthy},
-	deviceQuarantined: {deviceRevive: deviceHealthy},
-}
+var healthTable = Table{0: {healthQuarantine: healthDegraded}, healthDegraded: {healthQuarantine: healthDegraded, healthRevive: 0}}
 
 // NewHealth returns a tracker that quarantines a device after k
 // consecutive failures (k <= 0 selects the default, 3).
@@ -122,37 +104,14 @@ func NewHealth(k int) *Health {
 	if k <= 0 {
 		k = 3
 	}
-	return &Health{k: k, devs: make(map[string]*device)}
-}
-
-// move fires one event at a device's ladder and keeps its failure run: an
-// accepted failure extends the run, any other accepted event ends it.
-// Caller holds mu.
-func (h *Health) move(name string, on deviceEvent) bool {
-	d := h.devs[name]
-	if d == nil {
-		d = &device{ladder: NewLadder[deviceState, deviceEvent, string](deviceTable, nil, nil)}
-		h.devs[name] = d
-	}
-	if on == deviceFail && d.fails+1 >= h.k {
-		on = deviceQuarantine
-	}
-	if !d.ladder.Move(on, "") {
-		return false
-	}
-	if on == deviceFail {
-		d.fails++
-	} else {
-		d.fails = 0
-	}
-	return true
+	return &Health{k: k, fails: make(map[string]int), quar: NewLadder[string](healthTable, nil, time.Now)}
 }
 
 // RecordSuccess clears a device's consecutive-failure count.
 func (h *Health) RecordSuccess(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.move(name, deviceSuccess)
+	h.fails[name] = 0
 }
 
 // RecordFailure counts one failure and reports whether the device was
@@ -160,40 +119,36 @@ func (h *Health) RecordSuccess(name string) {
 func (h *Health) RecordFailure(name string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.move(name, deviceFail) && h.devs[name].ladder.State() == deviceQuarantined
+	h.fails[name]++
+	return h.fails[name] >= h.k && h.quar.Move(healthQuarantine, name)
 }
 
 // Quarantined reports whether a device is quarantined.
 func (h *Health) Quarantined(name string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	d := h.devs[name]
-	return d != nil && d.ladder.State() == deviceQuarantined
+	return slices.Contains(h.quar.Causes(), name)
 }
 
 // QuarantinedNames returns the sorted quarantined device names.
 func (h *Health) QuarantinedNames() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.devs))
-	for n, d := range h.devs {
-		if d.ladder.State() == deviceQuarantined {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
+	out := slices.Clone(h.quar.Causes())
+	slices.Sort(out)
 	return out
 }
 
 // Degraded reports whether any device is quarantined.
-func (h *Health) Degraded() bool { return len(h.QuarantinedNames()) > 0 }
+func (h *Health) Degraded() bool { return h.quar.State() == healthDegraded }
 
 // Revive clears a device's quarantine (an operator action; nothing revives
 // devices automatically).
 func (h *Health) Revive(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.move(name, deviceRevive)
+	h.fails[name] = 0
+	h.quar.Move(healthRevive, name)
 }
 
 // Device is one systolic device an Executor can run tiles on. A nil Plan

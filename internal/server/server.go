@@ -241,8 +241,8 @@ type Server struct {
 	// scrub clears when its repair lands. life is the lifecycle ladder,
 	// which Shutdown moves to draining. ladderMu serialises both.
 	ladderMu sync.Mutex
-	latch    *fault.Ladder[latchState, latchEvent, string]
-	life     *fault.Ladder[lifeState, lifeEvent, string]
+	latch    *fault.Ladder[string]
+	life     *fault.Ladder[string]
 
 	// stopCh ends the background probe and scrub loops at Shutdown.
 	stopCh   chan struct{}
@@ -282,8 +282,10 @@ func New(cfg Config) *Server {
 	if cfg.PlanCacheSize > 0 {
 		s.planCache = query.NewPlanCache(cfg.PlanCacheSize, cfg.Metrics)
 	}
-	s.latch = fault.NewLadder(latchTable, s.countLatch, nil)
-	s.life = fault.NewLadder[lifeState, lifeEvent, string](lifeTable, nil, nil)
+	s.latch = fault.NewLadder(latchTable, s.countLatch, time.Now)
+	// The lifecycle ladder has one event, which moves a serving server to
+	// draining; a drain, once begun, is final.
+	s.life = fault.NewLadder[string](fault.Table{0: {0: 1}}, nil, time.Now)
 	if s.wal != nil {
 		// Re-seed the idempotency window from the log, so a retry that
 		// lands after a crash+restart is still recognised: dedup is exactly
@@ -682,71 +684,43 @@ func (s *Server) compactLocked() error {
 	return s.wal.WriteSnapshot(gen, s.cat.Snapshot())
 }
 
-type latchState int
-
-const (
-	latchOK latchState = iota
-	latchReadOnly
-)
-
-type latchEvent int
-
-const (
-	latchTrip  latchEvent = iota // a disk fault, for its cause
-	latchClear                   // the fault behind a cause is repaired
-)
-
-// latchTable is the read-only latch. Each cause ("append", "enospc",
+// The read-only latch's rung and events. Each cause ("append", "enospc",
 // "scrub") holds it read-only on its own: a trip adds its cause to the
 // held set, a clear releases only its own, and writes reopen once none is
 // left.
-var latchTable = fault.Table[latchState, latchEvent]{
-	latchOK:       {latchTrip: latchReadOnly},
-	latchReadOnly: {latchTrip: latchReadOnly, latchClear: latchOK},
-}
+const (
+	latchTrip, latchClear = 0, 1
+	latchReadOnly         = 1
+)
+
+var latchTable = fault.Table{0: {latchTrip: latchReadOnly}, latchReadOnly: {latchTrip: latchReadOnly, latchClear: 0}}
 
 // countLatch keeps the latch's metrics: a trip counts its cause as it
 // joins the held set, a recovery counts the set emptying.
-func (s *Server) countLatch(_, to latchState, on latchEvent, cause string) {
+func (s *Server) countLatch(_, to, on int, cause string) {
 	switch {
 	case on == latchTrip:
 		s.reg.Counter("server_readonly_trips_total", obs.Labels{"cause": cause}).Inc()
-		s.reg.Gauge("server_readonly", nil).Set(1)
-	case to == latchOK:
+	case to == 0:
 		s.reg.Counter("server_readonly_recoveries_total", nil).Inc()
-		s.reg.Gauge("server_readonly", nil).Set(0)
 	}
+	s.reg.Gauge("server_readonly", nil).Set(float64(to))
 }
 
-type lifeState int
-
-const (
-	lifeServing lifeState = iota
-	lifeDraining
-)
-
-type lifeEvent int
-
-const lifeDrain lifeEvent = 0
-
-// lifeTable is the lifecycle ladder: a drain, once begun, is final.
-var lifeTable = fault.Table[lifeState, lifeEvent]{lifeServing: {lifeDrain: lifeDraining}}
+// fire moves one of the server's ladders under ladderMu.
+func (s *Server) fire(l *fault.Ladder[string], on int, cause string) {
+	s.ladderMu.Lock()
+	defer s.ladderMu.Unlock()
+	l.Move(on, cause)
+}
 
 // tripReadOnly holds the server read-only for cause; a cause already held
 // is not counted again.
-func (s *Server) tripReadOnly(cause string) {
-	s.ladderMu.Lock()
-	defer s.ladderMu.Unlock()
-	s.latch.Move(latchTrip, cause)
-}
+func (s *Server) tripReadOnly(cause string) { s.fire(s.latch, latchTrip, cause) }
 
 // clearReadOnly releases cause's hold on the latch; the server stays
 // read-only while any other cause holds it.
-func (s *Server) clearReadOnly(cause string) {
-	s.ladderMu.Lock()
-	defer s.ladderMu.Unlock()
-	s.latch.Move(latchClear, cause)
-}
+func (s *Server) clearReadOnly(cause string) { s.fire(s.latch, latchClear, cause) }
 
 func (s *Server) readOnly() bool { return s.latch.State() == latchReadOnly }
 
@@ -758,22 +732,19 @@ func (s *Server) readOnlyCause() string {
 }
 
 // drain begins the drain: from here on queries and mutations are refused.
-func (s *Server) drain() {
-	s.ladderMu.Lock()
-	defer s.ladderMu.Unlock()
-	s.life.Move(lifeDrain, "")
-}
+func (s *Server) drain() { s.fire(s.life, 0, "") }
 
-func (s *Server) draining() bool { return s.life.State() == lifeDraining }
+func (s *Server) draining() bool { return s.life.State() != 0 }
 
 // status ranks every ladder into /healthz's one word, by one precedence:
 // draining > degraded > ok. A drain outranks degradation because it is the
-// signal a load balancer must act on.
-func (s *Server) status(degraded bool) string {
+// signal a load balancer must act on. Degraded is a quarantined device, a
+// promoted or quarantined shard, or read-only storage.
+func (s *Server) status() string {
 	switch {
 	case s.draining():
 		return "draining"
-	case degraded:
+	case s.readOnly(), s.health != nil && s.health.Degraded(), s.cfg.Cluster != nil && s.cfg.Cluster.Degraded():
 		return "degraded"
 	}
 	return "ok"
@@ -1021,11 +992,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // degradation is survivable by design; only the load balancer's routing
 // policy should change.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	degraded := false
 	body := map[string]any{"relations": s.cat.Len()}
 	if s.health != nil {
 		if q := s.health.QuarantinedNames(); len(q) > 0 {
-			degraded = true
 			body["quarantined"] = q
 		}
 	}
@@ -1045,7 +1014,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			"shards":  topo,
 			"serving": serving,
 		}
-		degraded = degraded || c.Degraded()
 	}
 	if s.planCache != nil {
 		body["plan_cache"] = s.planCache.Stats()
@@ -1057,11 +1025,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// mutations at bay (reads keep answering, hence still 200).
 		d := durabilityView{Status: s.wal.Status(), Mode: "ok"}
 		if d.Cause = s.readOnlyCause(); d.Cause != "" {
-			d.Mode, degraded = "read-only", true
+			d.Mode = "read-only"
 		}
 		body["durability"] = d
 	}
-	body["status"] = s.status(degraded)
+	body["status"] = s.status()
 	writeJSON(w, http.StatusOK, body)
 }
 

@@ -143,7 +143,7 @@ type Log struct {
 	// ladder is the append state: healthy, or wedged with the error that
 	// wedged it, when the segment tail could not be restored; appends
 	// refuse until Repair.
-	ladder *fault.Ladder[appendState, appendEvent, error]
+	ladder *fault.Ladder[error]
 }
 
 func segName(gen uint64) string  { return fmt.Sprintf("wal-%016d.log", gen) }
@@ -203,7 +203,7 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{opt: opts, reg: opts.Metrics, fs: opts.FS}
-	l.ladder = fault.NewLadder(appendTable, l.countAppend, nil)
+	l.ladder = fault.NewLadder(appendTable, l.countAppend, time.Now)
 
 	start := time.Now()
 	if err := l.recover(); err != nil {
@@ -523,29 +523,17 @@ func (l *Log) syncDir() error {
 	return nil
 }
 
-type appendState int
-
+// The append state's rung and events. A wedged log refuses a second
+// wedge: it keeps the error that wedged it, and neither counts nor logs the
+// repeat.
 const (
-	appendHealthy appendState = iota
-	appendWedged              // the append handle is unusable; appends refuse until Repair
+	appendWedge, appendUnwedge = 0, 1
+	appendWedged               = 1 // the append handle is unusable; appends refuse until Repair
 )
 
-type appendEvent int
+var appendTable = fault.Table{0: {appendWedge: appendWedged}, appendWedged: {appendUnwedge: 0}}
 
-const (
-	appendWedge   appendEvent = iota // the segment tail or handle could not be restored
-	appendUnwedge                    // the tail was restored to the last acked frame
-)
-
-// appendTable is the log's append-state ladder. A wedged log refuses a
-// second wedge: it keeps the error that wedged it, and neither counts nor
-// logs the repeat.
-var appendTable = fault.Table[appendState, appendEvent]{
-	appendHealthy: {appendWedge: appendWedged},
-	appendWedged:  {appendUnwedge: appendHealthy},
-}
-
-func (l *Log) countAppend(_, to appendState, _ appendEvent, err error) {
+func (l *Log) countAppend(_, to, _ int, err error) {
 	if to == appendWedged {
 		l.reg.Counter("wal_wedged_total", nil).Inc()
 		l.opt.Logf("wal wedged: %v", err)
