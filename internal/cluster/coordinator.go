@@ -708,9 +708,7 @@ func (c *Coordinator) ReconcileMembership(rel *relation.Relation) error {
 				changed = true
 			}
 		case slot.replica != nil && slot.replica.Addr() == p.addr:
-			slot.primary = slot.replica
-			slot.replica = nil
-			slot.promoted = true
+			slot.promote()
 			changed = true
 		}
 		slot.mu.Unlock()

@@ -52,7 +52,8 @@ const (
 // slotBreaker names each rung's circuit for /healthz. A terminal slot's
 // circuit stays as the stranding failure left it: open, unless the slot was
 // stranded before its circuit had taken a threshold of failures.
-var slotBreaker = [...]string{slotClosed: "closed", slotOpen: "open", slotHalfOpen: "half-open", slotProbing: "half-open", slotTerminal: "open"}
+var slotBreaker = [...]string{slotClosed: "closed", slotOpen: "open", slotHalfOpen: "half-open",
+	slotProbing: "half-open", slotTerminal: "open"}
 
 // The slot's events.
 const (
@@ -71,10 +72,14 @@ const (
 // denial (or, when terminal, the end of the ladder); any other refused
 // event is evidence the rung has no use for. Terminal refuses everything.
 var slotTable = fault.Table{
-	slotClosed:   {slotCall: slotClosed, slotSuccess: slotClosed, slotFail: slotClosed, slotTrip: slotOpen, slotPromote: slotClosed, slotStrand: slotTerminal},
-	slotOpen:     {slotCooled: slotProbing, slotSuccess: slotClosed, slotFail: slotOpen, slotPromote: slotClosed, slotStrand: slotTerminal},
-	slotHalfOpen: {slotCall: slotProbing, slotSuccess: slotClosed, slotFail: slotOpen, slotPromote: slotClosed, slotStrand: slotTerminal},
-	slotProbing:  {slotSuccess: slotClosed, slotFail: slotOpen, slotRelease: slotHalfOpen, slotPromote: slotClosed, slotStrand: slotTerminal},
+	slotClosed: {slotCall: slotClosed, slotSuccess: slotClosed, slotFail: slotClosed, slotTrip: slotOpen,
+		slotPromote: slotClosed, slotStrand: slotTerminal},
+	slotOpen: {slotCooled: slotProbing, slotSuccess: slotClosed, slotFail: slotOpen,
+		slotPromote: slotClosed, slotStrand: slotTerminal},
+	slotHalfOpen: {slotCall: slotProbing, slotSuccess: slotClosed, slotFail: slotOpen,
+		slotPromote: slotClosed, slotStrand: slotTerminal},
+	slotProbing: {slotSuccess: slotClosed, slotFail: slotOpen, slotRelease: slotHalfOpen,
+		slotPromote: slotClosed, slotStrand: slotTerminal},
 }
 
 // defaultBreakerCooldown is the open period before a half-open probe.
@@ -94,6 +99,9 @@ func newShardSlot(id int, primary, replica *ShardClient, opt CoordinatorOptions,
 	}, now)
 	return s
 }
+
+// promote makes the replica the slot's primary. Caller holds mu.
+func (s *shardSlot) promote() { s.primary, s.replica, s.promoted = s.replica, nil, true }
 
 func (s *shardSlot) name() string { return fmt.Sprintf("shard-%d", s.id) }
 
@@ -160,7 +168,7 @@ func (s *shardSlot) settle(cl *ShardClient, res callResult) int {
 	}
 	switch on {
 	case slotPromote:
-		s.primary, s.replica, s.promoted = s.replica, nil, true
+		s.promote()
 		fallthrough
 	case slotSuccess:
 		s.fails, s.strikes = 0, 0

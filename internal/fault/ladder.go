@@ -14,6 +14,18 @@ import (
 // integers each ladder names for itself.
 type Table map[int]map[int]int
 
+// A latch is the two-rung ladder that device quarantine and the server's
+// read-only storage share: LatchTrip holds it at LatchHeld for its cause,
+// held causes accumulate, LatchClear releases one (every cause, for the
+// zero cause), and the base returns with the last.
+const (
+	LatchTrip, LatchClear = 0, 1
+	LatchHeld             = 1
+)
+
+// Latch is the latch's transition table.
+var Latch = Table{0: {LatchTrip: LatchHeld}, LatchHeld: {LatchTrip: LatchHeld, LatchClear: 0}}
+
 // Ladder is one degradation ladder: a rung, the causes holding it there,
 // and the time it was entered. Only Move changes it, by looking the (rung,
 // event) pair up in the ladder's transition table; a pair with no rule is

@@ -98,19 +98,19 @@ func observeHealth(h *Health, path []string) string {
 	return fmt.Sprintf("healthy s=%d", 3-n)
 }
 
-// TestLadderCauses pins the core's cause rules on a two-rung latch: causes
+// TestLadderCauses pins the core's cause rules on the shared latch: causes
 // join as they trip it, each clear releases only its own, the earliest
 // cause still held is the one reported, the base returns only with the
 // last cause, and a duplicate trip or a stray clear is refused without
 // reaching the counters. Entry times follow the ladder's clock.
 func TestLadderCauses(t *testing.T) {
 	const (
-		ok, held   = 0, 1
-		trip, free = 0, 1
+		ok, held   = 0, LatchHeld
+		trip, free = LatchTrip, LatchClear
 	)
 	clock := time.Unix(0, 0)
 	var moves []string
-	l := NewLadder(Table{ok: {trip: held}, held: {trip: held, free: ok}},
+	l := NewLadder(Latch,
 		func(from, to, _ int, cause string) { moves = append(moves, fmt.Sprintf("%d>%d:%s", from, to, cause)) },
 		func() time.Time { return clock })
 	step := func(on int, cause string, want bool, state int, first string) {

@@ -84,19 +84,11 @@ type Health struct {
 	mu    sync.Mutex
 	k     int
 	fails map[string]int
-	// quar is the quarantine ladder: every quarantined device is a cause
-	// holding it degraded until an operator revives the device.
+	// quar is the quarantine latch: every quarantined device is a cause
+	// holding it until an operator revives the device. A quarantined
+	// device is not quarantined again; nothing revives one automatically.
 	quar *Ladder[string]
 }
-
-// The quarantine ladder's rung and events. A quarantined device is not
-// quarantined again; nothing revives a device automatically.
-const (
-	healthQuarantine, healthRevive = 0, 1
-	healthDegraded                 = 1
-)
-
-var healthTable = Table{0: {healthQuarantine: healthDegraded}, healthDegraded: {healthQuarantine: healthDegraded, healthRevive: 0}}
 
 // NewHealth returns a tracker that quarantines a device after k
 // consecutive failures (k <= 0 selects the default, 3).
@@ -104,7 +96,7 @@ func NewHealth(k int) *Health {
 	if k <= 0 {
 		k = 3
 	}
-	return &Health{k: k, fails: make(map[string]int), quar: NewLadder[string](healthTable, nil, time.Now)}
+	return &Health{k: k, fails: make(map[string]int), quar: NewLadder[string](Latch, nil, time.Now)}
 }
 
 // RecordSuccess clears a device's consecutive-failure count.
@@ -120,7 +112,7 @@ func (h *Health) RecordFailure(name string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.fails[name]++
-	return h.fails[name] >= h.k && h.quar.Move(healthQuarantine, name)
+	return h.fails[name] >= h.k && h.quar.Move(LatchTrip, name)
 }
 
 // Quarantined reports whether a device is quarantined.
@@ -140,7 +132,7 @@ func (h *Health) QuarantinedNames() []string {
 }
 
 // Degraded reports whether any device is quarantined.
-func (h *Health) Degraded() bool { return h.quar.State() == healthDegraded }
+func (h *Health) Degraded() bool { return h.quar.State() == LatchHeld }
 
 // Revive clears a device's quarantine (an operator action; nothing revives
 // devices automatically).
@@ -148,7 +140,7 @@ func (h *Health) Revive(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.fails[name] = 0
-	h.quar.Move(healthRevive, name)
+	h.quar.Move(LatchClear, name)
 }
 
 // Device is one systolic device an Executor can run tiles on. A nil Plan

@@ -235,10 +235,11 @@ type Server struct {
 
 	// latch is the storage degradation ladder: a disk fault the commit
 	// path could not absorb (failed append, unrelievable ENOSPC) or
-	// confirmed at-rest corruption (scrub) trips it read-only. Mutations
-	// answer 503 + Retry-After while any cause holds it; reads keep
-	// serving from the catalog. append/enospc clear via the probe loop,
-	// scrub clears when its repair lands. life is the lifecycle ladder,
+	// confirmed at-rest corruption (scrub) trips it read-only. Each cause
+	// ("append", "enospc", "scrub") holds it on its own: mutations answer
+	// 503 + Retry-After while any cause holds it, and reads keep serving
+	// from the catalog. append/enospc clear via the probe loop, scrub
+	// clears when its repair lands. life is the lifecycle ladder,
 	// which Shutdown moves to draining. ladderMu serialises both.
 	ladderMu sync.Mutex
 	latch    *fault.Ladder[string]
@@ -282,7 +283,7 @@ func New(cfg Config) *Server {
 	if cfg.PlanCacheSize > 0 {
 		s.planCache = query.NewPlanCache(cfg.PlanCacheSize, cfg.Metrics)
 	}
-	s.latch = fault.NewLadder(latchTable, s.countLatch, time.Now)
+	s.latch = fault.NewLadder(fault.Latch, s.countLatch, time.Now)
 	// The lifecycle ladder has one event, which moves a serving server to
 	// draining; a drain, once begun, is final.
 	s.life = fault.NewLadder[string](fault.Table{0: {0: 1}}, nil, time.Now)
@@ -684,22 +685,11 @@ func (s *Server) compactLocked() error {
 	return s.wal.WriteSnapshot(gen, s.cat.Snapshot())
 }
 
-// The read-only latch's rung and events. Each cause ("append", "enospc",
-// "scrub") holds it read-only on its own: a trip adds its cause to the
-// held set, a clear releases only its own, and writes reopen once none is
-// left.
-const (
-	latchTrip, latchClear = 0, 1
-	latchReadOnly         = 1
-)
-
-var latchTable = fault.Table{0: {latchTrip: latchReadOnly}, latchReadOnly: {latchTrip: latchReadOnly, latchClear: 0}}
-
 // countLatch keeps the latch's metrics: a trip counts its cause as it
 // joins the held set, a recovery counts the set emptying.
 func (s *Server) countLatch(_, to, on int, cause string) {
 	switch {
-	case on == latchTrip:
+	case on == fault.LatchTrip:
 		s.reg.Counter("server_readonly_trips_total", obs.Labels{"cause": cause}).Inc()
 	case to == 0:
 		s.reg.Counter("server_readonly_recoveries_total", nil).Inc()
@@ -716,13 +706,13 @@ func (s *Server) fire(l *fault.Ladder[string], on int, cause string) {
 
 // tripReadOnly holds the server read-only for cause; a cause already held
 // is not counted again.
-func (s *Server) tripReadOnly(cause string) { s.fire(s.latch, latchTrip, cause) }
+func (s *Server) tripReadOnly(cause string) { s.fire(s.latch, fault.LatchTrip, cause) }
 
 // clearReadOnly releases cause's hold on the latch; the server stays
 // read-only while any other cause holds it.
-func (s *Server) clearReadOnly(cause string) { s.fire(s.latch, latchClear, cause) }
+func (s *Server) clearReadOnly(cause string) { s.fire(s.latch, fault.LatchClear, cause) }
 
-func (s *Server) readOnly() bool { return s.latch.State() == latchReadOnly }
+func (s *Server) readOnly() bool { return s.latch.State() == fault.LatchHeld }
 
 // readOnlyCause is the earliest cause still holding the latch ("" = none).
 func (s *Server) readOnlyCause() string {
