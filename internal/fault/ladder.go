@@ -34,7 +34,9 @@ var Latch = Table{0: {LatchTrip: LatchHeld}, LatchHeld: {LatchTrip: LatchHeld, L
 // Rung 0 is the base, where nothing is wrong. An event that moves the
 // ladder anywhere else adds its cause to the held set; an event that moves
 // it to the base releases its cause (every cause, for the zero cause), and
-// the ladder reaches the base only once no cause holds it.
+// the ladder reaches the base only once no cause holds it. Causes are
+// compared with ==, so an interface cause must hold comparable values (an
+// error cause made by fmt.Errorf or errors.New is a pointer).
 //
 // A Ladder has no lock: its owner calls Move and the accessors under the
 // lock that guards the rest of its data. State alone may be read without it.
