@@ -72,3 +72,30 @@ func TestTraceDivision(t *testing.T) {
 		t.Error("no pulses recorded")
 	}
 }
+
+// TestTraceGolden pins the whole output of `trace -array X` for every array
+// byte for byte: the result lines and every rendered pulse. The files in
+// testdata were written by the command itself (`go run ./cmd/trace -array X
+// > testdata/X.golden`); a change to the engine's stepping may make it
+// faster but must leave every traced snapshot as it was.
+func TestTraceGolden(t *testing.T) {
+	for name, run := range map[string]func(*trace.Recorder) error{
+		"comparison":   traceComparison,
+		"intersection": traceIntersection,
+		"division":     traceDivision,
+	} {
+		out, rec := captureTrace(t, run)
+		var buf bytes.Buffer
+		buf.WriteString(out)
+		if err := rec.RenderRange(&buf, 0, rec.Pulses()); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("testdata/" + name + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != string(want) {
+			t.Errorf("trace -array %s differs from testdata/%s.golden:\n%s", name, name, buf.String())
+		}
+	}
+}
