@@ -94,7 +94,7 @@ func CompareTuples(a, b relation.Tuple) (bool, systolic.Stats, error) {
 		k := k
 		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
 			if p == k {
-				return systolic.ValToken(a[k], systolic.Tag{Rel: "A", Elem: k, Valid: true})
+				return systolic.ValToken(a[k], systolic.Tag{Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -102,7 +102,7 @@ func CompareTuples(a, b relation.Tuple) (bool, systolic.Stats, error) {
 		}
 		if err := grid.Feed(systolic.South, k, func(p int) systolic.Token {
 			if p == k {
-				return systolic.ValToken(b[k], systolic.Tag{Rel: "B", Elem: k, Valid: true})
+				return systolic.ValToken(b[k], systolic.Tag{Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -111,7 +111,7 @@ func CompareTuples(a, b relation.Tuple) (bool, systolic.Stats, error) {
 	}
 	if err := grid.Feed(systolic.West, 0, func(p int) systolic.Token {
 		if p == 0 {
-			return systolic.FlagToken(true, systolic.Tag{Rel: "t", Valid: true})
+			return systolic.FlagToken(true, systolic.Tag{Valid: true})
 		}
 		return systolic.Empty
 	}); err != nil {
@@ -207,7 +207,7 @@ func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wra
 			q := p - sched.Alpha - k
 			if q >= 0 && q%2 == 0 && q/2 < nA {
 				i := q / 2
-				return systolic.ValToken(a[i][k], systolic.Tag{Rel: "A", Tuple: i, Elem: k, Valid: true})
+				return systolic.ValToken(a[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -217,7 +217,7 @@ func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wra
 			q := p - sched.Beta - k
 			if q >= 0 && q%2 == 0 && q/2 < nB {
 				j := q / 2
-				return systolic.ValToken(b[j][k], systolic.Tag{Rel: "B", Tuple: j, Elem: k, Valid: true})
+				return systolic.ValToken(b[j][k], systolic.Tag{Tuple: int32(j), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -238,7 +238,7 @@ func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wra
 			if init != nil {
 				v = init(i, j)
 			}
-			return systolic.FlagToken(v, systolic.Tag{Rel: "t", Tuple: i, Elem: j, Valid: true})
+			return systolic.FlagToken(v, systolic.Tag{Tuple: int32(i), Elem: int32(j), Valid: true})
 		}); err != nil {
 			return nil, err
 		}
@@ -261,7 +261,7 @@ func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wra
 				collectErr = fmt.Errorf("comparison: unexpected result at row %d pulse %d", r, p)
 				return
 			}
-			if tok.Tag.Valid && (tok.Tag.Tuple != i || tok.Tag.Elem != j) {
+			if tok.Tag.Valid && (int(tok.Tag.Tuple) != i || int(tok.Tag.Elem) != j) {
 				collectErr = fmt.Errorf("comparison: schedule misalignment at row %d pulse %d: schedule says (%d,%d), tag says (%d,%d)",
 					r, p, i, j, tok.Tag.Tuple, tok.Tag.Elem)
 				return
@@ -329,7 +329,7 @@ func RunFixed(a, b []relation.Tuple, init InitFunc) (*Result, error) {
 		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
 			i := p - k
 			if i >= 0 && i < nA {
-				return systolic.ValToken(a[i][k], systolic.Tag{Rel: "A", Tuple: i, Elem: k, Valid: true})
+				return systolic.ValToken(a[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -345,7 +345,7 @@ func RunFixed(a, b []relation.Tuple, init InitFunc) (*Result, error) {
 				if init != nil {
 					v = init(i, r)
 				}
-				return systolic.FlagToken(v, systolic.Tag{Rel: "t", Tuple: i, Elem: r, Valid: true})
+				return systolic.FlagToken(v, systolic.Tag{Tuple: int32(i), Elem: int32(r), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {

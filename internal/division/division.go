@@ -114,7 +114,7 @@ func RunArrayWrap(pairs []Pair, xs, divisor []relation.Element, tracer systolic.
 	// probe follows the last y at pulse n+1.
 	if err := grid.Feed(systolic.South, 0, func(p int) systolic.Token {
 		if p < n {
-			return systolic.ValToken(pairs[p].Z, systolic.Tag{Rel: "A1", Tuple: p, Valid: true})
+			return systolic.ValToken(pairs[p].Z, systolic.Tag{Tuple: int32(p), Valid: true})
 		}
 		return systolic.Empty
 	}); err != nil {
@@ -123,9 +123,9 @@ func RunArrayWrap(pairs []Pair, xs, divisor []relation.Element, tracer systolic.
 	if err := grid.Feed(systolic.South, 1, func(p int) systolic.Token {
 		switch {
 		case p >= 1 && p-1 < n:
-			return systolic.ValToken(pairs[p-1].Y, systolic.Tag{Rel: "A2", Tuple: p - 1, Valid: true})
+			return systolic.ValToken(pairs[p-1].Y, systolic.Tag{Tuple: int32(p - 1), Valid: true})
 		case p == n+1:
-			return systolic.FlagToken(true, systolic.Tag{Rel: "probe", Valid: true})
+			return systolic.FlagToken(true, systolic.Tag{Valid: true})
 		}
 		return systolic.Empty
 	}); err != nil {

@@ -159,7 +159,7 @@ func (c *multiGate) Step(in systolic.Inputs) systolic.Outputs {
 			c.pendingTail = true
 		}
 	} else if c.pendingTail && !out.E.Present() {
-		out.E = tailToken(systolic.Tag{Rel: "tail", Valid: true})
+		out.E = tailToken(systolic.Tag{Valid: true})
 		c.pendingTail = false
 	}
 	return out
@@ -307,7 +307,7 @@ func RunGeneralArray(p GeneralProblem, tracer systolic.Tracer) ([]bool, systolic
 			q := pulse - c
 			if q >= 0 && q%S == 0 && q/S < n {
 				pr := q / S
-				return systolic.ValToken(p.ZS[pr][c], systolic.Tag{Rel: "Z", Tuple: pr, Elem: c, Valid: true})
+				return systolic.ValToken(p.ZS[pr][c], systolic.Tag{Tuple: int32(pr), Elem: int32(c), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -320,12 +320,12 @@ func RunGeneralArray(p GeneralProblem, tracer systolic.Tracer) ([]bool, systolic
 		col := kz + c
 		if err := grid.Feed(systolic.South, col, func(pulse int) systolic.Token {
 			if c == ky-1 && pulse == probeEntry {
-				return systolic.FlagToken(true, systolic.Tag{Rel: "probe", Valid: true})
+				return systolic.FlagToken(true, systolic.Tag{Valid: true})
 			}
 			q := pulse - kz - 2*c
 			if q >= 0 && q%S == 0 && q/S < n {
 				pr := q / S
-				return systolic.ValToken(p.YS[pr][c], systolic.Tag{Rel: "Y", Tuple: pr, Elem: c, Valid: true})
+				return systolic.ValToken(p.YS[pr][c], systolic.Tag{Tuple: int32(pr), Elem: int32(c), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {

@@ -98,7 +98,7 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 				if len(a[i]) != m {
 					return systolic.Empty // widths validated below
 				}
-				return systolic.ValToken(a[i][k], systolic.Tag{Rel: "A", Tuple: i, Elem: k, Valid: true})
+				return systolic.ValToken(a[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -108,7 +108,7 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 			q := p - sched.Beta - k
 			if q >= 0 && q%2 == 0 && q/2 < nB {
 				j := q / 2
-				return systolic.ValToken(b[j][k], systolic.Tag{Rel: "B", Tuple: j, Elem: k, Valid: true})
+				return systolic.ValToken(b[j][k], systolic.Tag{Tuple: int32(j), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -138,7 +138,7 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 			if init != nil {
 				v = init(i, j)
 			}
-			return systolic.FlagToken(v, systolic.Tag{Rel: "t", Tuple: i, Elem: j, Valid: true})
+			return systolic.FlagToken(v, systolic.Tag{Tuple: int32(i), Elem: int32(j), Valid: true})
 		}); err != nil {
 			return nil, systolic.Stats{}, err
 		}
@@ -151,7 +151,7 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 	if err := grid.Feed(systolic.North, m, func(p int) systolic.Token {
 		q := p - sched.Alpha - m
 		if q >= 0 && q%2 == 0 && q/2 < nA {
-			return systolic.FlagToken(false, systolic.Tag{Rel: "acc", Tuple: q / 2, Valid: true})
+			return systolic.FlagToken(false, systolic.Tag{Tuple: int32(q / 2), Valid: true})
 		}
 		return systolic.Empty
 	}); err != nil {
@@ -173,7 +173,7 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 			return
 		}
 		i := q / 2
-		if tok.Tag.Valid && tok.Tag.Tuple != i {
+		if tok.Tag.Valid && int(tok.Tag.Tuple) != i {
 			collectErr = fmt.Errorf("intersect: accumulator misalignment at pulse %d: schedule says %d, tag says %d", p, i, tok.Tag.Tuple)
 			return
 		}

@@ -53,7 +53,7 @@ func RunTDynamic(aKeys, bKeys []relation.Tuple, width int, opFor func(i, j int) 
 			q := p - sched.Alpha - k
 			if q >= 0 && q%2 == 0 && q/2 < nA {
 				i := q / 2
-				return systolic.ValToken(aKeys[i][k], systolic.Tag{Rel: "A", Tuple: i, Elem: k, Valid: true})
+				return systolic.ValToken(aKeys[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -63,7 +63,7 @@ func RunTDynamic(aKeys, bKeys []relation.Tuple, width int, opFor func(i, j int) 
 			q := p - sched.Beta - k
 			if q >= 0 && q%2 == 0 && q/2 < nB {
 				j := q / 2
-				return systolic.ValToken(bKeys[j][k], systolic.Tag{Rel: "B", Tuple: j, Elem: k, Valid: true})
+				return systolic.ValToken(bKeys[j][k], systolic.Tag{Tuple: int32(j), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -77,7 +77,7 @@ func RunTDynamic(aKeys, bKeys []relation.Tuple, width int, opFor func(i, j int) 
 			if !ok {
 				return systolic.Empty
 			}
-			return cells.EncodeOpToken(true, opFor(i, j), systolic.Tag{Rel: "t", Tuple: i, Elem: j, Valid: true})
+			return cells.EncodeOpToken(true, opFor(i, j), systolic.Tag{Tuple: int32(i), Elem: int32(j), Valid: true})
 		}); err != nil {
 			return nil, systolic.Stats{}, err
 		}

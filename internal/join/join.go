@@ -218,7 +218,7 @@ func RunTWrap(aKeys, bKeys []relation.Tuple, ops []cells.Op, wrap systolic.Wrap)
 			q := p - sched.Alpha - k
 			if q >= 0 && q%2 == 0 && q/2 < nA {
 				i := q / 2
-				return systolic.ValToken(aKeys[i][k], systolic.Tag{Rel: "A", Tuple: i, Elem: k, Valid: true})
+				return systolic.ValToken(aKeys[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -228,7 +228,7 @@ func RunTWrap(aKeys, bKeys []relation.Tuple, ops []cells.Op, wrap systolic.Wrap)
 			q := p - sched.Beta - k
 			if q >= 0 && q%2 == 0 && q/2 < nB {
 				j := q / 2
-				return systolic.ValToken(bKeys[j][k], systolic.Tag{Rel: "B", Tuple: j, Elem: k, Valid: true})
+				return systolic.ValToken(bKeys[j][k], systolic.Tag{Tuple: int32(j), Elem: int32(k), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -242,7 +242,7 @@ func RunTWrap(aKeys, bKeys []relation.Tuple, ops []cells.Op, wrap systolic.Wrap)
 			if !ok {
 				return systolic.Empty
 			}
-			return systolic.FlagToken(true, systolic.Tag{Rel: "t", Tuple: i, Elem: j, Valid: true})
+			return systolic.FlagToken(true, systolic.Tag{Tuple: int32(i), Elem: int32(j), Valid: true})
 		}); err != nil {
 			return nil, systolic.Stats{}, err
 		}

@@ -100,7 +100,7 @@ func Match(pattern, text []relation.Element) ([]bool, systolic.Stats, error) {
 		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
 			q := p - k
 			if q >= 0 && q < len(text) {
-				return systolic.ValToken(text[q], systolic.Tag{Rel: "text", Tuple: q, Valid: true})
+				return systolic.ValToken(text[q], systolic.Tag{Tuple: int32(q), Valid: true})
 			}
 			return systolic.Empty
 		}); err != nil {
@@ -110,7 +110,7 @@ func Match(pattern, text []relation.Element) ([]bool, systolic.Stats, error) {
 	// Result channel: alignment p's TRUE token enters cell 0 at pulse p.
 	if err := grid.Feed(systolic.West, 0, func(p int) systolic.Token {
 		if p < nAlign {
-			return systolic.FlagToken(true, systolic.Tag{Rel: "align", Tuple: p, Valid: true})
+			return systolic.FlagToken(true, systolic.Tag{Tuple: int32(p), Valid: true})
 		}
 		return systolic.Empty
 	}); err != nil {
@@ -130,7 +130,7 @@ func Match(pattern, text []relation.Element) ([]bool, systolic.Stats, error) {
 			collectErr = fmt.Errorf("patternmatch: unexpected result at pulse %d", pulse)
 			return
 		}
-		if tok.Tag.Valid && tok.Tag.Tuple != p {
+		if tok.Tag.Valid && int(tok.Tag.Tuple) != p {
 			collectErr = fmt.Errorf("patternmatch: schedule misalignment: positional %d, tag %d", p, tok.Tag.Tuple)
 			return
 		}

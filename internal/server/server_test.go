@@ -368,7 +368,13 @@ func TestStressMixedWorkload(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The pool must be fully released and the queue empty.
+	// The pool must be fully released and the queue empty. A query's
+	// worker sends its outcome before its deferred slot release runs, so
+	// the last client can return while a slot is still being given back:
+	// wait for the pool to drain, then assert that it did.
+	for deadline := time.Now().Add(5 * time.Second); len(s.sem) != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := len(s.sem); got != 0 {
 		t.Errorf("%d worker slots leaked", got)
 	}

@@ -9,8 +9,10 @@
 // new tokens on its output lines, which its neighbours will latch at the
 // next pulse. All data therefore moves synchronously at one cell per pulse,
 // and a cell's behaviour is a pure function of its latched inputs and
-// internal registers — the simulator double-buffers all wires so that
-// evaluation order within a pulse is immaterial.
+// internal registers — the simulator double-buffers all wires in two output
+// planes, the outputs presented at the previous pulse (which every cell
+// latches from) and those presented at this one, so that evaluation order
+// within a pulse is immaterial.
 //
 // Tokens entering the grid boundary are produced by Feeders (the "staggered"
 // input schedules of §3) and tokens leaving the boundary are delivered to
@@ -39,14 +41,14 @@ var (
 	mRunSeconds  = obs.Default.Timer("systolic_run_host_seconds", nil)
 )
 
-// Tag carries provenance for a token: which relation, tuple and element it
-// originated from. Tags exist only for tracing and for tests that validate
-// the positional timing schedules; cell algorithms never read them, because
-// the hardware they model has no such information.
+// Tag carries provenance for a token: the tuple and element it originated
+// from. Tags exist only for the array drivers' schedule cross-checks and for
+// tests that validate the positional timing schedules; cell algorithms never
+// read them, because the hardware they model has no such information. A tag
+// holds no pointer, so a wire write is a plain 24-byte token copy.
 type Tag struct {
-	Rel   string // relation label, e.g. "A" or "B"
-	Tuple int    // tuple index within the relation (0-based)
-	Elem  int    // element index within the tuple (0-based)
+	Tuple int32 // tuple index within the relation (0-based)
+	Elem  int32 // element index within the tuple (0-based)
 	Valid bool
 }
 
@@ -186,10 +188,11 @@ func (s Stats) Utilization() float64 {
 	return float64(s.ActiveSteps) / float64(s.CellSteps)
 }
 
-// Snapshot is the latched state of the whole grid at one pulse, offered to
-// the Tracer after inputs are latched and before outputs replace them. The
-// Latched slices are reused across pulses: a Tracer that retains snapshots
-// must deep-copy them during Observe (trace.Recorder does).
+// Snapshot is the latched state of the whole grid at one pulse: the inputs
+// every cell latched, offered to the Tracer once all cells have stepped and
+// before boundary outputs are drained. The Latched slices are reused across
+// pulses: a Tracer that retains snapshots must deep-copy them during Observe
+// (trace.Recorder does).
 type Snapshot struct {
 	Pulse   int
 	Rows    int
@@ -206,21 +209,18 @@ type Tracer interface {
 // 2-1a); rows or cols of 1 give the linearly connected array (Figure 2-1b).
 type Grid struct {
 	rows, cols int
-	cells      [][]Cell
+	cells      []Cell // row-major
 
-	feeders map[portKey]Feeder
-	sinks   map[portKey]Sink
+	// feeders and sinks are indexed by side, then by port: the column for
+	// North/South, the row for East/West. A nil entry is an unfed port.
+	feeders [4][]Feeder
+	sinks   [4][]Sink
 
-	outs     [][]Outputs // outputs presented at the previous pulse
-	stats    Stats
-	trace    Tracer
-	workers  int        // goroutines used per pulse (<=1: serial)
-	latchBuf [][]Inputs // reusable latch buffer for parallel stepping
-}
-
-type portKey struct {
-	side  Side
-	index int // column index for North/South, row index for East/West
+	prev, outs []Outputs // row-major output planes: previous pulse, this pulse
+	stats      Stats
+	trace      Tracer
+	workers    int        // goroutines used per pulse (<=1: serial)
+	latchBuf   [][]Inputs // this pulse's latched inputs, filled only for a tracer
 }
 
 // NewGrid builds a grid. The build function supplies the cell for each
@@ -230,22 +230,23 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 		return nil, fmt.Errorf("systolic: grid dimensions %dx%d must be positive", rows, cols)
 	}
 	g := &Grid{
-		rows:    rows,
-		cols:    cols,
-		cells:   make([][]Cell, rows),
-		feeders: make(map[portKey]Feeder),
-		sinks:   make(map[portKey]Sink),
-		outs:    make([][]Outputs, rows),
+		rows:  rows,
+		cols:  cols,
+		cells: make([]Cell, rows*cols),
+		prev:  make([]Outputs, rows*cols),
+		outs:  make([]Outputs, rows*cols),
+	}
+	for side, ports := range [4]int{North: cols, South: cols, East: rows, West: rows} {
+		g.feeders[side] = make([]Feeder, ports)
+		g.sinks[side] = make([]Sink, ports)
 	}
 	for r := 0; r < rows; r++ {
-		g.cells[r] = make([]Cell, cols)
-		g.outs[r] = make([]Outputs, cols)
 		for c := 0; c < cols; c++ {
 			cell := build(r, c)
 			if cell == nil {
 				return nil, fmt.Errorf("systolic: build returned nil cell at (%d,%d)", r, c)
 			}
-			g.cells[r][c] = cell
+			g.cells[r*cols+c] = cell
 		}
 	}
 	return g, nil
@@ -258,7 +259,7 @@ func (g *Grid) Rows() int { return g.rows }
 func (g *Grid) Cols() int { return g.cols }
 
 // Cell returns the processor at (row, col).
-func (g *Grid) Cell(row, col int) Cell { return g.cells[row][col] }
+func (g *Grid) Cell(row, col int) Cell { return g.cells[row*g.cols+col] }
 
 // Feed registers the feeder for a boundary input port. For North/South the
 // index is a column; for East/West it is a row. Feeding a port twice
@@ -267,7 +268,7 @@ func (g *Grid) Feed(side Side, index int, f Feeder) error {
 	if err := g.checkPort(side, index); err != nil {
 		return err
 	}
-	g.feeders[portKey{side, index}] = f
+	g.feeders[side][index] = f
 	return nil
 }
 
@@ -276,21 +277,15 @@ func (g *Grid) Drain(side Side, index int, s Sink) error {
 	if err := g.checkPort(side, index); err != nil {
 		return err
 	}
-	g.sinks[portKey{side, index}] = s
+	g.sinks[side][index] = s
 	return nil
 }
 
 func (g *Grid) checkPort(side Side, index int) error {
-	var limit int
-	switch side {
-	case North, South:
-		limit = g.cols
-	case East, West:
-		limit = g.rows
-	default:
+	if side < North || side > West {
 		return fmt.Errorf("systolic: invalid side %v", side)
 	}
-	if index < 0 || index >= limit {
+	if limit := len(g.feeders[side]); index < 0 || index >= limit {
 		return fmt.Errorf("systolic: port %v[%d] out of range [0,%d)", side, index, limit)
 	}
 	return nil
@@ -301,7 +296,7 @@ func (g *Grid) SetTracer(t Tracer) { g.trace = t }
 
 // SetParallelism sets how many goroutines step the grid each pulse. Values
 // below 2 select the serial path. Because every cell's outputs depend only
-// on the previous pulse's latched state, rows can be latched and stepped
+// on the previous pulse's output plane, rows can be latched and stepped
 // concurrently without changing any result — the synchronous-hardware
 // property the engine models is exactly what makes this safe. Parallel runs
 // produce bit-identical results and statistics to serial runs (tested), but
@@ -310,11 +305,9 @@ func (g *Grid) SetParallelism(workers int) { g.workers = workers }
 
 // Reset clears all wires and statistics and resets every cell's registers.
 func (g *Grid) Reset() {
-	for r := 0; r < g.rows; r++ {
-		for c := 0; c < g.cols; c++ {
-			g.cells[r][c].Reset()
-			g.outs[r][c] = Outputs{}
-		}
+	for i, cell := range g.cells {
+		cell.Reset()
+		g.prev[i], g.outs[i] = Outputs{}, Outputs{}
 	}
 	g.stats = Stats{Cells: g.rows * g.cols}
 }
@@ -322,10 +315,9 @@ func (g *Grid) Reset() {
 // Stats returns the accumulated run statistics.
 func (g *Grid) Stats() Stats { return g.stats }
 
-// feed returns the boundary token for a port, or Empty if no feeder is
-// registered.
+// feed returns the boundary token for a port, or Empty if it is unfed.
 func (g *Grid) feed(side Side, index, pulse int) Token {
-	if f, ok := g.feeders[portKey{side, index}]; ok {
+	if f := g.feeders[side][index]; f != nil {
 		return f(pulse)
 	}
 	return Empty
@@ -333,7 +325,7 @@ func (g *Grid) feed(side Side, index, pulse int) Token {
 
 // drain delivers a boundary token to its sink, if any.
 func (g *Grid) drain(side Side, index, pulse int, tok Token) {
-	if s, ok := g.sinks[portKey{side, index}]; ok {
+	if s := g.sinks[side][index]; s != nil {
 		s(pulse, tok)
 	}
 }
@@ -359,101 +351,88 @@ func (g *Grid) Run(pulses int) {
 	mUtilization.Set(g.stats.Utilization())
 }
 
-// step executes one pulse: latch inputs everywhere, trace, step all cells,
-// deliver boundary outputs.
+// step executes one pulse: one pass over the rows latches and steps every
+// cell, the tracer sees the latched inputs, boundary outputs are drained,
+// and the output planes swap.
 func (g *Grid) step() {
 	pulse := g.stats.Pulses
-
-	// Phase 1: latch inputs for every cell from the previous pulse's
-	// outputs and from the boundary feeders.
-	if g.latchBuf == nil {
+	if g.trace != nil && g.latchBuf == nil {
 		g.latchBuf = make([][]Inputs, g.rows)
 		for r := range g.latchBuf {
 			g.latchBuf[r] = make([]Inputs, g.cols)
 		}
 	}
-	latched := g.latchBuf
 
-	latchRows := func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			for c := 0; c < g.cols; c++ {
-				var in Inputs
-				if r == 0 {
-					in.N = g.feed(North, c, pulse)
-				} else {
-					in.N = g.outs[r-1][c].S
-				}
-				if r == g.rows-1 {
-					in.S = g.feed(South, c, pulse)
-				} else {
-					in.S = g.outs[r+1][c].N
-				}
-				if c == 0 {
-					in.W = g.feed(West, r, pulse)
-				} else {
-					in.W = g.outs[r][c-1].E
-				}
-				if c == g.cols-1 {
-					in.E = g.feed(East, r, pulse)
-				} else {
-					in.E = g.outs[r][c+1].W
-				}
-				latched[r][c] = in
-			}
-		}
-	}
-	// stepRows computes outputs for a row range and returns how many
-	// cells in it were active.
-	stepRows := func(r0, r1 int) int {
-		active := 0
-		for r := r0; r < r1; r++ {
-			for c := 0; c < g.cols; c++ {
-				in := latched[r][c]
-				if in.Any() {
-					active++
-				}
-				g.outs[r][c] = g.cells[r][c].Step(in)
-			}
-		}
-		return active
-	}
-
-	workers := g.workers
-	if workers > g.rows {
-		workers = g.rows
-	}
-	if workers >= 2 {
-		// Parallel path: partition rows. Feeders may be shared between
-		// edge rows, so they must be pure functions of the pulse (all
-		// schedule feeders in this repository are).
-		g.forEachRowChunk(workers, func(r0, r1 int) int { latchRows(r0, r1); return 0 })
-		if g.trace != nil {
-			g.trace.Observe(Snapshot{Pulse: pulse, Rows: g.rows, Cols: g.cols, Latched: latched})
-		}
-		g.stats.ActiveSteps += g.forEachRowChunk(workers, stepRows)
+	if workers := min(g.workers, g.rows); workers >= 2 {
+		// Rows are partitioned over goroutines. Feeders may be shared
+		// between edge rows, so they must be pure functions of the pulse
+		// (all schedule feeders in this repository are).
+		g.stats.ActiveSteps += g.forEachRowChunk(workers, func(r0, r1 int) int { return g.stepRows(r0, r1, pulse) })
 	} else {
-		latchRows(0, g.rows)
-		if g.trace != nil {
-			g.trace.Observe(Snapshot{Pulse: pulse, Rows: g.rows, Cols: g.cols, Latched: latched})
-		}
-		g.stats.ActiveSteps += stepRows(0, g.rows)
+		g.stats.ActiveSteps += g.stepRows(0, g.rows, pulse)
 	}
 	g.stats.CellSteps += g.rows * g.cols
+	if g.trace != nil {
+		g.trace.Observe(Snapshot{Pulse: pulse, Rows: g.rows, Cols: g.cols, Latched: g.latchBuf})
+	}
 
-	// Phase 3 (below): deliver boundary outputs to sinks. An output presented at
-	// pulse p is considered to leave the array at pulse p (it would be
-	// latched by an external consumer at p+1; the off-by-one is uniform
-	// and hidden inside the array drivers).
+	// An output presented at pulse p is considered to leave the array at
+	// pulse p (it would be latched by an external consumer at p+1; the
+	// off-by-one is uniform and hidden inside the array drivers).
+	last := (g.rows - 1) * g.cols
 	for c := 0; c < g.cols; c++ {
-		g.drain(North, c, pulse, g.outs[0][c].N)
-		g.drain(South, c, pulse, g.outs[g.rows-1][c].S)
+		g.drain(North, c, pulse, g.outs[c].N)
+		g.drain(South, c, pulse, g.outs[last+c].S)
 	}
 	for r := 0; r < g.rows; r++ {
-		g.drain(West, r, pulse, g.outs[r][0].W)
-		g.drain(East, r, pulse, g.outs[r][g.cols-1].E)
+		g.drain(West, r, pulse, g.outs[r*g.cols].W)
+		g.drain(East, r, pulse, g.outs[r*g.cols+g.cols-1].E)
 	}
 
+	g.prev, g.outs = g.outs, g.prev
 	g.stats.Pulses++
+}
+
+// stepRows runs one pulse over rows [r0, r1): each cell latches its inputs
+// from the previous pulse's output plane (or a boundary feeder), steps, and
+// presents its outputs on this pulse's plane. It returns how many of the
+// cells had an input present.
+func (g *Grid) stepRows(r0, r1, pulse int) int {
+	active := 0
+	rows, cols, prev := g.rows, g.cols, g.prev
+	for r := r0; r < r1; r++ {
+		for c, i := 0, r*cols; c < cols; c, i = c+1, i+1 {
+			var in Inputs
+			if r == 0 {
+				in.N = g.feed(North, c, pulse)
+			} else {
+				in.N = prev[i-cols].S
+			}
+			if r == rows-1 {
+				in.S = g.feed(South, c, pulse)
+			} else {
+				in.S = prev[i+cols].N
+			}
+			if c == 0 {
+				in.W = g.feed(West, r, pulse)
+			} else {
+				in.W = prev[i-1].E
+			}
+			if c == cols-1 {
+				in.E = g.feed(East, r, pulse)
+			} else {
+				in.E = prev[i+1].W
+			}
+			if in.Any() {
+				active++
+			}
+			if g.trace != nil {
+				g.latchBuf[r][c] = in
+			}
+			g.outs[i] = g.cells[i].Step(in)
+		}
+	}
+	return active
 }
 
 // forEachRowChunk runs fn over ~equal row ranges on the given number of
