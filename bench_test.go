@@ -301,7 +301,7 @@ func BenchmarkDecomposition(b *testing.B) {
 			var pulses int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, err := decompose.TiledAccumulate(at, ct, nil, size)
+				_, st, err := decompose.Tiler{Size: size}.Accumulate(at, ct, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -325,7 +325,7 @@ func BenchmarkTileShapeAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", shape.MaxA, shape.MaxB), func(b *testing.B) {
 			var pulses int
 			for i := 0; i < b.N; i++ {
-				_, st, err := decompose.TiledAccumulate(at, ct, nil, shape)
+				_, st, err := decompose.Tiler{Size: shape}.Accumulate(at, ct, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -599,29 +599,5 @@ func BenchmarkHexMultiply(b *testing.B) {
 			pulses += st.Pulses
 		}
 		reportSim(b, pulses, 0, 0)
-	})
-}
-
-// §6.3.2 ablation: preloaded vs streamed comparison operators.
-func BenchmarkPreloadedVsStreamedTheta(b *testing.B) {
-	a, c, err := workload.JoinPair(25, 32, 32, 1, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	aK, cK := join.Keys(a, []int{0}), join.Keys(c, []int{0})
-	b.Run("preloaded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := join.RunT(aK, cK, []cells.Op{cells.LE}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("streamed", func(b *testing.B) {
-		opFor := func(_, _ int) cells.Op { return cells.LE }
-		for i := 0; i < b.N; i++ {
-			if _, _, err := join.RunTDynamic(aK, cK, 1, opFor); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }

@@ -55,3 +55,33 @@ func TestMinWidthCeiling(t *testing.T) {
 		t.Errorf("MinWidth() = %d, %v; want 1, nil", w, err)
 	}
 }
+
+// MinWidth returns the smallest bit width that can represent every element
+// of the given tuples (at least 1). An element too wide for MaxWidth is
+// rejected here, not at a later Expand call, so the caller learns the
+// ceiling at planning time.
+func MinWidth(ts ...[]relation.Tuple) (int, error) {
+	var maxE relation.Element
+	for _, list := range ts {
+		for _, t := range list {
+			for _, e := range t {
+				if e < 0 {
+					return 0, fmt.Errorf("bitlevel: negative element %d not representable", e)
+				}
+				if e > maxE {
+					maxE = e
+				}
+			}
+		}
+	}
+	// Bound the search by MaxWidth: 1<<w overflows Element at w = 63, which
+	// would otherwise loop forever on an element past the ceiling.
+	w := 1
+	for w <= MaxWidth && maxE >= 1<<uint(w) {
+		w++
+	}
+	if w > MaxWidth {
+		return 0, fmt.Errorf("bitlevel: element %d needs more than the supported maximum of %d bits", maxE, MaxWidth)
+	}
+	return w, nil
+}

@@ -7,10 +7,8 @@
 //   - Compare      — the comparison processor of Figure 3-2
 //   - Theta        — its §6.3.2 generalisation to any binary comparison
 //   - Accumulate   — the OR-accumulation processor of §4.2
-//   - Invert       — the output inverter mentioned in §4.3 (difference)
 //   - DividendStore, DividendGate — the two dividend-array columns of §7
 //   - Divisor      — the divisor-array processor of §7
-//   - Wire         — a pass-through processor (structural filler)
 package cells
 
 import (
@@ -125,28 +123,6 @@ func (Accumulate) Step(in systolic.Inputs) systolic.Outputs {
 // Reset implements systolic.Cell; Accumulate is stateless.
 func (Accumulate) Reset() {}
 
-// Invert is the inverter of §4.3 ("alternatively, we could just put an
-// inverter on the output line of the accumulation array"), which turns the
-// intersection array into the difference array. It negates booleans moving
-// top-to-bottom and passes data tokens unchanged.
-type Invert struct{}
-
-// Step implements systolic.Cell.
-func (Invert) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
-	if in.N.Present() {
-		t := in.N
-		if t.HasFlag {
-			t.Flag = !t.Flag
-		}
-		out.S = t
-	}
-	return out
-}
-
-// Reset implements systolic.Cell; Invert is stateless.
-func (Invert) Reset() {}
-
 // DividendStore is the left-column dividend-array processor of §7. It
 // stores one distinct element x appearing in column A1 of the dividend
 // ("the left-hand column ... stores (distinct) elements appearing in column
@@ -222,10 +198,6 @@ type Divisor struct {
 	matched bool
 }
 
-// Matched reports the cell's latched match register (for inspection and
-// non-systolic readout in tests).
-func (c *Divisor) Matched() bool { return c.matched }
-
 // Step implements systolic.Cell.
 func (c *Divisor) Step(in systolic.Inputs) systolic.Outputs {
 	var out systolic.Outputs
@@ -246,30 +218,3 @@ func (c *Divisor) Step(in systolic.Inputs) systolic.Outputs {
 // Reset implements systolic.Cell: clears the match register, keeps the
 // preloaded element.
 func (c *Divisor) Reset() { c.matched = false }
-
-// Wire is a pass-through processor: every input token continues straight
-// across (N in -> S out, S in -> N out, W in -> E out, E in -> W out). It
-// is used as structural filler when composing modules of different heights
-// into one grid.
-type Wire struct{}
-
-// Step implements systolic.Cell.
-func (Wire) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
-	if in.N.Present() {
-		out.S = in.N
-	}
-	if in.S.Present() {
-		out.N = in.S
-	}
-	if in.W.Present() {
-		out.E = in.W
-	}
-	if in.E.Present() {
-		out.W = in.E
-	}
-	return out
-}
-
-// Reset implements systolic.Cell; Wire is stateless.
-func (Wire) Reset() {}

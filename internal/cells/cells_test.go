@@ -100,21 +100,6 @@ func TestAccumulateCell(t *testing.T) {
 	}
 }
 
-func TestInvertCell(t *testing.T) {
-	out := Invert{}.Step(systolic.Inputs{N: flag(true)})
-	if out.S.Flag {
-		t.Error("TRUE not inverted")
-	}
-	out = Invert{}.Step(systolic.Inputs{N: flag(false)})
-	if !out.S.Flag {
-		t.Error("FALSE not inverted")
-	}
-	out = Invert{}.Step(systolic.Inputs{N: val(3)})
-	if !out.S.HasVal || out.S.Val != 3 {
-		t.Error("data token not passed through")
-	}
-}
-
 func TestDividendStoreCell(t *testing.T) {
 	c := &DividendStore{X: 7}
 	out := c.Step(systolic.Inputs{S: val(7)})
@@ -157,24 +142,24 @@ func TestDividendGateCell(t *testing.T) {
 
 func TestDivisorCell(t *testing.T) {
 	c := &Divisor{Y: 9}
-	if c.Matched() {
+	if c.matched {
 		t.Error("fresh cell already matched")
 	}
 	out := c.Step(systolic.Inputs{W: val(5)})
 	if !out.E.HasVal || out.E.Val != 5 {
 		t.Error("y not forwarded")
 	}
-	if c.Matched() {
+	if c.matched {
 		t.Error("non-matching y set the register")
 	}
 	c.Step(systolic.Inputs{W: val(9)})
-	if !c.Matched() {
+	if !c.matched {
 		t.Error("matching y did not set the register")
 	}
 	// Null values never match.
 	c2 := &Divisor{Y: relation.Null}
 	c2.Step(systolic.Inputs{W: systolic.ValToken(relation.Null, systolic.Tag{})})
-	if c2.Matched() {
+	if c2.matched {
 		t.Error("null matched null")
 	}
 	// AND probe.
@@ -183,7 +168,7 @@ func TestDivisorCell(t *testing.T) {
 		t.Error("probe AND matched register wrong")
 	}
 	c.Reset()
-	if c.Matched() {
+	if c.matched {
 		t.Error("Reset did not clear the register")
 	}
 	out = c.Step(systolic.Inputs{W: flag(true)})
@@ -204,13 +189,6 @@ func TestStoredCompareCell(t *testing.T) {
 	out = c.Step(systolic.Inputs{N: val(5), W: flag(true)})
 	if out.E.Flag {
 		t.Error("stored compare false positive")
-	}
-}
-
-func TestWireCell(t *testing.T) {
-	out := Wire{}.Step(systolic.Inputs{N: val(1), S: val(2), W: flag(true), E: flag(false)})
-	if out.S.Val != 1 || out.N.Val != 2 || !out.E.Flag || out.W.Flag {
-		t.Errorf("wire routing wrong: %+v", out)
 	}
 }
 

@@ -43,18 +43,6 @@ const (
 	PartOverlap
 )
 
-func (p Part) String() string {
-	switch p {
-	case PartAligned:
-		return "aligned"
-	case PartDisjoint:
-		return "disjoint"
-	case PartOverlap:
-		return "overlap"
-	}
-	return "none"
-}
-
 // Scatterable reports whether a plan with this classification may be
 // shipped whole to every shard and gathered (concat, plus dedup for
 // PartOverlap).

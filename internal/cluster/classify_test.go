@@ -51,10 +51,44 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestUnionNeedsBothSidesScatterable pins the Union rule: a union scatters
+// (with dedup at gather) only when both inputs may be scattered. With one
+// side a join or a division, which never scatters as a whole plan, the
+// union runs on the coordinator.
+func TestUnionNeedsBothSidesScatterable(t *testing.T) {
+	for _, plan := range []string{
+		"union(scan(A),join(scan(B),scan(C),0=0))",
+		"union(join(scan(B),scan(C),0=0),scan(A))",
+		"union(project(scan(A),0),divide(scan(B),scan(C),quot=0,div=1,by=0))",
+		"union(divide(scan(B),scan(C),quot=0,div=1,by=0),project(scan(A),0))",
+	} {
+		n, err := query.Parse(plan)
+		if err != nil {
+			t.Fatalf("parse %q: %v", plan, err)
+		}
+		if got := Classify(n); got != PartNone {
+			t.Errorf("Classify(%q) = %v, want %v", plan, got, PartNone)
+		}
+	}
+}
+
 func TestPartScatterable(t *testing.T) {
 	for p, want := range map[Part]bool{PartNone: false, PartAligned: true, PartDisjoint: true, PartOverlap: true} {
 		if p.Scatterable() != want {
 			t.Errorf("%v.Scatterable() = %v, want %v", p, !want, want)
 		}
 	}
+}
+
+// String names a partition class in failure messages.
+func (p Part) String() string {
+	switch p {
+	case PartAligned:
+		return "aligned"
+	case PartDisjoint:
+		return "disjoint"
+	case PartOverlap:
+		return "overlap"
+	}
+	return "none"
 }

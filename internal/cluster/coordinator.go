@@ -228,9 +228,6 @@ func (c *Coordinator) widthOf(name string) (int, bool) {
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return len(c.slots) }
 
-// Metrics exposes the coordinator's registry.
-func (c *Coordinator) Metrics() *obs.Registry { return c.reg }
-
 // failoverShard is the ShardExec the executor sees: every call walks the
 // retry/quarantine/promotion ladder before giving up.
 type failoverShard struct {
@@ -429,19 +426,16 @@ func (c *Coordinator) Execute(ctx context.Context, n query.Node) (*relation.Rela
 	return c.engine.Execute(ctx, n)
 }
 
-// Put hash-partitions rel by full tuple across the shards. Each
+// PutKeyed hash-partitions rel by full tuple across the shards. Each
 // partition is written to the shard's primary AND its replica before the
-// whole Put is acknowledged — an acked write survives the loss of either
+// whole put is acknowledged — an acked write survives the loss of either
 // copy, which is what lets promotion guarantee zero acked-write loss.
-func (c *Coordinator) Put(ctx context.Context, name string, rel *relation.Relation) error {
-	return c.PutKeyed(ctx, name, "", rel)
-}
-
-// PutKeyed is Put carrying the client's idempotency key ("" mints one):
-// every shard copy of this logical write — primary, replica, each retry,
-// even the WAL-shipped replay — carries the same per-shard key, so the
-// write commits at most once per node no matter how many times the
-// network makes the coordinator resend it.
+//
+// key is the client's idempotency key ("" mints one): every shard copy of
+// this logical write — primary, replica, each retry, even the WAL-shipped
+// replay — carries the same per-shard key, so the write commits at most
+// once per node no matter how many times the network makes the
+// coordinator resend it.
 func (c *Coordinator) PutKeyed(ctx context.Context, name, key string, rel *relation.Relation) error {
 	if strings.HasPrefix(name, "__") {
 		return fmt.Errorf("cluster: relation name %q is reserved", name)
@@ -507,12 +501,8 @@ func (c *Coordinator) writeBoth(ctx context.Context, slot *shardSlot, op func(*S
 	}
 }
 
-// Delete drops a relation from every shard (primaries and replicas).
-func (c *Coordinator) Delete(ctx context.Context, name string) (bool, error) {
-	return c.DeleteKeyed(ctx, name, "")
-}
-
-// DeleteKeyed is Delete with an idempotency key (see PutKeyed).
+// DeleteKeyed drops a relation from every shard (primaries and replicas),
+// under an idempotency key as PutKeyed's.
 func (c *Coordinator) DeleteKeyed(ctx context.Context, name, key string) (bool, error) {
 	if key == "" {
 		key = c.nextKey(name)

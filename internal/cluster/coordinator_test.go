@@ -83,7 +83,7 @@ func putKV(t *testing.T, c *cluster.Coordinator, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(context.Background(), name, rel); err != nil {
+	if err := c.PutKeyed(context.Background(), name, "", rel); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -229,7 +229,7 @@ func TestPutRequiresReplicaAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Put(context.Background(), "r", rel)
+	err = c.PutKeyed(context.Background(), "r", "", rel)
 	if err == nil || !strings.Contains(err.Error(), "not acked") {
 		t.Fatalf("put with dead replica: err = %v, want replica-ack failure", err)
 	}

@@ -96,14 +96,6 @@ func (r *Ring) Locate(h uint64) int {
 	return r.points[lo].shard
 }
 
-// HashTuple hashes a whole tuple — the partition key of every base
-// relation at PUT time. Equal tuples land on equal shards, which is what
-// makes intersection, difference, union and duplicate removal decompose:
-// every copy of a tuple is on one shard.
-func HashTuple(t relation.Tuple) uint64 {
-	return HashKey(t, nil)
-}
-
 // HashKey hashes the projection of t onto cols (nil = all columns in
 // order). Used by the shuffle paths: repartitioning a join side on its
 // join key, or a dividend on its quotient columns.
@@ -127,11 +119,6 @@ func HashKey(t relation.Tuple, cols []int) uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-// ShardFor returns the shard owning tuple t under full-tuple hashing.
-func (r *Ring) ShardFor(t relation.Tuple) int {
-	return r.Locate(HashTuple(t))
 }
 
 // Partition splits rel into one relation per shard by full-tuple hash.

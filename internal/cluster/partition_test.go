@@ -22,8 +22,8 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 	}
 	counts := make([]int, 4)
 	for i := 0; i < rel.Cardinality(); i++ {
-		s := r1.ShardFor(rel.Tuple(i))
-		if s2 := r2.ShardFor(rel.Tuple(i)); s2 != s {
+		s := r1.Locate(HashKey(rel.Tuple(i), nil))
+		if s2 := r2.Locate(HashKey(rel.Tuple(i), nil)); s2 != s {
 			t.Fatalf("rings over same shard count disagree: %d vs %d", s, s2)
 		}
 		counts[s]++
@@ -69,7 +69,7 @@ func TestRingStabilityAcrossGrowth(t *testing.T) {
 	}
 	moved := 0
 	for i := 0; i < rel.Cardinality(); i++ {
-		if r4.ShardFor(rel.Tuple(i)) != r5.ShardFor(rel.Tuple(i)) {
+		if r4.Locate(HashKey(rel.Tuple(i), nil)) != r5.Locate(HashKey(rel.Tuple(i), nil)) {
 			moved++
 		}
 	}

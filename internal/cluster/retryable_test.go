@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -218,4 +219,22 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Fatalf("parseRetryAfter(%q) = %v, want 0", bad, d)
 		}
 	}
+}
+
+// Healthz fetches the shard's health document: the simplest request these
+// tests can send through ShardClient.do.
+func (c *ShardClient) Healthz(ctx context.Context) (map[string]any, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+	if err != nil {
+		return nil, err
+	}
+	body, err := c.do(req)
+	if err != nil {
+		return nil, err
+	}
+	var out map[string]any
+	if err := json.Unmarshal(body, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -360,23 +360,6 @@ func (c *ShardClient) Ship(ctx context.Context, afterSeq uint64) (*ShipPayload, 
 	return &out, nil
 }
 
-// Healthz fetches the shard's health document.
-func (c *ShardClient) Healthz(ctx context.Context) (map[string]any, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	var out map[string]any
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ShipState folds a ship payload into the durable catalog state it
 // describes, as relation name → typed text table. A full payload is its
 // state verbatim; an incremental one folds put-over-del in log order —

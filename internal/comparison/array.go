@@ -295,9 +295,6 @@ type FixedSchedule struct {
 	NA, NB, M int
 }
 
-// StartPulse returns the pulse at which pair (i, j) is compared in column 0.
-func (s FixedSchedule) StartPulse(i, j int) int { return i + j }
-
 // ExitPulse returns the pulse at which t_ij leaves the array.
 func (s FixedSchedule) ExitPulse(i, j int) int { return i + j + s.M - 1 }
 

@@ -279,3 +279,14 @@ func TestTotalPulsesLinear(t *testing.T) {
 		t.Errorf("pulse count not monotone: %d -> %d", s1.TotalPulses(), s2.TotalPulses())
 	}
 }
+
+// APulse returns the pulse at which element k of A's tuple i enters the top
+// of column k.
+func (s Schedule) APulse(i, k int) int { return s.Alpha + 2*i + k }
+
+// BPulse returns the pulse at which element k of B's tuple j enters the
+// bottom of column k.
+func (s Schedule) BPulse(j, k int) int { return s.Beta + 2*j + k }
+
+// StartPulse returns the pulse at which pair (i, j) is compared in column 0.
+func (s FixedSchedule) StartPulse(i, j int) int { return i + j }

@@ -71,14 +71,6 @@ func NewSchedule(nA, nB, m int) (Schedule, error) {
 	}, nil
 }
 
-// APulse returns the pulse at which element k of A's tuple i enters the top
-// of column k.
-func (s Schedule) APulse(i, k int) int { return s.Alpha + 2*i + k }
-
-// BPulse returns the pulse at which element k of B's tuple j enters the
-// bottom of column k.
-func (s Schedule) BPulse(j, k int) int { return s.Beta + 2*j + k }
-
 // Row returns the row in which the pair (a_i, b_j) is compared.
 func (s Schedule) Row(i, j int) int { return s.NA - 1 + j - i }
 

@@ -199,16 +199,10 @@ func (tl Tiler) T(a, b []relation.Tuple, init comparison.InitFunc) (*comparison.
 	return t, stats, nil
 }
 
-// TiledAccumulate computes the per-tuple OR bits t_i (the intersection
-// array's output, equation 4.1) for a problem larger than the physical
-// array: each tile runs the full comparison+accumulation grid and the
-// block-local t_i are OR-combined across B-tiles.
-func TiledAccumulate(a, b []relation.Tuple, init comparison.InitFunc, size ArraySize) ([]bool, Stats, error) {
-	return Tiler{Size: size}.Accumulate(a, b, init)
-}
-
-// Accumulate is TiledAccumulate through the tiler's runner. A tile's bits
-// are OR-combined into the result only after the runner accepts the tile.
+// Accumulate computes the per-tuple OR bits t_i (the intersection array's
+// output, equation 4.1) for a problem larger than the physical array: each
+// tile runs the full comparison+accumulation grid and the block-local t_i
+// are OR-combined across B-tiles, only after the runner accepts the tile.
 func (tl Tiler) Accumulate(a, b []relation.Tuple, init comparison.InitFunc) ([]bool, Stats, error) {
 	if err := tl.Size.validate(); err != nil {
 		return nil, Stats{}, err
@@ -259,21 +253,11 @@ func (tl Tiler) Accumulate(a, b []relation.Tuple, init comparison.InitFunc) ([]b
 }
 
 // Intersection computes A ∩ B on a fixed-size array via decomposition.
-func Intersection(a, b *relation.Relation, size ArraySize) (*relation.Relation, Stats, error) {
-	return Tiler{Size: size}.Intersection(a, b)
-}
-
-// Intersection computes A ∩ B through the tiler's runner.
 func (tl Tiler) Intersection(a, b *relation.Relation) (*relation.Relation, Stats, error) {
 	return tl.tiledSelect(a, b, true)
 }
 
 // Difference computes A - B on a fixed-size array via decomposition.
-func Difference(a, b *relation.Relation, size ArraySize) (*relation.Relation, Stats, error) {
-	return Tiler{Size: size}.Difference(a, b)
-}
-
-// Difference computes A - B through the tiler's runner.
 func (tl Tiler) Difference(a, b *relation.Relation) (*relation.Relation, Stats, error) {
 	return tl.tiledSelect(a, b, false)
 }
@@ -298,11 +282,6 @@ func (tl Tiler) tiledSelect(a, b *relation.Relation, want bool) (*relation.Relat
 
 // RemoveDuplicates removes duplicate tuples on a fixed-size array via
 // decomposition, using the global triangle mask of §5.
-func RemoveDuplicates(a *relation.Relation, size ArraySize) (*relation.Relation, Stats, error) {
-	return Tiler{Size: size}.RemoveDuplicates(a)
-}
-
-// RemoveDuplicates removes duplicates through the tiler's runner.
 func (tl Tiler) RemoveDuplicates(a *relation.Relation) (*relation.Relation, Stats, error) {
 	if a == nil {
 		return nil, Stats{}, fmt.Errorf("decompose: nil relation")

@@ -65,7 +65,7 @@ func TestTiledIntersectionMatchesSetSemantics(t *testing.T) {
 		relation.Column{Name: "y", Domain: dom})
 	a := relation.MustRelation(schema, mk(rng, 23, 2, 3))
 	b := relation.MustRelation(schema, mk(rng, 9, 2, 3))
-	got, stats, err := Intersection(a, b, ArraySize{5, 4})
+	got, stats, err := Tiler{Size: ArraySize{5, 4}}.Intersection(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTiledIntersectionMatchesSetSemantics(t *testing.T) {
 	if stats.Tiles != 15 { // ceil(23/5)*ceil(9/4) = 5*3
 		t.Errorf("tiles = %d, want 15", stats.Tiles)
 	}
-	diff, _, err := Difference(a, b, ArraySize{5, 4})
+	diff, _, err := Tiler{Size: ArraySize{5, 4}}.Difference(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTiledRemoveDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	schema := relation.MustSchema(relation.Column{Name: "x", Domain: dom})
 	a := relation.MustRelation(schema, mk(rng, 19, 1, 3))
-	got, _, err := RemoveDuplicates(a, ArraySize{4, 6})
+	got, _, err := Tiler{Size: ArraySize{4, 6}}.RemoveDuplicates(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,13 @@ func TestInvalidArraySize(t *testing.T) {
 	if _, _, err := TiledT(nil, nil, nil, ArraySize{0, 5}); err == nil {
 		t.Error("zero capacity not rejected")
 	}
-	if _, _, err := TiledAccumulate(nil, nil, nil, ArraySize{5, -1}); err == nil {
+	if _, _, err := (Tiler{Size: ArraySize{5, -1}}).Accumulate(nil, nil, nil); err == nil {
 		t.Error("negative capacity not rejected")
 	}
 }
 
 func TestTiledEmptyInputs(t *testing.T) {
-	bits, stats, err := TiledAccumulate(nil, nil, nil, ArraySize{4, 4})
+	bits, stats, err := Tiler{Size: ArraySize{4, 4}}.Accumulate(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,9 @@ import (
 	"systolicdb/internal/systolic"
 )
 
-// TiledJoinT computes the join match matrix T for a problem larger than the
+// JoinT computes the join match matrix T for a problem larger than the
 // physical join array by running one join-array pass per tile (§8's
 // decomposition applied to the array of §6).
-func TiledJoinT(aKeys, bKeys []relation.Tuple, ops []cells.Op, size ArraySize) (*comparison.Matrix, Stats, error) {
-	return Tiler{Size: size}.JoinT(aKeys, bKeys, ops)
-}
-
-// JoinT is TiledJoinT through the tiler's runner.
 func (tl Tiler) JoinT(aKeys, bKeys []relation.Tuple, ops []cells.Op) (*comparison.Matrix, Stats, error) {
 	if err := tl.Size.validate(); err != nil {
 		return nil, Stats{}, err
@@ -66,15 +61,10 @@ func (tl Tiler) JoinT(aKeys, bKeys []relation.Tuple, ops []cells.Op) (*compariso
 	return t, stats, nil
 }
 
-// TiledDivision runs the division array for a dividend whose distinct-x
-// count exceeds the physical array's row capacity (size.MaxA rows of
+// Division runs the division array for a dividend whose distinct-x count
+// exceeds the physical array's row capacity (Size.MaxA rows of
 // dividend/divisor processors): the stored x's are partitioned into row
 // bands and the full pair stream is replayed through each band.
-func TiledDivision(pairs []division.Pair, xs, divisor []relation.Element, size ArraySize) ([]bool, Stats, error) {
-	return Tiler{Size: size}.Division(pairs, xs, divisor)
-}
-
-// Division is TiledDivision through the tiler's runner.
 func (tl Tiler) Division(pairs []division.Pair, xs, divisor []relation.Element) ([]bool, Stats, error) {
 	if err := tl.Size.validate(); err != nil {
 		return nil, Stats{}, err

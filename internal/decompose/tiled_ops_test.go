@@ -26,7 +26,7 @@ func TestTiledJoinTMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []ArraySize{{4, 3}, {13, 9}, {1, 1}, {5, 20}} {
-		tiled, st, err := TiledJoinT(a, b, ops, size)
+		tiled, st, err := Tiler{Size: size}.JoinT(a, b, ops)
 		if err != nil {
 			t.Fatalf("size %v: %v", size, err)
 		}
@@ -37,7 +37,7 @@ func TestTiledJoinTMatchesMonolithic(t *testing.T) {
 			t.Errorf("size %v: %d tiles, want %d", size, st.Tiles, size.Tiles(13, 9))
 		}
 	}
-	if _, _, err := TiledJoinT(a, b, ops, ArraySize{0, 1}); err == nil {
+	if _, _, err := (Tiler{Size: ArraySize{0, 1}}).JoinT(a, b, ops); err == nil {
 		t.Error("invalid size not rejected")
 	}
 }
@@ -49,7 +49,7 @@ func TestTiledJoinTThetaOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, _, err := TiledJoinT(a, b, []cells.Op{cells.GT}, ArraySize{2, 1})
+	tiled, _, err := Tiler{Size: ArraySize{2, 1}}.JoinT(a, b, []cells.Op{cells.GT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTiledDivisionMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []ArraySize{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {10, 1}} {
-		tiled, st, err := TiledDivision(pairs, xs, divisor, size)
+		tiled, st, err := Tiler{Size: size}.Division(pairs, xs, divisor)
 		if err != nil {
 			t.Fatalf("size %v: %v", size, err)
 		}
@@ -84,7 +84,7 @@ func TestTiledDivisionMatchesMonolithic(t *testing.T) {
 			t.Errorf("size %v: %d bands, want %d", size, st.Tiles, wantTiles)
 		}
 	}
-	if _, _, err := TiledDivision(pairs, xs, divisor, ArraySize{-1, 1}); err == nil {
+	if _, _, err := (Tiler{Size: ArraySize{-1, 1}}).Division(pairs, xs, divisor); err == nil {
 		t.Error("invalid size not rejected")
 	}
 }
@@ -96,13 +96,13 @@ func TestTiledSelectErrorPaths(t *testing.T) {
 	other := relation.MustRelation(
 		relation.MustSchema(relation.Column{Name: "x", Domain: relation.IntDomain("o")}),
 		[]relation.Tuple{{1}})
-	if _, _, err := Intersection(nil, a, ArraySize{2, 2}); err == nil {
+	if _, _, err := (Tiler{Size: ArraySize{2, 2}}).Intersection(nil, a); err == nil {
 		t.Error("nil relation not rejected")
 	}
-	if _, _, err := Difference(a, other, ArraySize{2, 2}); err == nil {
+	if _, _, err := (Tiler{Size: ArraySize{2, 2}}).Difference(a, other); err == nil {
 		t.Error("incompatible relations not rejected")
 	}
-	if _, _, err := RemoveDuplicates(nil, ArraySize{2, 2}); err == nil {
+	if _, _, err := (Tiler{Size: ArraySize{2, 2}}).RemoveDuplicates(nil); err == nil {
 		t.Error("nil dedup input not rejected")
 	}
 }

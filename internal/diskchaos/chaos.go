@@ -86,10 +86,6 @@ func (c *Chaos) Ops() uint64 { return c.n.Load() }
 // Counts returns per-kind injection totals since the filesystem was built.
 func (c *Chaos) Counts() map[string]int64 { return c.ledger.Counts() }
 
-// Total returns the total number of injections across all kinds except
-// slow (a stall changes timing, not outcomes).
-func (c *Chaos) Total() int64 { return c.ledger.Total() - c.ledger.Counts()[KindSlow] }
-
 // next claims the next operation ordinal and applies the universal
 // faults (slow).
 func (c *Chaos) next() uint64 {

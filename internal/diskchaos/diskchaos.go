@@ -75,8 +75,8 @@ type Spec struct {
 	At []At
 }
 
-// grammar is the spec format, declared once: ParseSpec, Validate, String,
-// Quiet and SpecHelp all read this table, in this (canonical) order.
+// grammar is the spec format, declared once: ParseSpec, Validate, String
+// and SpecHelp all read this table, in this (canonical) order.
 func (s *Spec) grammar() chaos.Grammar {
 	return chaos.Grammar{Layer: "diskchaos", Fields: []chaos.Field{
 		chaos.Seed(&s.Seed),
@@ -97,9 +97,6 @@ func (s *Spec) Validate() error {
 	}
 	return s.grammar().Validate()
 }
-
-// Quiet reports whether the spec injects nothing at all.
-func (s *Spec) Quiet() bool { return s.grammar().Quiet() }
 
 // String renders the spec in the grammar ParseSpec accepts (canonical
 // form: fixed key order).

@@ -251,3 +251,7 @@ func TestSlowStallsEveryOp(t *testing.T) {
 		t.Fatalf("slow must not count toward Total, got %d", c.Total())
 	}
 }
+
+// Total returns the total number of injections across all kinds except
+// slow (a stall changes timing, not outcomes).
+func (c *Chaos) Total() int64 { return c.ledger.Total() - c.ledger.Counts()[KindSlow] }

@@ -30,3 +30,6 @@ func FuzzDiskChaosSpec(f *testing.F) {
 		chaos.FuzzRoundTrip(t, spec, ParseSpec, (*Spec).Quiet)
 	})
 }
+
+// Quiet reports whether the spec injects nothing at all.
+func (s *Spec) Quiet() bool { return s.grammar().Quiet() }

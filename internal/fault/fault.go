@@ -244,9 +244,6 @@ func NewInjector(p *Plan) (*Injector, error) {
 	return &Injector{plan: *p, threshold: chaos.Threshold(p.Rate)}, nil
 }
 
-// Plan returns a copy of the injector's plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
-
 // Injected returns how many cell-pulses have been corrupted so far.
 func (inj *Injector) Injected() int64 { return inj.injected.Load() }
 

@@ -242,20 +242,6 @@ func (e *Executor) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// Injected sums the corrupted cell-pulses across all device injectors.
-func (e *Executor) Injected() int64 {
-	if err := e.init(); err != nil {
-		return 0
-	}
-	var n int64
-	for _, inj := range e.injectors {
-		if inj != nil {
-			n += inj.Injected()
-		}
-	}
-	return n
-}
-
 // pickDevice returns the next healthy device index, or -1.
 func (e *Executor) pickDevice() int {
 	n := len(e.Devices)

@@ -68,24 +68,6 @@ func (d Dir) offset() (int, int) {
 	return 0, 0
 }
 
-func (d Dir) String() string {
-	switch d {
-	case East:
-		return "E"
-	case West:
-		return "W"
-	case South:
-		return "S"
-	case North:
-		return "N"
-	case NorthEast:
-		return "NE"
-	case SouthWest:
-		return "SW"
-	}
-	return fmt.Sprintf("dir(%d)", int(d))
-}
-
 // Coord is an axial hex coordinate.
 type Coord struct{ X, Y int }
 

@@ -166,11 +166,6 @@ func TestDirections(t *testing.T) {
 	if sum != (Coord{0, 0}) {
 		t.Errorf("stream directions do not cancel: %v", sum)
 	}
-	for d := East; d <= SouthWest; d++ {
-		if d.String() == "" {
-			t.Errorf("missing direction name for %d", d)
-		}
-	}
 }
 
 func TestMultiplyQuickProperty(t *testing.T) {

@@ -48,9 +48,6 @@ func New(tracks int, timing perf.Disk) (*Disk, error) {
 	return &Disk{tracks: tracks, timing: timing, data: make([][]relation.Tuple, tracks)}, nil
 }
 
-// Tracks returns the number of tracks.
-func (d *Disk) Tracks() int { return d.tracks }
-
 // Store lays a relation out across the tracks round-robin, replacing any
 // previous contents.
 func (d *Disk) Store(r *relation.Relation) error {
@@ -64,15 +61,6 @@ func (d *Disk) Store(r *relation.Relation) error {
 	}
 	d.schema = r
 	return nil
-}
-
-// Stored returns the number of tuples on the disk.
-func (d *Disk) Stored() int {
-	n := 0
-	for _, tr := range d.data {
-		n += len(tr)
-	}
-	return n
 }
 
 // Select evaluates the query with every track head in parallel during one
@@ -117,10 +105,4 @@ func (d *Disk) Select(q relation.Query) (*relation.Relation, Stats, error) {
 		}
 	}
 	return out, st, nil
-}
-
-// ReadAll returns the whole stored relation (an empty query), also in one
-// revolution.
-func (d *Disk) ReadAll() (*relation.Relation, Stats, error) {
-	return d.Select(nil)
 }

@@ -110,13 +110,3 @@ func (r *Result) RenderGantt(w io.Writer, width int) error {
 		nameW, "", r.Makespan, r.BusyTime, r.Concurrency())
 	return err
 }
-
-// String renders a compact one-line-per-event schedule (for logs).
-func (r *Result) String() string {
-	var b strings.Builder
-	for _, ev := range r.Events {
-		fmt.Fprintf(&b, "%s %s on %s [%v..%v]\n", ev.Task, ev.Op, ev.Resource, ev.Start, ev.End)
-	}
-	fmt.Fprintf(&b, "makespan %v\n", r.Makespan)
-	return b.String()
-}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -100,4 +101,14 @@ func TestResultString(t *testing.T) {
 	if !strings.Contains(s, "join") || !strings.Contains(s, "makespan") {
 		t.Errorf("String() = %q", s)
 	}
+}
+
+// String renders a compact one-line-per-event schedule (for logs).
+func (r *Result) String() string {
+	var b strings.Builder
+	for _, ev := range r.Events {
+		fmt.Fprintf(&b, "%s %s on %s [%v..%v]\n", ev.Task, ev.Op, ev.Resource, ev.Start, ev.End)
+	}
+	fmt.Fprintf(&b, "makespan %v\n", r.Makespan)
+	return b.String()
 }

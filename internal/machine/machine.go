@@ -397,13 +397,6 @@ func Default1980(arraySize int) (*Machine, error) {
 	return New(DefaultConfig1980(arraySize, nil))
 }
 
-// Default1980Fault is Default1980 with fault-tolerant execution enabled: the
-// same three-device machine, injecting and verifying according to fc. A nil
-// fc is identical to Default1980.
-func Default1980Fault(arraySize int, fc *FaultConfig) (*Machine, error) {
-	return New(DefaultConfig1980(arraySize, fc))
-}
-
 // ParseFaultConfig turns the CLI fault flags shared by systolicdb,
 // systolicdbd and experiments into a FaultConfig. An empty spec with no
 // verify mode returns (nil, nil): fault-tolerant execution stays off. A

@@ -31,3 +31,6 @@ func FuzzNetChaosSpec(f *testing.F) {
 		chaos.FuzzRoundTrip(t, spec, ParseSpec, (*Spec).Quiet)
 	})
 }
+
+// Quiet reports whether the spec injects nothing at all.
+func (s *Spec) Quiet() bool { return s.grammar().Quiet() }

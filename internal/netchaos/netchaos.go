@@ -7,17 +7,10 @@
 // acks, injected latency, partitions, flipped response bytes, duplicate
 // delivery.
 //
-// The layer has two injection points:
-//
-//   - Transport: an http.RoundTripper wrapping the coordinator's shard
-//     transport. Every decision (drop? how much latency? corrupt which
-//     byte?) is internal/chaos's seeded hash of the request ordinal, so a
-//     chaos run is exactly reproducible from its spec.
-//
-//   - Proxy: an optional TCP relay for the cases HTTP round-trip
-//     granularity cannot express — torn byte streams (the connection dies
-//     mid-response) and slow-drip transfers (bytes trickle, stalling
-//     readers without ever failing fast).
+// The injection point is Transport, an http.RoundTripper wrapping the
+// coordinator's shard transport. Every decision (drop? how much latency?
+// corrupt which byte?) is internal/chaos's seeded hash of the request
+// ordinal, so a chaos run is exactly reproducible from its spec.
 //
 // Specs are an internal/chaos grammar, like -fault's and -diskchaos's:
 //
@@ -83,8 +76,8 @@ type Spec struct {
 	Partitions []PartitionSpec
 }
 
-// grammar is the spec format, declared once: ParseSpec, Validate, String,
-// Quiet and SpecHelp all read this table, in this (canonical) order.
+// grammar is the spec format, declared once: ParseSpec, Validate, String
+// and SpecHelp all read this table, in this (canonical) order.
 func (s *Spec) grammar() chaos.Grammar {
 	return chaos.Grammar{Layer: "netchaos", Fields: []chaos.Field{
 		chaos.Seed(&s.Seed),
@@ -106,9 +99,6 @@ func (s *Spec) Validate() error {
 	}
 	return s.grammar().Validate()
 }
-
-// Quiet reports whether the spec injects nothing at all.
-func (s *Spec) Quiet() bool { return s.grammar().Quiet() }
 
 // String renders the spec in the grammar ParseSpec accepts (canonical
 // form: fixed key order, "±" jitter, "delay+dur" windows).

@@ -403,57 +403,8 @@ func TestTransportDeterministic(t *testing.T) {
 	}
 }
 
-func TestProxyTearAfter(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Write(bytes.Repeat([]byte("x"), 64<<10))
-	}))
-	defer ts.Close()
-	target := strings.TrimPrefix(ts.URL, "http://")
-	p, err := NewProxy(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p.SetTearAfter(1024)
+// Counts returns per-kind injection totals since the transport was built.
+func (t *Transport) Counts() map[string]int64 { return t.ledger.Counts() }
 
-	resp, err := http.Get("http://" + p.Addr())
-	if err == nil {
-		_, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-	}
-	if err == nil {
-		t.Fatal("torn stream delivered a complete body")
-	}
-	if p.Torn() == 0 {
-		t.Fatal("proxy reported no torn connections")
-	}
-}
-
-func TestProxyDrip(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Write([]byte("hello"))
-	}))
-	defer ts.Close()
-	p, err := NewProxy(strings.TrimPrefix(ts.URL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p.SetDripEvery(2 * time.Millisecond)
-
-	start := time.Now()
-	resp, err := http.Get("http://" + p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || string(body) != "hello" {
-		t.Fatalf("drip read: %q, %v", body, err)
-	}
-	// Headers + 5 body bytes dripped one at a time: the transfer cannot
-	// complete instantly.
-	if time.Since(start) < 20*time.Millisecond {
-		t.Fatalf("drip completed too fast: %v", time.Since(start))
-	}
-}
+// Total returns the total number of injections across all kinds.
+func (t *Transport) Total() int64 { return t.ledger.Total() }

@@ -83,12 +83,6 @@ func NewTransport(spec *Spec, base http.RoundTripper, reg *obs.Registry) *Transp
 	}
 }
 
-// Counts returns per-kind injection totals since the transport was built.
-func (t *Transport) Counts() map[string]int64 { return t.ledger.Counts() }
-
-// Total returns the total number of injections across all kinds.
-func (t *Transport) Total() int64 { return t.ledger.Total() }
-
 // partitioned reports whether a partition window covers host right now,
 // and whether that window is one-way (deliver request, drop response).
 func (t *Transport) partitioned(host string) (hit, oneWay bool) {

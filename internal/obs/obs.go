@@ -150,16 +150,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean returns the average observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // BucketCount is one cumulative histogram bucket in a snapshot.
 type BucketCount struct {
 	LE    float64 // upper bound; +Inf for the overflow bucket

@@ -100,19 +100,6 @@ func (t Technology) ParallelComparisons() int {
 	return t.ComparatorsPerChip() * t.Chips
 }
 
-// ComparisonsPerSecond returns the device's aggregate comparison
-// throughput.
-func (t Technology) ComparisonsPerSecond() float64 {
-	return float64(t.ParallelComparisons()) / t.ComparisonTime.Seconds()
-}
-
-// PinLimited reports whether pin bandwidth would throttle the comparators:
-// the paper argues it does not, "since the time for a comparison is large
-// relative to off-chip transfer time (<30ns)".
-func (t Technology) PinLimited() bool {
-	return t.ComparisonTime < t.OffChipTransfer
-}
-
 // Workload is the §8 "typical relation" sizing.
 type Workload struct {
 	TupleBits int // "A tuple is of size 1500 bits (or about 200 characters)"
@@ -162,34 +149,6 @@ func (t Technology) Scaled(density float64) Technology {
 	out.Name = fmt.Sprintf("%s-x%g", t.Name, density)
 	out.BitComparatorWidth = t.BitComparatorWidth / density
 	return out
-}
-
-// ComparatorsForArray returns the number of bit comparators a physical
-// comparison array of the given shape requires: rows x cols word
-// processors, each partitioned into width bit processors (§8's word→bit
-// transformation).
-func ComparatorsForArray(rows, cols, width int) int {
-	if rows <= 0 || cols <= 0 || width <= 0 {
-		return 0
-	}
-	return rows * cols * width
-}
-
-// ChipsFor returns the number of chips needed to host the given number of
-// bit comparators under this technology, rounding up.
-func (t Technology) ChipsFor(comparators int) int {
-	per := t.ComparatorsPerChip()
-	if per <= 0 || comparators <= 0 {
-		return 0
-	}
-	return (comparators + per - 1) / per
-}
-
-// DeviceFits reports whether an array shape fits on this technology's
-// device ("it is practical to construct devices involving a few thousand
-// chips").
-func (t Technology) DeviceFits(rows, cols, width int) bool {
-	return t.ChipsFor(ComparatorsForArray(rows, cols, width)) <= t.Chips
 }
 
 // PulseTime converts a simulated pulse count into modelled wall-clock time:
@@ -244,31 +203,4 @@ func (d Disk) TimeToRead(bytes float64) time.Duration {
 func KeepsUpWithDisk(t Technology, d Disk, w Workload, slack float64) bool {
 	diskTime := d.TimeToRead(w.RelationBytes() + float64(w.TupleBits)/8*float64(w.TuplesB))
 	return t.IntersectionTime(w) <= time.Duration(slack*float64(diskTime))
-}
-
-// Report is a line-item rendering of the §8 arithmetic for a technology and
-// workload, used by cmd/experiments.
-type Report struct {
-	Technology          string
-	ComparatorsPerChip  int
-	ParallelComparisons int
-	TotalBitComparisons float64
-	IntersectionTime    time.Duration
-	RelationMB          float64
-	DiskRevolution      time.Duration
-	DiskRateMBps        float64
-}
-
-// BuildReport evaluates the full §8 model.
-func BuildReport(t Technology, d Disk, w Workload) Report {
-	return Report{
-		Technology:          t.Name,
-		ComparatorsPerChip:  t.ComparatorsPerChip(),
-		ParallelComparisons: t.ParallelComparisons(),
-		TotalBitComparisons: w.TotalBitComparisons(),
-		IntersectionTime:    t.IntersectionTime(w),
-		RelationMB:          w.RelationBytes() / 1e6,
-		DiskRevolution:      d.RevolutionTime(),
-		DiskRateMBps:        d.TransferRate() / 1e6,
-	}
 }

@@ -184,3 +184,65 @@ func TestDegenerateDisk(t *testing.T) {
 		t.Error("zero-valued disk should report zeros, not panic or divide by zero")
 	}
 }
+
+// PinLimited reports whether pin bandwidth would throttle the comparators:
+// the paper argues it does not, "since the time for a comparison is large
+// relative to off-chip transfer time (<30ns)".
+func (t Technology) PinLimited() bool {
+	return t.ComparisonTime < t.OffChipTransfer
+}
+
+// ComparatorsForArray returns the number of bit comparators a physical
+// comparison array of the given shape requires: rows x cols word
+// processors, each partitioned into width bit processors (§8's word→bit
+// transformation).
+func ComparatorsForArray(rows, cols, width int) int {
+	if rows <= 0 || cols <= 0 || width <= 0 {
+		return 0
+	}
+	return rows * cols * width
+}
+
+// ChipsFor returns the number of chips needed to host the given number of
+// bit comparators under this technology, rounding up.
+func (t Technology) ChipsFor(comparators int) int {
+	per := t.ComparatorsPerChip()
+	if per <= 0 || comparators <= 0 {
+		return 0
+	}
+	return (comparators + per - 1) / per
+}
+
+// DeviceFits reports whether an array shape fits on this technology's
+// device ("it is practical to construct devices involving a few thousand
+// chips").
+func (t Technology) DeviceFits(rows, cols, width int) bool {
+	return t.ChipsFor(ComparatorsForArray(rows, cols, width)) <= t.Chips
+}
+
+// Report is a line-item rendering of the §8 arithmetic for a technology and
+// workload.
+type Report struct {
+	Technology          string
+	ComparatorsPerChip  int
+	ParallelComparisons int
+	TotalBitComparisons float64
+	IntersectionTime    time.Duration
+	RelationMB          float64
+	DiskRevolution      time.Duration
+	DiskRateMBps        float64
+}
+
+// BuildReport evaluates the full §8 model.
+func BuildReport(t Technology, d Disk, w Workload) Report {
+	return Report{
+		Technology:          t.Name,
+		ComparatorsPerChip:  t.ComparatorsPerChip(),
+		ParallelComparisons: t.ParallelComparisons(),
+		TotalBitComparisons: w.TotalBitComparisons(),
+		IntersectionTime:    t.IntersectionTime(w),
+		RelationMB:          w.RelationBytes() / 1e6,
+		DiskRevolution:      d.RevolutionTime(),
+		DiskRateMBps:        d.TransferRate() / 1e6,
+	}
+}

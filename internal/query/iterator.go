@@ -806,17 +806,3 @@ func (d *driver) openPair(ln, rn Node, compatible bool) (TupleIterator, TupleIte
 	}
 	return l, r, nil
 }
-
-// Open builds the streaming iterator tree for a plan without running it
-// (an iterator is being asked for, so Options.Streaming is implied). The
-// rest of o applies as in ExecuteCtx: blocking nodes run on o.Backend's
-// kernel and record their spans into o.Metrics, and o.Stats is filled in
-// as tuples are pulled. The context is observed by every iterator at batch
-// granularity. Callers must Close the iterator and check Err after the
-// final Next.
-func Open(ctx context.Context, n Node, cat Catalog, o *Options) (TupleIterator, error) {
-	if n == nil {
-		return nil, fmt.Errorf("query: nil plan node")
-	}
-	return newDriver(ctx, cat, o, true).open(n)
-}

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -367,4 +368,18 @@ func TestPushdownReducesTiles(t *testing.T) {
 	if !got.EqualAsMultiset(host) {
 		t.Error("pushed-down machine result differs from host select-over-join")
 	}
+}
+
+// Open builds the streaming iterator tree for a plan without running it
+// (an iterator is being asked for, so Options.Streaming is implied). The
+// rest of o applies as in ExecuteCtx: blocking nodes run on o.Backend's
+// kernel and record their spans into o.Metrics, and o.Stats is filled in
+// as tuples are pulled. The context is observed by every iterator at batch
+// granularity. Callers must Close the iterator and check Err after the
+// final Next.
+func Open(ctx context.Context, n Node, cat Catalog, o *Options) (TupleIterator, error) {
+	if n == nil {
+		return nil, fmt.Errorf("query: nil plan node")
+	}
+	return newDriver(ctx, cat, o, true).open(n)
 }

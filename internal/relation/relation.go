@@ -331,18 +331,6 @@ func (r *Relation) ProjectColumns(cols []int) (*Relation, error) {
 	return out, nil
 }
 
-// Column returns the values of column c, in tuple order.
-func (r *Relation) Column(c int) ([]Element, error) {
-	if c < 0 || c >= r.Width() {
-		return nil, fmt.Errorf("relation: column %d out of range [0,%d)", c, r.Width())
-	}
-	out := make([]Element, len(r.tuples))
-	for i, t := range r.tuples {
-		out[i] = t[c]
-	}
-	return out, nil
-}
-
 // Contains reports whether some tuple of r equals t.
 func (r *Relation) Contains(t Tuple) bool {
 	for _, u := range r.tuples {

@@ -221,16 +221,6 @@ func TestSelectConcatProject(t *testing.T) {
 	if p.Width() != 1 || p.Tuple(2)[0] != 3 {
 		t.Errorf("ProjectColumns wrong: %v", p)
 	}
-	col, err := r.Column(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(col) != 3 || col[1] != 2 {
-		t.Errorf("Column = %v", col)
-	}
-	if _, err := r.Column(9); err == nil {
-		t.Error("bad column index not rejected")
-	}
 }
 
 func TestDedupSortedEqualAsSet(t *testing.T) {

@@ -42,11 +42,6 @@ func NewCatalog() *Catalog {
 	return &Catalog{rels: query.Catalog{}, domains: NewDomainPool()}
 }
 
-// Domains returns the catalog's shared domain pool. Relations loaded
-// through the same pool share underlying domains, which is what makes
-// them union-compatible and joinable across separate loads.
-func (c *Catalog) Domains() *DomainPool { return c.domains }
-
 // Snapshot returns the current published relation map. The returned
 // query.Catalog is immutable by construction — Put/Delete build new maps —
 // so callers may hold and read it for as long as they like (e.g. for the
@@ -55,13 +50,6 @@ func (c *Catalog) Snapshot() query.Catalog {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.rels
-}
-
-// Version returns the current mutation counter (see the field docs).
-func (c *Catalog) Version() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.version
 }
 
 // SnapshotVersion returns the relation map and the version it was

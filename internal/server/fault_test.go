@@ -61,7 +61,7 @@ func TestDegradedMachineQuery(t *testing.T) {
 	if !resp.Degraded {
 		t.Error("response not marked degraded despite machine giving up")
 	}
-	if !s.Health().Degraded() {
+	if !s.health.Degraded() {
 		t.Fatal("no device quarantined after an always-failing machine query")
 	}
 
@@ -109,8 +109,8 @@ func TestDegradedMachineQuery(t *testing.T) {
 	}
 
 	// An operator revive clears the degradation.
-	for _, name := range s.Health().QuarantinedNames() {
-		s.Health().Revive(name)
+	for _, name := range s.health.QuarantinedNames() {
+		s.health.Revive(name)
 	}
 	_, body = do(t, "GET", ts.URL+"/healthz", "")
 	if !strings.Contains(body, `"status":"ok"`) {

@@ -336,25 +336,8 @@ func New(cfg Config) *Server {
 // Catalog exposes the server's relation catalog (for preloading at boot).
 func (s *Server) Catalog() *Catalog { return s.cat }
 
-// Health exposes the process-wide quarantine tracker (nil when the fault
-// layer is off). Operators revive quarantined devices through it.
-func (s *Server) Health() *fault.Health { return s.health }
-
-// Metrics exposes the server's registry.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
 // Handler returns the routed HTTP handler (useful under httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Serve runs the service on addr until Shutdown. It returns
-// http.ErrServerClosed after a clean shutdown, like net/http.
-func (s *Server) Serve(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeListener(ln)
-}
 
 // ServeListener runs the service on an existing listener (which lets the
 // daemon bind ":0" and report the kernel-chosen port before serving).
@@ -576,11 +559,6 @@ func (s *Server) commitDelete(name, key string) (bool, error) {
 // own log stays exactly as durable as the primary's.
 func (s *Server) CommitPut(name string, rel *relation.Relation) error {
 	return s.commitPut(name, "", rel)
-}
-
-// CommitDelete is the exported durable delete path (see CommitPut).
-func (s *Server) CommitDelete(name string) (bool, error) {
-	return s.commitDelete(name, "")
 }
 
 // Replicator adapts this server's durable commit path to the cluster

@@ -219,7 +219,7 @@ type Grid struct {
 	prev, outs []Outputs // row-major output planes: previous pulse, this pulse
 	stats      Stats
 	trace      Tracer
-	workers    int        // goroutines used per pulse (<=1: serial)
+	workers    int        // goroutines used per pulse (<=1: serial); set only by tests
 	latchBuf   [][]Inputs // this pulse's latched inputs, filled only for a tracer
 }
 
@@ -251,15 +251,6 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 	}
 	return g, nil
 }
-
-// Rows returns the number of rows.
-func (g *Grid) Rows() int { return g.rows }
-
-// Cols returns the number of columns.
-func (g *Grid) Cols() int { return g.cols }
-
-// Cell returns the processor at (row, col).
-func (g *Grid) Cell(row, col int) Cell { return g.cells[row*g.cols+col] }
 
 // Feed registers the feeder for a boundary input port. For North/South the
 // index is a column; for East/West it is a row. Feeding a port twice
@@ -293,15 +284,6 @@ func (g *Grid) checkPort(side Side, index int) error {
 
 // SetTracer installs a tracer (nil disables tracing).
 func (g *Grid) SetTracer(t Tracer) { g.trace = t }
-
-// SetParallelism sets how many goroutines step the grid each pulse. Values
-// below 2 select the serial path. Because every cell's outputs depend only
-// on the previous pulse's output plane, rows can be latched and stepped
-// concurrently without changing any result — the synchronous-hardware
-// property the engine models is exactly what makes this safe. Parallel runs
-// produce bit-identical results and statistics to serial runs (tested), but
-// only pay off on grids with thousands of cells.
-func (g *Grid) SetParallelism(workers int) { g.workers = workers }
 
 // Reset clears all wires and statistics and resets every cell's registers.
 func (g *Grid) Reset() {

@@ -208,7 +208,7 @@ func TestResetClearsState(t *testing.T) {
 	if st := g.Stats(); st.Pulses != 0 || st.ActiveSteps != 0 {
 		t.Errorf("Reset left stats %+v", st)
 	}
-	c := g.Cell(0, 0).(*countCell)
+	c := g.cells[0].(*countCell)
 	if c.active != 0 {
 		t.Error("Reset did not reset the cell")
 	}

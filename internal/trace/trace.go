@@ -126,21 +126,3 @@ func (r *Recorder) RenderRange(w io.Writer, from, to int) error {
 	}
 	return nil
 }
-
-// ActiveCells returns how many cells had at least one token latched at the
-// given pulse (0 if not recorded) — used by utilization inspection tests.
-func (r *Recorder) ActiveCells(pulse int) int {
-	s, ok := r.Snapshot(pulse)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for i := range s.Latched {
-		for j := range s.Latched[i] {
-			if s.Latched[i][j].Any() {
-				n++
-			}
-		}
-	}
-	return n
-}

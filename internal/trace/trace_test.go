@@ -134,3 +134,21 @@ func TestActiveCellsGrowsThenDrains(t *testing.T) {
 		t.Error("out-of-range pulse should report 0")
 	}
 }
+
+// ActiveCells returns how many cells had at least one token latched at the
+// given pulse (0 if not recorded) — used by utilization inspection tests.
+func (r *Recorder) ActiveCells(pulse int) int {
+	s, ok := r.Snapshot(pulse)
+	if !ok {
+		return 0
+	}
+	n := 0
+	for i := range s.Latched {
+		for j := range s.Latched[i] {
+			if s.Latched[i][j].Any() {
+				n++
+			}
+		}
+	}
+	return n
+}

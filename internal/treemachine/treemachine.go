@@ -10,8 +10,8 @@
 // tokens travel from the root toward the leaves (one level per pulse, both
 // children), and result tokens travel from the leaves toward the root. An
 // internal node combines aligned boolean results (OR) instantly, but value
-// results (join pairs, division witnesses) must be *funnelled*: a node can
-// forward only one value per pulse toward its parent and queues the rest.
+// results (join pairs) must be *funnelled*: a node can forward only one
+// value per pulse toward its parent and queues the rest.
 // This funnelling serialisation is the architectural contrast with the
 // systolic arrays — and the reason the paper calls for "a detailed
 // comparison of these and other database machine structures" (experiment
@@ -26,24 +26,8 @@ import (
 
 // Stats aggregates activity counters for tree-machine operations.
 type Stats struct {
-	Pulses      int // synchronous pulses executed
-	Nodes       int // nodes in the tree (2*leaves - 1)
-	NodeSteps   int // Pulses * Nodes
-	ActiveSteps int // node-pulses during which the node processed a token
-}
-
-// Utilization returns ActiveSteps / NodeSteps.
-func (s Stats) Utilization() float64 {
-	if s.NodeSteps == 0 {
-		return 0
-	}
-	return float64(s.ActiveSteps) / float64(s.NodeSteps)
-}
-
-func (s *Stats) add(o Stats) {
-	s.Pulses += o.Pulses
-	s.NodeSteps += o.NodeSteps
-	s.ActiveSteps += o.ActiveSteps
+	Pulses int // synchronous pulses executed
+	Nodes  int // nodes in the tree (2*leaves - 1)
 }
 
 // downToken is an instruction/data token broadcast toward the leaves.
@@ -58,7 +42,6 @@ type downKind int
 const (
 	loadKind  downKind = iota // store tuple at leaf idx
 	markKind                  // flag |= (stored == tuple)
-	dedupKind                 // flag |= (stored == tuple && leafIdx > idx)
 	flagsKind                 // respond with (leafIdx, flag)
 	probeKind                 // respond with leafIdx if key columns match
 )
@@ -121,12 +104,6 @@ func (t *Tree) resetWires() {
 	}
 }
 
-// Leaves returns the leaf count.
-func (t *Tree) Leaves() int { return t.leaves }
-
-// Depth returns the tree depth (root at level 0, leaves at level Depth).
-func (t *Tree) Depth() int { return t.depth }
-
 // Stats returns the accumulated statistics.
 func (t *Tree) Stats() Stats { return t.stats }
 
@@ -134,7 +111,6 @@ func (t *Tree) Stats() Stats { return t.stats }
 // simulates until all traffic drains. collect receives result tokens as
 // they leave the root.
 func (t *Tree) run(stream []downToken, collect func(upToken)) {
-	nodes := 2*t.leaves - 1
 	pulse := 0
 	fed := 0
 	for {
@@ -143,14 +119,12 @@ func (t *Tree) run(stream []downToken, collect func(upToken)) {
 		// deepest level first so a token moves one level per pulse.
 		if tok := t.down[t.depth]; tok != nil {
 			// Token reaches the leaves: every leaf processes it.
-			t.stats.ActiveSteps += t.leaves
 			t.leafProcess(*tok)
 			t.down[t.depth] = nil
 			busy = true
 		}
 		for l := t.depth - 1; l >= 0; l-- {
 			if tok := t.down[l]; tok != nil {
-				t.stats.ActiveSteps += 1 << l
 				t.down[l+1] = tok
 				t.down[l] = nil
 				busy = true
@@ -173,7 +147,6 @@ func (t *Tree) run(stream []downToken, collect func(upToken)) {
 					continue
 				}
 				busy = true
-				t.stats.ActiveSteps++
 				head := q[0]
 				t.upQueue[l][i] = q[1:]
 				if l == 0 {
@@ -193,7 +166,6 @@ func (t *Tree) run(stream []downToken, collect func(upToken)) {
 		pulse++
 	}
 	t.stats.Pulses += pulse
-	t.stats.NodeSteps += pulse * nodes
 }
 
 // leafProcess applies a broadcast token at every leaf.
@@ -206,12 +178,6 @@ func (t *Tree) leafProcess(tok downToken) {
 	case markKind:
 		for i, s := range t.stored {
 			if s != nil && t.matches(s, tok.tuple) {
-				t.flags[i] = true
-			}
-		}
-	case dedupKind:
-		for i, s := range t.stored {
-			if s != nil && i > tok.idx && s.Equal(tok.tuple) {
 				t.flags[i] = true
 			}
 		}
@@ -294,23 +260,6 @@ func (t *Tree) Intersect(b []relation.Tuple, nLoaded int) ([]bool, error) {
 	return t.readFlags(nLoaded), nil
 }
 
-// Dedup computes the duplicate bit of every loaded tuple: tuple i is a
-// duplicate iff an equal tuple with smaller index exists. The loaded
-// relation is streamed against itself with index masking, matching the
-// remove-duplicates semantics of the systolic array (§5).
-func (t *Tree) Dedup(nLoaded int) ([]bool, error) {
-	t.keyCol = nil
-	stream := make([]downToken, 0, nLoaded)
-	for j := 0; j < nLoaded; j++ {
-		if t.stored[j] == nil {
-			return nil, fmt.Errorf("treemachine: leaf %d empty", j)
-		}
-		stream = append(stream, downToken{kind: dedupKind, tuple: t.stored[j].Clone(), idx: j})
-	}
-	t.run(stream, nil)
-	return t.readFlags(nLoaded), nil
-}
-
 // JoinPairs probes the loaded relation with each key of b (projected onto
 // bCols) and returns the matching (i, j) index pairs. aCols configures
 // which stored columns form the key. Every match is a value result that
@@ -332,69 +281,4 @@ func (t *Tree) JoinPairs(aCols []int, b []relation.Tuple, bCols []int) ([][2]int
 	})
 	t.keyCol = nil
 	return pairs, nil
-}
-
-// Difference computes the membership bit of every loaded tuple NOT being in
-// relation b — the tree-machine difference is the intersection marking with
-// the readout inverted, the same observation as the paper's §4.3 inverter.
-func (t *Tree) Difference(b []relation.Tuple, nLoaded int) ([]bool, error) {
-	bits, err := t.Intersect(b, nLoaded)
-	if err != nil {
-		return nil, err
-	}
-	for i := range bits {
-		bits[i] = !bits[i]
-	}
-	return bits, nil
-}
-
-// Union computes A ∪ B on a fresh pass: the concatenation A+B is loaded and
-// deduplicated, returning the keep-bit per concatenated tuple (TRUE =
-// belongs to the union), mirroring the §5 construction on the systolic
-// remove-duplicates array.
-func (t *Tree) Union(a, b []relation.Tuple) ([]bool, error) {
-	cat := make([]relation.Tuple, 0, len(a)+len(b))
-	cat = append(cat, a...)
-	cat = append(cat, b...)
-	if err := t.Load(cat); err != nil {
-		return nil, err
-	}
-	dup, err := t.Dedup(len(cat))
-	if err != nil {
-		return nil, err
-	}
-	keep := make([]bool, len(cat))
-	for i := range keep {
-		keep[i] = !dup[i]
-	}
-	return keep, nil
-}
-
-// Divide computes the quotient bits for a binary dividend loaded into the
-// leaves (pairs (x, y) as two-element tuples) against a unary divisor: for
-// each divisor element the leaves whose y matches respond with their x;
-// the host accumulates per-x coverage. xs lists the distinct x values; the
-// returned slice parallels xs.
-func (t *Tree) Divide(xs []relation.Element, divisor []relation.Element, nLoaded int) ([]bool, error) {
-	covered := make(map[relation.Element]int)
-	for d, y := range divisor {
-		t.keyCol = []int{1}
-		probe := relation.Tuple{y}
-		seen := make(map[relation.Element]bool)
-		t.run([]downToken{{kind: probeKind, tuple: probe, idx: d}}, func(u upToken) {
-			if u.leaf < nLoaded && t.stored[u.leaf] != nil {
-				x := t.stored[u.leaf][0]
-				if !seen[x] {
-					seen[x] = true
-					covered[x]++
-				}
-			}
-		})
-	}
-	t.keyCol = nil
-	out := make([]bool, len(xs))
-	for i, x := range xs {
-		out[i] = covered[x] == len(divisor)
-	}
-	return out, nil
 }

@@ -28,8 +28,8 @@ func TestNewRoundsUpToPowerOfTwo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Leaves() != c.leaves || tr.Depth() != c.depth {
-			t.Errorf("New(%d): leaves=%d depth=%d, want %d/%d", c.cap, tr.Leaves(), tr.Depth(), c.leaves, c.depth)
+		if tr.leaves != c.leaves || tr.depth != c.depth {
+			t.Errorf("New(%d): leaves=%d depth=%d, want %d/%d", c.cap, tr.leaves, tr.depth, c.leaves, c.depth)
 		}
 	}
 	if _, err := New(0); err == nil {
@@ -59,27 +59,6 @@ func TestIntersect(t *testing.T) {
 	}
 	if tr.Stats().Pulses == 0 {
 		t.Error("no pulses counted")
-	}
-}
-
-func TestDedup(t *testing.T) {
-	a := tuples([]int64{1}, []int64{2}, []int64{1}, []int64{1}, []int64{3})
-	tr, err := New(len(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Load(a); err != nil {
-		t.Fatal(err)
-	}
-	bits, err := tr.Dedup(len(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{false, false, true, true, false}
-	for i := range want {
-		if bits[i] != want[i] {
-			t.Errorf("dup[%d] = %v, want %v", i, bits[i], want[i])
-		}
 	}
 }
 
@@ -138,25 +117,6 @@ func TestJoinFunnelSerialisation(t *testing.T) {
 	}
 }
 
-func TestDivide(t *testing.T) {
-	// Pairs (x, y): x=1 covers {10,20}; x=2 covers only {10}.
-	a := tuples([]int64{1, 10}, []int64{1, 20}, []int64{2, 10})
-	tr, err := New(len(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Load(a); err != nil {
-		t.Fatal(err)
-	}
-	bits, err := tr.Divide([]relation.Element{1, 2}, []relation.Element{10, 20}, len(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bits[0] || bits[1] {
-		t.Errorf("divide bits = %v, want [true false]", bits)
-	}
-}
-
 func TestIntersectRandomAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
@@ -195,58 +155,6 @@ func TestIntersectRandomAgainstReference(t *testing.T) {
 	}
 }
 
-func TestDifferenceComplementsIntersect(t *testing.T) {
-	a := tuples([]int64{1}, []int64{2}, []int64{3})
-	b := tuples([]int64{2})
-	tr, err := New(len(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Load(a); err != nil {
-		t.Fatal(err)
-	}
-	diff, err := tr.Difference(b, len(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{true, false, true}
-	for i := range want {
-		if diff[i] != want[i] {
-			t.Errorf("diff[%d] = %v, want %v", i, diff[i], want[i])
-		}
-	}
-}
-
-func TestUnionOnTree(t *testing.T) {
-	a := tuples([]int64{1}, []int64{2})
-	b := tuples([]int64{2}, []int64{3})
-	tr, err := New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep, err := tr.Union(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Concatenation [1 2 2 3]: the second 2 is dropped.
-	want := []bool{true, true, false, true}
-	for i := range want {
-		if keep[i] != want[i] {
-			t.Errorf("keep[%d] = %v, want %v", i, keep[i], want[i])
-		}
-	}
-}
-
-func TestUnionOverCapacity(t *testing.T) {
-	tr, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Union(tuples([]int64{1}, []int64{2}), tuples([]int64{3})); err == nil {
-		t.Error("over-capacity union not rejected")
-	}
-}
-
 func TestLoadOverCapacity(t *testing.T) {
 	tr, err := New(2)
 	if err != nil {
@@ -254,20 +162,5 @@ func TestLoadOverCapacity(t *testing.T) {
 	}
 	if err := tr.Load(tuples([]int64{1}, []int64{2}, []int64{3})); err == nil {
 		t.Error("overfull load not rejected")
-	}
-}
-
-func TestUtilizationBounded(t *testing.T) {
-	a := tuples([]int64{1}, []int64{2}, []int64{3}, []int64{4})
-	tr, _ := New(4)
-	if err := tr.Load(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Intersect(a, 4); err != nil {
-		t.Fatal(err)
-	}
-	u := tr.Stats().Utilization()
-	if u <= 0 || u > 1 {
-		t.Errorf("utilization %.3f out of (0,1]", u)
 	}
 }

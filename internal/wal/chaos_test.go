@@ -71,7 +71,7 @@ func TestRotateCreateFailureKeepsLogUsable(t *testing.T) {
 // TestRotateReopenFailureWedgesAndRepairs pins the defined failed state:
 // when both the rotation and the reopen of the sealed segment fail, the
 // log wedges — appends refuse with an error instead of writing through a
-// broken handle — and Repair returns it to service with no acked loss.
+// broken handle — and Probe returns it to service with no acked loss.
 func TestRotateReopenFailureWedgesAndRepairs(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &failFS{FS: diskchaos.OS}
@@ -94,16 +94,16 @@ func TestRotateReopenFailureWedgesAndRepairs(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "wedged") {
 		t.Fatalf("append on a wedged log: error %q does not name the state", err)
 	}
-	// The disk heals; Repair restores service.
+	// The disk heals; Probe restores service.
 	ffs.failCreate, ffs.failReopen = false, false
-	if err := l.Repair(); err != nil {
-		t.Fatalf("Repair on a healed disk: %v", err)
+	if err := l.Probe(); err != nil {
+		t.Fatalf("Probe on a healed disk: %v", err)
 	}
 	if l.Wedged() != nil {
-		t.Fatal("log still wedged after successful Repair")
+		t.Fatal("log still wedged after successful Probe")
 	}
 	if err := l.AppendPut("b", testRel(t, 2, "bob")); err != nil {
-		t.Fatalf("append after Repair: %v", err)
+		t.Fatalf("append after Probe: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func runFaultedWorkload(t *testing.T, dir string, spec *diskchaos.Spec) (map[str
 		name := fmt.Sprintf("w%d", i)
 		rel := testRel(t, i, fmt.Sprintf("row%d", i), i+100, "pad")
 		if err := l.AppendPut(name, rel); err != nil {
-			l.Repair() // may fail; later appends then refuse, which is fine
+			l.Probe() // may fail; later appends then refuse, which is fine
 			return
 		}
 		state[name] = rel
@@ -176,7 +176,7 @@ func runFaultedWorkload(t *testing.T, dir string, spec *diskchaos.Spec) (map[str
 		delete(acked, "w0")
 		delete(state, "w0")
 	} else {
-		l.Repair()
+		l.Probe()
 	}
 	l.Close() // a wedged close can error; recovery below is the judge
 	return acked, c

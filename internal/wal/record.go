@@ -254,16 +254,20 @@ type frameResult struct {
 //
 // The ambiguity this resolves: after SIGKILL the filesystem may persist
 // any prefix of the final append — including, on some filesystems, the
-// file-size update with zero-filled or garbage data pages. Any failure
-// whose damage extends to end-of-file is therefore attributed to a torn
-// final write. A bad frame with intact data after it cannot be a torn
-// append (appends only ever extend the file), so it is hard corruption.
+// file-size update with zero-filled or garbage data pages. A failure whose
+// damage extends to end-of-file is therefore attributed to a torn final
+// write, unless a complete, CRC-valid frame of plausible length starts
+// anywhere after the failing offset. The writer only appends, so a real
+// torn tail holds at most one partial frame: a bad frame with an intact
+// one after it (say, a length field flipped to run past end-of-file) is
+// hard corruption, and recovery must not truncate the acked frames behind
+// it.
 func scanFrames(data []byte, allowTorn bool, fn func(off int64, payload []byte) error) frameResult {
 	off := 0
 	for off < len(data) {
 		rem := len(data) - off
 		if rem < frameHeaderSize {
-			return tornOrCorrupt(off, rem, allowTorn, fmt.Errorf("wal: %d-byte partial frame header at offset %d", rem, off))
+			return tornOrCorrupt(data, off, allowTorn, fmt.Errorf("wal: %d-byte partial frame header at offset %d", rem, off))
 		}
 		n := binary.LittleEndian.Uint32(data[off:])
 		crc := binary.LittleEndian.Uint32(data[off+4:])
@@ -277,10 +281,10 @@ func scanFrames(data []byte, allowTorn bool, fn func(off int64, payload []byte) 
 			// explainable as a torn final write; one followed by more
 			// data is not.
 			torn := allowTorn && int64(n) > int64(rem-frameHeaderSize)
-			return tornOrCorrupt(off, rem, torn, fmt.Errorf("wal: implausible record length %d at offset %d", n, off))
+			return tornOrCorrupt(data, off, torn, fmt.Errorf("wal: implausible record length %d at offset %d", n, off))
 		}
 		if rem-frameHeaderSize < int(n) {
-			return tornOrCorrupt(off, rem, allowTorn, fmt.Errorf("wal: record at offset %d runs past end of file (%d of %d payload bytes)", off, rem-frameHeaderSize, n))
+			return tornOrCorrupt(data, off, allowTorn, fmt.Errorf("wal: record at offset %d runs past end of file (%d of %d payload bytes)", off, rem-frameHeaderSize, n))
 		}
 		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(n)]
 		if crc32.ChecksumIEEE(payload) != crc {
@@ -288,7 +292,7 @@ func scanFrames(data []byte, allowTorn bool, fn func(off int64, payload []byte) 
 			// indistinguishable from a torn write whose size update beat
 			// its data pages; anywhere else it is corruption.
 			last := off+frameHeaderSize+int(n) == len(data)
-			return tornOrCorrupt(off, rem, allowTorn && last, fmt.Errorf("wal: record at offset %d: CRC mismatch", off))
+			return tornOrCorrupt(data, off, allowTorn && last, fmt.Errorf("wal: record at offset %d: CRC mismatch", off))
 		}
 		if err := fn(int64(off), payload); err != nil {
 			return frameResult{good: int64(off), corrupt: err}
@@ -298,12 +302,31 @@ func scanFrames(data []byte, allowTorn bool, fn func(off int64, payload []byte) 
 	return frameResult{good: int64(off)}
 }
 
-// tornOrCorrupt classifies a failed frame.
-func tornOrCorrupt(off, rem int, torn bool, err error) frameResult {
-	if torn {
-		return frameResult{good: int64(off), torn: int64(rem)}
+// tornOrCorrupt classifies the frame that failed at off. A tail that looks
+// torn is corruption after all when a valid frame starts behind it.
+func tornOrCorrupt(data []byte, off int, torn bool, err error) frameResult {
+	if !torn {
+		return frameResult{good: int64(off), corrupt: err}
 	}
-	return frameResult{good: int64(off), corrupt: err}
+	if next := validFrameAfter(data, off); next >= 0 {
+		return frameResult{good: int64(off), corrupt: fmt.Errorf("%w; a valid frame follows at offset %d", err, next)}
+	}
+	return frameResult{good: int64(off), torn: int64(len(data) - off)}
+}
+
+// validFrameAfter returns the first offset after off at which a complete
+// frame with a plausible length and a matching CRC starts, or -1.
+func validFrameAfter(data []byte, off int) int {
+	for p := off + 1; p+frameHeaderSize <= len(data); p++ {
+		n := binary.LittleEndian.Uint32(data[p:])
+		if n == 0 || n > maxRecordBytes || int64(n) > int64(len(data)-p-frameHeaderSize) {
+			continue
+		}
+		if crc32.ChecksumIEEE(data[p+frameHeaderSize:p+frameHeaderSize+int(n)]) == binary.LittleEndian.Uint32(data[p+4:]) {
+			return p
+		}
+	}
+	return -1
 }
 
 // allZero reports whether every byte of b is zero.

@@ -284,11 +284,6 @@ func (l *Log) AppendPutKeyed(name, key string, rel *relation.Relation) error {
 	return l.append("put", payload)
 }
 
-// AppendDelete logs one catalog delete.
-func (l *Log) AppendDelete(name string) error {
-	return l.AppendDeleteKeyed(name, "")
-}
-
 // AppendDeleteKeyed logs one catalog delete stamped with an idempotency
 // key (empty key = unkeyed).
 func (l *Log) AppendDeleteKeyed(name, key string) error {
@@ -591,25 +586,6 @@ func (l *Log) reopenCurrent() {
 		return
 	}
 	l.f = f
-}
-
-// Repair attempts to return a wedged log to service: truncate any torn
-// tail back to the last acked frame boundary, reopen the append handle,
-// and fsync. A no-op beyond a tail re-sync when the log is healthy.
-func (l *Log) Repair() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
-	}
-	return l.unwedge()
-}
-
-// Wedged reports the log's failed state, nil when appendable.
-func (l *Log) Wedged() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ladder.Cause()
 }
 
 // Probe verifies the data directory accepts durable writes again: repair

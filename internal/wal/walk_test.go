@@ -71,10 +71,11 @@ func putPayload(t *testing.T, seq uint64, name string) []byte {
 // over every directory the recovery sweeps build — each truncation cut of
 // TestTruncationPrefixProperty, each single-byte flip of the torture log
 // (a superset of TestBitFlipSweepRefused's) and each single disk fault of
-// TestSingleFaultRecoveryProperty — and over one hand-framed violation of
-// each structural rule, which both must refuse.
+// TestSingleFaultRecoveryProperty — over every bit of every frame's length
+// field, and over one hand-framed violation of each structural rule, which
+// both must refuse.
 func TestOpenAgreesWithFsck(t *testing.T) {
-	data, _, _ := tortureLog(t)
+	data, sizes, states := tortureLog(t)
 	step := 1
 	if testing.Short() {
 		step = 17
@@ -96,6 +97,45 @@ func TestOpenAgreesWithFsck(t *testing.T) {
 			mut := append([]byte(nil), data...)
 			mut[off] ^= 0x20
 			openAgrees(t, fmt.Sprintf("flip at %d", off), segDir(t, mut))
+		}
+	})
+	t.Run("length flips", func(t *testing.T) {
+		// The CRC does not cover a frame's length, so a flipped length can
+		// make an acked frame look like a torn tail. Every bit of every
+		// length field: Open refuses while any acked frame follows the
+		// damage, and only the final frame may be dropped as torn.
+		starts := frameStarts(t, data)
+		last := len(starts) - 2
+		for k, off := range starts[:last+1] {
+			if off != sizes[k] {
+				t.Fatalf("frame %d starts at %d, record %d at %d", k, off, k, sizes[k])
+			}
+			for bit := 0; bit < 32; bit++ {
+				mut := append([]byte(nil), data...)
+				mut[off+int64(bit/8)] ^= 1 << (bit % 8)
+				label := fmt.Sprintf("frame %d length bit %d", k, bit)
+				dir := segDir(t, mut)
+				if !openAgrees(t, label, dir) {
+					continue
+				}
+				if k != last {
+					t.Fatalf("%s: Open truncated acked frames %d..%d as a torn tail", label, k, last)
+				}
+				l, err := Open(Options{Dir: dir, Decode: testDecoder(), Logf: func(string, ...any) {}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := l.Recovered().Relations
+				l.Close()
+				if len(got) != len(states[k]) {
+					t.Fatalf("%s: recovered %d relations, want the %d before the torn frame", label, len(got), len(states[k]))
+				}
+				for name, want := range states[k] {
+					if rel, ok := got[name]; !ok || dump(t, rel) != want {
+						t.Fatalf("%s: relation %q not recovered as acked", label, name)
+					}
+				}
+			}
 		}
 	})
 	t.Run("faults", func(t *testing.T) {
@@ -144,6 +184,40 @@ func TestOpenAgreesWithFsck(t *testing.T) {
 				t.Fatal("Open and Fsck both accepted a broken rule")
 			}
 		})
+	}
+}
+
+// TestSnapshotFooterMustMatch: a snapshot's commit footer must name the
+// snapshot's own generation and count its puts. A footer wrong in only
+// one of the two fields, with everything else about the file sound, is
+// refused by Open and Fsck alike.
+func TestSnapshotFooterMustMatch(t *testing.T) {
+	head := encodeHeader(1, 1, 0)
+	for _, tc := range []struct {
+		name string
+		foot []byte
+		ok   bool
+	}{
+		{"matching footer", encodeFooter(1, 1), true},
+		{"footer names another generation", encodeFooter(2, 1), false},
+		{"footer counts another number of puts", encodeFooter(1, 2), false},
+	} {
+		dir := t.TempDir()
+		writeFrames(t, dir, snapName(1), head, putPayload(t, 0, "a"), tc.foot)
+		if got := openAgrees(t, tc.name, dir); got != tc.ok {
+			t.Errorf("%s: Open and Fsck accept = %v, want %v", tc.name, got, tc.ok)
+		}
+	}
+}
+
+// TestSnapshotWithoutFooterRefused: a snapshot is renamed into place only
+// after its footer is written, so a footer-less one is incomplete and
+// refused, even when every frame in it is sound.
+func TestSnapshotWithoutFooterRefused(t *testing.T) {
+	dir := t.TempDir()
+	writeFrames(t, dir, snapName(1), encodeHeader(1, 1, 0), putPayload(t, 0, "a"))
+	if openAgrees(t, "snapshot without footer", dir) {
+		t.Fatal("Open and Fsck accepted a snapshot with no commit footer")
 	}
 }
 

@@ -272,31 +272,26 @@ func DivideHW(a, b *Relation, aQuot, aDiv, bCols []int) (*Result, error) {
 // are decomposed into tiles per §8 and executed pass by pass; results are
 // identical to the unbounded arrays.
 type Device struct {
-	size decompose.ArraySize
+	tiler decompose.Tiler
 }
 
 // NewDevice builds a device that accepts at most maxA tuples of A and maxB
 // tuples of B per pass.
 func NewDevice(maxA, maxB int) (*Device, error) {
 	size := decompose.ArraySize{MaxA: maxA, MaxB: maxB}
-	if maxA <= 0 || maxB <= 0 {
-		return nil, errSize(maxA, maxB)
+	if _, _, err := decompose.TiledT(nil, nil, nil, size); err != nil {
+		return nil, err
 	}
-	return &Device{size: size}, nil
-}
-
-func errSize(maxA, maxB int) error {
-	_, _, err := decompose.TiledT(nil, nil, nil, decompose.ArraySize{MaxA: maxA, MaxB: maxB})
-	return err
+	return &Device{tiler: decompose.Tiler{Size: size}}, nil
 }
 
 // Tiles returns the number of passes an nA x nB problem needs on this
 // device.
-func (d *Device) Tiles(nA, nB int) int { return d.size.Tiles(nA, nB) }
+func (d *Device) Tiles(nA, nB int) int { return d.tiler.Size.Tiles(nA, nB) }
 
 // Intersect computes A ∩ B with decomposition.
 func (d *Device) Intersect(a, b *Relation) (*Result, error) {
-	rel, st, err := decompose.Intersection(a, b, d.size)
+	rel, st, err := d.tiler.Intersection(a, b)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +300,7 @@ func (d *Device) Intersect(a, b *Relation) (*Result, error) {
 
 // Difference computes A - B with decomposition.
 func (d *Device) Difference(a, b *Relation) (*Result, error) {
-	rel, st, err := decompose.Difference(a, b, d.size)
+	rel, st, err := d.tiler.Difference(a, b)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +309,7 @@ func (d *Device) Difference(a, b *Relation) (*Result, error) {
 
 // RemoveDuplicates removes duplicates with decomposition.
 func (d *Device) RemoveDuplicates(a *Relation) (*Result, error) {
-	rel, st, err := decompose.RemoveDuplicates(a, d.size)
+	rel, st, err := d.tiler.RemoveDuplicates(a)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +321,7 @@ func (d *Device) Join(a, b *Relation, spec JoinSpec) (*Result, error) {
 	if err := spec.Validate(a, b); err != nil {
 		return nil, err
 	}
-	t, st, err := decompose.TiledJoinT(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), spec.Ops, d.size)
+	t, st, err := d.tiler.JoinT(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), spec.Ops)
 	if err != nil {
 		return nil, err
 	}
