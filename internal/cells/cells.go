@@ -45,8 +45,8 @@ const (
 type Compare struct{}
 
 // Step implements systolic.Cell.
-func (Compare) Step(in systolic.Inputs) systolic.Outputs {
-	return thetaStep(EQ, in)
+func (Compare) Step(in *systolic.Inputs, out *systolic.Outputs) {
+	thetaStep(EQ, in, out)
 }
 
 // Reset implements systolic.Cell; Compare is stateless.
@@ -60,15 +60,14 @@ type Theta struct {
 }
 
 // Step implements systolic.Cell.
-func (c Theta) Step(in systolic.Inputs) systolic.Outputs {
-	return thetaStep(c.Op, in)
+func (c Theta) Step(in *systolic.Inputs, out *systolic.Outputs) {
+	thetaStep(c.Op, in, out)
 }
 
 // Reset implements systolic.Cell; Theta is stateless.
 func (Theta) Reset() {}
 
-func thetaStep(op Op, in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func thetaStep(op Op, in *systolic.Inputs, out *systolic.Outputs) {
 	if in.N.HasVal {
 		out.S = in.N // a continues down
 	}
@@ -82,7 +81,6 @@ func thetaStep(op Op, in systolic.Inputs) systolic.Outputs {
 		}
 		out.E = t
 	}
-	return out
 }
 
 // Emit is the comparison processor used in the join array's right-most
@@ -102,8 +100,7 @@ type Emit = Theta
 type Accumulate struct{}
 
 // Step implements systolic.Cell.
-func (Accumulate) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func (Accumulate) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	switch {
 	case in.N.HasFlag && in.W.HasFlag:
 		t := in.N
@@ -117,7 +114,6 @@ func (Accumulate) Step(in systolic.Inputs) systolic.Outputs {
 		// the array total (and tests assert it never happens).
 		out.S = in.W
 	}
-	return out
 }
 
 // Reset implements systolic.Cell; Accumulate is stateless.
@@ -135,13 +131,11 @@ type DividendStore struct {
 }
 
 // Step implements systolic.Cell.
-func (c *DividendStore) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func (c *DividendStore) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	if in.S.HasVal {
 		out.N = in.S // z continues up
 		out.E = systolic.FlagToken(in.S.Val == c.X, in.S.Tag)
 	}
-	return out
 }
 
 // Reset implements systolic.Cell. The preloaded element is configuration,
@@ -158,8 +152,7 @@ func (c *DividendStore) Reset() {}
 type DividendGate struct{}
 
 // Step implements systolic.Cell.
-func (DividendGate) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func (DividendGate) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	switch {
 	case in.S.HasVal:
 		out.N = in.S // y continues up
@@ -179,7 +172,6 @@ func (DividendGate) Step(in systolic.Inputs) systolic.Outputs {
 		out.N = in.S
 		out.E = in.S
 	}
-	return out
 }
 
 // Reset implements systolic.Cell; DividendGate is stateless.
@@ -199,8 +191,7 @@ type Divisor struct {
 }
 
 // Step implements systolic.Cell.
-func (c *Divisor) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func (c *Divisor) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	switch {
 	case in.W.HasVal:
 		if in.W.Val != relation.Null && in.W.Val == c.Y {
@@ -212,7 +203,6 @@ func (c *Divisor) Step(in systolic.Inputs) systolic.Outputs {
 		probe.Flag = probe.Flag && c.matched
 		out.E = probe
 	}
-	return out
 }
 
 // Reset implements systolic.Cell: clears the match register, keeps the

@@ -11,6 +11,14 @@ import (
 func val(v int64) systolic.Token { return systolic.ValToken(relation.Element(v), systolic.Tag{}) }
 func flag(b bool) systolic.Token { return systolic.FlagToken(b, systolic.Tag{}) }
 
+// step runs one pulse of a cell the way the grid does: over the given
+// latched inputs, into a cleared output slot.
+func step(c systolic.Cell, in systolic.Inputs) systolic.Outputs {
+	var out systolic.Outputs
+	c.Step(&in, &out)
+	return out
+}
+
 func TestOpApply(t *testing.T) {
 	cases := []struct {
 		op   Op
@@ -39,7 +47,7 @@ func TestOpApply(t *testing.T) {
 
 func TestCompareCellDataflow(t *testing.T) {
 	// Figure 3-2: a down, b up, t right with AND of equality.
-	out := Compare{}.Step(systolic.Inputs{N: val(5), S: val(5), W: flag(true)})
+	out := step(Compare{}, systolic.Inputs{N: val(5), S: val(5), W: flag(true)})
 	if !out.S.HasVal || out.S.Val != 5 {
 		t.Error("a did not continue down")
 	}
@@ -49,29 +57,29 @@ func TestCompareCellDataflow(t *testing.T) {
 	if !out.E.HasFlag || !out.E.Flag {
 		t.Error("equal elements with TRUE input must emit TRUE")
 	}
-	out = Compare{}.Step(systolic.Inputs{N: val(5), S: val(6), W: flag(true)})
+	out = step(Compare{}, systolic.Inputs{N: val(5), S: val(6), W: flag(true)})
 	if out.E.Flag {
 		t.Error("unequal elements must emit FALSE")
 	}
 	// A FALSE input stays FALSE even on a match (§3.1's "surprisingly
 	// useful" property).
-	out = Compare{}.Step(systolic.Inputs{N: val(5), S: val(5), W: flag(false)})
+	out = step(Compare{}, systolic.Inputs{N: val(5), S: val(5), W: flag(false)})
 	if out.E.Flag {
 		t.Error("FALSE initial input must stay FALSE")
 	}
 	// No boolean input, no boolean output.
-	out = Compare{}.Step(systolic.Inputs{N: val(5), S: val(5)})
+	out = step(Compare{}, systolic.Inputs{N: val(5), S: val(5)})
 	if out.E.Present() {
 		t.Error("t emitted with no t input")
 	}
 }
 
 func TestThetaCellOps(t *testing.T) {
-	out := Theta{Op: GT}.Step(systolic.Inputs{N: val(5), S: val(3), W: flag(true)})
+	out := step(Theta{Op: GT}, systolic.Inputs{N: val(5), S: val(3), W: flag(true)})
 	if !out.E.Flag {
 		t.Error("5 > 3 should emit TRUE")
 	}
-	out = Theta{Op: LT}.Step(systolic.Inputs{N: val(5), S: val(3), W: flag(true)})
+	out = step(Theta{Op: LT}, systolic.Inputs{N: val(5), S: val(3), W: flag(true)})
 	if out.E.Flag {
 		t.Error("5 < 3 should emit FALSE")
 	}
@@ -83,18 +91,18 @@ func TestAccumulateCell(t *testing.T) {
 		{false, false, false}, {true, false, true}, {false, true, true}, {true, true, true},
 	}
 	for _, c := range cases {
-		out := Accumulate{}.Step(systolic.Inputs{N: flag(c.n), W: flag(c.w)})
+		out := step(Accumulate{}, systolic.Inputs{N: flag(c.n), W: flag(c.w)})
 		if !out.S.HasFlag || out.S.Flag != c.want {
 			t.Errorf("accumulate(%v, %v) = %v, want %v", c.n, c.w, out.S, c.want)
 		}
 	}
 	// Not busy: pass the accumulator through.
-	out := Accumulate{}.Step(systolic.Inputs{N: flag(true)})
+	out := step(Accumulate{}, systolic.Inputs{N: flag(true)})
 	if !out.S.HasFlag || !out.S.Flag {
 		t.Error("idle accumulation cell must pass t_i down")
 	}
 	// Orphan from the left is forwarded rather than dropped.
-	out = Accumulate{}.Step(systolic.Inputs{W: flag(true)})
+	out = step(Accumulate{}, systolic.Inputs{W: flag(true)})
 	if !out.S.HasFlag {
 		t.Error("orphan t_ij dropped")
 	}
@@ -102,14 +110,14 @@ func TestAccumulateCell(t *testing.T) {
 
 func TestDividendStoreCell(t *testing.T) {
 	c := &DividendStore{X: 7}
-	out := c.Step(systolic.Inputs{S: val(7)})
+	out := step(c, systolic.Inputs{S: val(7)})
 	if !out.N.HasVal || out.N.Val != 7 {
 		t.Error("z did not continue up")
 	}
 	if !out.E.HasFlag || !out.E.Flag {
 		t.Error("match not signalled")
 	}
-	out = c.Step(systolic.Inputs{S: val(8)})
+	out = step(c, systolic.Inputs{S: val(8)})
 	if out.E.Flag {
 		t.Error("non-match signalled TRUE")
 	}
@@ -121,7 +129,7 @@ func TestDividendStoreCell(t *testing.T) {
 
 func TestDividendGateCell(t *testing.T) {
 	// Match: y passes to the right.
-	out := DividendGate{}.Step(systolic.Inputs{S: val(42), W: flag(true)})
+	out := step(DividendGate{}, systolic.Inputs{S: val(42), W: flag(true)})
 	if !out.E.HasVal || out.E.Val != 42 {
 		t.Error("matched y not emitted")
 	}
@@ -129,12 +137,12 @@ func TestDividendGateCell(t *testing.T) {
 		t.Error("y did not continue up")
 	}
 	// No match: null emitted.
-	out = DividendGate{}.Step(systolic.Inputs{S: val(42), W: flag(false)})
+	out = step(DividendGate{}, systolic.Inputs{S: val(42), W: flag(false)})
 	if !out.E.HasVal || out.E.Val != relation.Null {
 		t.Error("unmatched y must become the null value")
 	}
 	// Probe passes up and right.
-	out = DividendGate{}.Step(systolic.Inputs{S: flag(true)})
+	out = step(DividendGate{}, systolic.Inputs{S: flag(true)})
 	if !out.N.HasFlag || !out.E.HasFlag {
 		t.Error("probe not forwarded up and right")
 	}
@@ -145,25 +153,25 @@ func TestDivisorCell(t *testing.T) {
 	if c.matched {
 		t.Error("fresh cell already matched")
 	}
-	out := c.Step(systolic.Inputs{W: val(5)})
+	out := step(c, systolic.Inputs{W: val(5)})
 	if !out.E.HasVal || out.E.Val != 5 {
 		t.Error("y not forwarded")
 	}
 	if c.matched {
 		t.Error("non-matching y set the register")
 	}
-	c.Step(systolic.Inputs{W: val(9)})
+	step(c, systolic.Inputs{W: val(9)})
 	if !c.matched {
 		t.Error("matching y did not set the register")
 	}
 	// Null values never match.
 	c2 := &Divisor{Y: relation.Null}
-	c2.Step(systolic.Inputs{W: systolic.ValToken(relation.Null, systolic.Tag{})})
+	step(c2, systolic.Inputs{W: systolic.ValToken(relation.Null, systolic.Tag{})})
 	if c2.matched {
 		t.Error("null matched null")
 	}
 	// AND probe.
-	out = c.Step(systolic.Inputs{W: flag(true)})
+	out = step(c, systolic.Inputs{W: flag(true)})
 	if !out.E.HasFlag || !out.E.Flag {
 		t.Error("probe AND matched register wrong")
 	}
@@ -171,7 +179,7 @@ func TestDivisorCell(t *testing.T) {
 	if c.matched {
 		t.Error("Reset did not clear the register")
 	}
-	out = c.Step(systolic.Inputs{W: flag(true)})
+	out = step(c, systolic.Inputs{W: flag(true)})
 	if out.E.Flag {
 		t.Error("probe TRUE through unmatched cell")
 	}
@@ -179,14 +187,14 @@ func TestDivisorCell(t *testing.T) {
 
 func TestStoredCompareCell(t *testing.T) {
 	c := &StoredCompare{B: 4, Op: EQ}
-	out := c.Step(systolic.Inputs{N: val(4), W: flag(true)})
+	out := step(c, systolic.Inputs{N: val(4), W: flag(true)})
 	if !out.E.HasFlag || !out.E.Flag {
 		t.Error("stored compare missed a match")
 	}
 	if !out.S.HasVal {
 		t.Error("a did not continue down")
 	}
-	out = c.Step(systolic.Inputs{N: val(5), W: flag(true)})
+	out = step(c, systolic.Inputs{N: val(5), W: flag(true)})
 	if out.E.Flag {
 		t.Error("stored compare false positive")
 	}
@@ -195,7 +203,7 @@ func TestStoredCompareCell(t *testing.T) {
 func TestCompareCellEquivalentToSpec(t *testing.T) {
 	// Property: tOUT == tIN && (a == b) for all inputs.
 	f := func(a, b int16, tin bool) bool {
-		out := Compare{}.Step(systolic.Inputs{N: val(int64(a)), S: val(int64(b)), W: flag(tin)})
+		out := step(Compare{}, systolic.Inputs{N: val(int64(a)), S: val(int64(b)), W: flag(tin)})
 		return out.E.Flag == (tin && a == b)
 	}
 	if err := quick.Check(f, nil); err != nil {

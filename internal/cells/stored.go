@@ -21,8 +21,7 @@ type StoredCompare struct {
 }
 
 // Step implements systolic.Cell.
-func (c *StoredCompare) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func (c *StoredCompare) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	if in.N.HasVal {
 		out.S = in.N // a continues down
 	}
@@ -33,7 +32,6 @@ func (c *StoredCompare) Step(in systolic.Inputs) systolic.Outputs {
 		}
 		out.E = t
 	}
-	return out
 }
 
 // Reset implements systolic.Cell. The preloaded element is configuration,

@@ -41,8 +41,7 @@ type multiStore struct {
 	x relation.Element
 }
 
-func (c *multiStore) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func (c *multiStore) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	if in.S.HasVal {
 		out.N = in.S
 		eq := in.S.Val == c.x
@@ -51,7 +50,6 @@ func (c *multiStore) Step(in systolic.Inputs) systolic.Outputs {
 		}
 		out.E = systolic.FlagToken(eq, in.S.Tag)
 	}
-	return out
 }
 
 func (c *multiStore) Reset() {}
@@ -103,9 +101,7 @@ func isTail(t systolic.Token) bool   { return t.HasVal && t.HasFlag && t.Val == 
 func isProbe(t systolic.Token) bool  { return t.HasFlag && !t.HasVal }
 func isValue(t systolic.Token) bool  { return t.HasVal && !t.HasFlag }
 
-func (c *multiGate) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
-
+func (c *multiGate) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	// West-side frame traffic: the leader refreshes the bit register and
 	// every frame token is forwarded east unchanged. A pure flag from the
 	// west coinciding with a y element is the first gate column's raw bit
@@ -162,7 +158,6 @@ func (c *multiGate) Step(in systolic.Inputs) systolic.Outputs {
 		out.E = tailToken(systolic.Tag{Valid: true})
 		c.pendingTail = false
 	}
-	return out
 }
 
 func (c *multiGate) Reset() {
@@ -184,8 +179,7 @@ type multiDivisor struct {
 	groupMatched bool // (last cell only) did any complete frame match the whole group
 }
 
-func (c *multiDivisor) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func (c *multiDivisor) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	switch {
 	case isLeader(in.W):
 		c.counter = 0
@@ -223,7 +217,6 @@ func (c *multiDivisor) Step(in systolic.Inputs) systolic.Outputs {
 		}
 		out.E = probe
 	}
-	return out
 }
 
 func (c *multiDivisor) Reset() {

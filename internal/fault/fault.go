@@ -295,12 +295,14 @@ type faultCell struct {
 	pulse int
 }
 
-func (f *faultCell) Step(in systolic.Inputs) systolic.Outputs {
-	out := f.inner.Step(in)
+// Step steps the inner cell, then corrupts the outputs it presented in
+// place when the plan fires for this cell and pulse.
+func (f *faultCell) Step(in *systolic.Inputs, out *systolic.Outputs) {
+	f.inner.Step(in, out)
 	pulse := f.pulse
 	f.pulse++
 	if !f.inj.fires(f.run, f.row, f.col, pulse) {
-		return out
+		return
 	}
 	any := false
 	corrupt := func(t systolic.Token) systolic.Token {
@@ -325,8 +327,8 @@ func (f *faultCell) Step(in systolic.Inputs) systolic.Outputs {
 	}
 	if f.inj.plan.Mode == Misroute {
 		rot := systolic.Outputs{N: out.W, E: out.N, S: out.E, W: out.S}
-		any = out != rot
-		out = rot
+		any = *out != rot
+		*out = rot
 	} else {
 		out.N = corrupt(out.N)
 		out.S = corrupt(out.S)
@@ -336,7 +338,6 @@ func (f *faultCell) Step(in systolic.Inputs) systolic.Outputs {
 	if any {
 		f.inj.injected.Add(1)
 	}
-	return out
 }
 
 func (f *faultCell) Reset() {

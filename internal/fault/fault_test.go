@@ -65,8 +65,8 @@ func TestParsePlanErrors(t *testing.T) {
 // west input east, as flags.
 type passthrough struct{ last systolic.Token }
 
-func (p *passthrough) Step(in systolic.Inputs) systolic.Outputs {
-	return systolic.Outputs{E: in.W}
+func (p *passthrough) Step(in *systolic.Inputs, out *systolic.Outputs) {
+	out.E = in.W
 }
 func (p *passthrough) Reset() {}
 

@@ -15,8 +15,8 @@ import (
 // any fired fault is visible in the wrapped cell's output.
 type emitter struct{}
 
-func (emitter) Step(systolic.Inputs) systolic.Outputs {
-	return systolic.Outputs{E: systolic.FlagToken(true, systolic.Tag{Valid: true})}
+func (emitter) Step(_ *systolic.Inputs, out *systolic.Outputs) {
+	out.E = systolic.FlagToken(true, systolic.Tag{Valid: true})
 }
 func (emitter) Reset() {}
 
@@ -44,7 +44,9 @@ func TestAbsoluteReplay(t *testing.T) {
 				for col := 0; col < 8; col++ {
 					cell := wrap(row, col, emitter{})
 					for pulse := range fired {
-						if out := cell.Step(systolic.Inputs{}); !out.E.HasFlag || !out.E.Flag {
+						var out systolic.Outputs
+						cell.Step(&systolic.Inputs{}, &out)
+						if !out.E.HasFlag || !out.E.Flag {
 							fired[pulse] |= 1 << (row*8 + col)
 						}
 					}

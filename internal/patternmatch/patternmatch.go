@@ -33,8 +33,7 @@ type cell struct {
 	held systolic.Token // result latched last pulse, forwarded this pulse
 }
 
-func (c *cell) Step(in systolic.Inputs) systolic.Outputs {
-	var out systolic.Outputs
+func (c *cell) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	// Forward the result held from the previous pulse.
 	if c.held.Present() {
 		out.E = c.held
@@ -58,7 +57,6 @@ func (c *cell) Step(in systolic.Inputs) systolic.Outputs {
 		}
 		c.held = r
 	}
-	return out
 }
 
 func (c *cell) Reset() { c.held = systolic.Empty }

@@ -12,7 +12,10 @@
 // internal registers — the simulator double-buffers all wires in two output
 // planes, the outputs presented at the previous pulse (which every cell
 // latches from) and those presented at this one, so that evaluation order
-// within a pulse is immaterial.
+// within a pulse is immaterial. A third plane holds the inputs every cell
+// latched this pulse; cells step in place, reading their slot of the latch
+// plane and writing their slot of this pulse's output plane, so no token is
+// copied through the Cell interface.
 //
 // Tokens entering the grid boundary are produced by Feeders (the "staggered"
 // input schedules of §3) and tokens leaving the boundary are delivered to
@@ -22,7 +25,6 @@ package systolic
 
 import (
 	"fmt"
-	"sync"
 
 	"systolicdb/internal/obs"
 	"systolicdb/internal/relation"
@@ -104,8 +106,10 @@ type Inputs struct {
 	N, S, E, W Token
 }
 
-// Any reports whether any input line carries a payload this pulse.
-func (in Inputs) Any() bool {
+// Any reports whether any input line carries a payload this pulse. It
+// reads through a pointer so that the grid's per-cell activity count copies
+// nothing out of the latch plane.
+func (in *Inputs) Any() bool {
 	return in.N.Present() || in.S.Present() || in.E.Present() || in.W.Present()
 }
 
@@ -117,10 +121,14 @@ type Outputs struct {
 // Cell is the algorithm executed by one processor (paper §2.2: "it is the
 // algorithm actually executed by each processor that determines the function
 // of the array"). Step must be a pure function of the latched inputs and
-// the cell's internal registers. Reset restores the power-on register
-// state, allowing a grid to be reused across runs.
+// the cell's internal registers. The grid passes in this cell's slot of its
+// latch plane and out its slot of this pulse's output plane, cleared before
+// the call: Step sets the lines it drives and leaves the rest idle. Both
+// point into grid-owned planes that the next pulse overwrites, so Step must
+// not retain either pointer. Reset restores the power-on register state,
+// allowing a grid to be reused across runs.
 type Cell interface {
-	Step(in Inputs) Outputs
+	Step(in *Inputs, out *Outputs)
 	Reset()
 }
 
@@ -190,9 +198,10 @@ func (s Stats) Utilization() float64 {
 
 // Snapshot is the latched state of the whole grid at one pulse: the inputs
 // every cell latched, offered to the Tracer once all cells have stepped and
-// before boundary outputs are drained. The Latched slices are reused across
-// pulses: a Tracer that retains snapshots must deep-copy them during Observe
-// (trace.Recorder does).
+// before boundary outputs are drained. Latched holds row views over the
+// grid's latch plane, which the next pulse overwrites: a Tracer that
+// retains snapshots must deep-copy them during Observe (trace.Recorder
+// does).
 type Snapshot struct {
 	Pulse   int
 	Rows    int
@@ -216,11 +225,11 @@ type Grid struct {
 	feeders [4][]Feeder
 	sinks   [4][]Sink
 
-	prev, outs []Outputs // row-major output planes: previous pulse, this pulse
+	ins        []Inputs   // row-major latch plane: the inputs each cell latched this pulse
+	prev, outs []Outputs  // row-major output planes: previous pulse, this pulse
+	latched    [][]Inputs // row views over ins, handed to the tracer
 	stats      Stats
 	trace      Tracer
-	workers    int        // goroutines used per pulse (<=1: serial); set only by tests
-	latchBuf   [][]Inputs // this pulse's latched inputs, filled only for a tracer
 }
 
 // NewGrid builds a grid. The build function supplies the cell for each
@@ -230,11 +239,16 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 		return nil, fmt.Errorf("systolic: grid dimensions %dx%d must be positive", rows, cols)
 	}
 	g := &Grid{
-		rows:  rows,
-		cols:  cols,
-		cells: make([]Cell, rows*cols),
-		prev:  make([]Outputs, rows*cols),
-		outs:  make([]Outputs, rows*cols),
+		rows:    rows,
+		cols:    cols,
+		cells:   make([]Cell, rows*cols),
+		ins:     make([]Inputs, rows*cols),
+		prev:    make([]Outputs, rows*cols),
+		outs:    make([]Outputs, rows*cols),
+		latched: make([][]Inputs, rows),
+	}
+	for r := range g.latched {
+		g.latched[r] = g.ins[r*cols : (r+1)*cols : (r+1)*cols]
 	}
 	for side, ports := range [4]int{North: cols, South: cols, East: rows, West: rows} {
 		g.feeders[side] = make([]Feeder, ports)
@@ -289,7 +303,7 @@ func (g *Grid) SetTracer(t Tracer) { g.trace = t }
 func (g *Grid) Reset() {
 	for i, cell := range g.cells {
 		cell.Reset()
-		g.prev[i], g.outs[i] = Outputs{}, Outputs{}
+		g.ins[i], g.prev[i], g.outs[i] = Inputs{}, Outputs{}, Outputs{}
 	}
 	g.stats = Stats{Cells: g.rows * g.cols}
 }
@@ -334,28 +348,14 @@ func (g *Grid) Run(pulses int) {
 }
 
 // step executes one pulse: one pass over the rows latches and steps every
-// cell, the tracer sees the latched inputs, boundary outputs are drained,
-// and the output planes swap.
+// cell, the tracer sees the latch plane, boundary outputs are drained, and
+// the output planes swap.
 func (g *Grid) step() {
 	pulse := g.stats.Pulses
-	if g.trace != nil && g.latchBuf == nil {
-		g.latchBuf = make([][]Inputs, g.rows)
-		for r := range g.latchBuf {
-			g.latchBuf[r] = make([]Inputs, g.cols)
-		}
-	}
-
-	if workers := min(g.workers, g.rows); workers >= 2 {
-		// Rows are partitioned over goroutines. Feeders may be shared
-		// between edge rows, so they must be pure functions of the pulse
-		// (all schedule feeders in this repository are).
-		g.stats.ActiveSteps += g.forEachRowChunk(workers, func(r0, r1 int) int { return g.stepRows(r0, r1, pulse) })
-	} else {
-		g.stats.ActiveSteps += g.stepRows(0, g.rows, pulse)
-	}
+	g.stats.ActiveSteps += g.stepRows(pulse)
 	g.stats.CellSteps += g.rows * g.cols
 	if g.trace != nil {
-		g.trace.Observe(Snapshot{Pulse: pulse, Rows: g.rows, Cols: g.cols, Latched: g.latchBuf})
+		g.trace.Observe(Snapshot{Pulse: pulse, Rows: g.rows, Cols: g.cols, Latched: g.latched})
 	}
 
 	// An output presented at pulse p is considered to leave the array at
@@ -375,16 +375,17 @@ func (g *Grid) step() {
 	g.stats.Pulses++
 }
 
-// stepRows runs one pulse over rows [r0, r1): each cell latches its inputs
-// from the previous pulse's output plane (or a boundary feeder), steps, and
-// presents its outputs on this pulse's plane. It returns how many of the
-// cells had an input present.
-func (g *Grid) stepRows(r0, r1, pulse int) int {
+// stepRows runs one pulse over every row: each cell latches its inputs
+// into its slot of the latch plane, from the previous pulse's output plane
+// (or a boundary feeder), and steps in place, presenting its outputs in its
+// cleared slot of this pulse's plane. It returns how many of the cells had
+// an input present.
+func (g *Grid) stepRows(pulse int) int {
 	active := 0
-	rows, cols, prev := g.rows, g.cols, g.prev
-	for r := r0; r < r1; r++ {
+	rows, cols, prev, ins, outs := g.rows, g.cols, g.prev, g.ins, g.outs
+	for r := 0; r < rows; r++ {
 		for c, i := 0, r*cols; c < cols; c, i = c+1, i+1 {
-			var in Inputs
+			in := &ins[i]
 			if r == 0 {
 				in.N = g.feed(North, c, pulse)
 			} else {
@@ -408,37 +409,10 @@ func (g *Grid) stepRows(r0, r1, pulse int) int {
 			if in.Any() {
 				active++
 			}
-			if g.trace != nil {
-				g.latchBuf[r][c] = in
-			}
-			g.outs[i] = g.cells[i].Step(in)
+			out := &outs[i]
+			*out = Outputs{}
+			g.cells[i].Step(in, out)
 		}
 	}
 	return active
-}
-
-// forEachRowChunk runs fn over ~equal row ranges on the given number of
-// goroutines and returns the summed results.
-func (g *Grid) forEachRowChunk(workers int, fn func(r0, r1 int) int) int {
-	chunk := (g.rows + workers - 1) / workers
-	results := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		r0 := w * chunk
-		r1 := min(r0+chunk, g.rows)
-		if r0 >= r1 {
-			break
-		}
-		wg.Add(1)
-		go func(w, r0, r1 int) {
-			defer wg.Done()
-			results[w] = fn(r0, r1)
-		}(w, r0, r1)
-	}
-	wg.Wait()
-	total := 0
-	for _, r := range results {
-		total += r
-	}
-	return total
 }

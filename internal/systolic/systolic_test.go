@@ -9,8 +9,7 @@ import (
 // passCell forwards every token straight across.
 type passCell struct{}
 
-func (passCell) Step(in Inputs) Outputs {
-	var out Outputs
+func (passCell) Step(in *Inputs, out *Outputs) {
 	if in.N.Present() {
 		out.S = in.N
 	}
@@ -23,18 +22,16 @@ func (passCell) Step(in Inputs) Outputs {
 	if in.E.Present() {
 		out.W = in.E
 	}
-	return out
 }
 func (passCell) Reset() {}
 
 // countCell counts how many times it stepped with work present.
 type countCell struct{ active int }
 
-func (c *countCell) Step(in Inputs) Outputs {
+func (c *countCell) Step(in *Inputs, _ *Outputs) {
 	if in.Any() {
 		c.active++
 	}
-	return Outputs{}
 }
 func (c *countCell) Reset() { c.active = 0 }
 
@@ -246,10 +243,10 @@ func TestSideString(t *testing.T) {
 }
 
 func TestInputsAny(t *testing.T) {
-	if (Inputs{}).Any() {
+	if (&Inputs{}).Any() {
 		t.Error("empty inputs reported busy")
 	}
-	if !(Inputs{E: FlagToken(false, Tag{})}).Any() {
+	if !(&Inputs{E: FlagToken(false, Tag{})}).Any() {
 		t.Error("flag input not reported")
 	}
 }

@@ -25,9 +25,8 @@ var _ systolic.Tracer = (*Recorder)(nil)
 
 // Observe implements systolic.Tracer.
 func (r *Recorder) Observe(s systolic.Snapshot) {
-	// Deep-copy the latched state: the engine reuses nothing, but the
-	// snapshot slices are per-pulse allocations owned by the engine's
-	// step; copying keeps the recorder self-contained.
+	// Deep-copy the latched state: the snapshot's rows are views over the
+	// grid's latch plane, which the next pulse overwrites.
 	cp := systolic.Snapshot{Pulse: s.Pulse, Rows: s.Rows, Cols: s.Cols}
 	cp.Latched = make([][]systolic.Inputs, s.Rows)
 	for i := range s.Latched {

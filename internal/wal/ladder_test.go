@@ -15,8 +15,8 @@ import (
 // and wal_repairs_total moves. Faults come from failFS: "wedge" is a
 // rotation whose create and reopen both fail, the "-fail" events fail the
 // reopen of the current segment, and "probe-scratch-fail" fails only the
-// probe's scratch-file create. "repair" is the recovery a running server
-// makes, which is Probe.
+// probe's scratch-file create. "probe" is also the recovery a running
+// server makes: it leaves a healthy tail alone, and a wedge counts once.
 func TestWALLadder(t *testing.T) {
 	type outcome struct {
 		want    string
@@ -27,20 +27,16 @@ func TestWALLadder(t *testing.T) {
 	}
 	rows := map[[2]string]outcome{
 		{"healthy", "wedge"}:              {"wedged", true, false, 1, 0},
-		{"healthy", "repair"}:             {"healthy", false, true, 0, 0},
-		{"healthy", "repair-fail"}:        {"healthy", false, true, 0, 0}, // Probe leaves a healthy tail alone
 		{"healthy", "probe"}:              {"healthy", false, true, 0, 0},
 		{"healthy", "probe-fail"}:         {"healthy", false, true, 0, 0},
 		{"healthy", "probe-scratch-fail"}: {"healthy", true, true, 0, 0},
 		{"wedged", "wedge"}:               {"wedged", true, true, 0, 0},
-		{"wedged", "repair"}:              {"healthy", false, false, 0, 1},
-		{"wedged", "repair-fail"}:         {"wedged", true, true, 0, 0}, // a wedge counts once
 		{"wedged", "probe"}:               {"healthy", false, false, 0, 1},
 		{"wedged", "probe-fail"}:          {"wedged", true, true, 0, 0},
 		{"wedged", "probe-scratch-fail"}:  {"healthy", true, false, 0, 1},
 	}
 	for _, st := range []string{"healthy", "wedged"} {
-		for _, ev := range []string{"wedge", "repair", "repair-fail", "probe", "probe-fail", "probe-scratch-fail"} {
+		for _, ev := range []string{"wedge", "probe", "probe-fail", "probe-scratch-fail"} {
 			ffs := &failFS{FS: diskchaos.OS}
 			l, err := Open(Options{Dir: t.TempDir(), Fsync: true, Decode: testDecoder(), FS: ffs, Logf: t.Logf})
 			if err != nil {
@@ -71,11 +67,6 @@ func fireWAL(l *Log, ffs *failFS, ev string) error {
 		ffs.failCreate, ffs.failReopen = true, true
 		_, err := l.Rotate()
 		return err
-	case "repair-fail":
-		ffs.failReopen = true
-		fallthrough
-	case "repair":
-		return l.Probe()
 	case "probe-fail":
 		ffs.failReopen = true
 		return l.Probe()
