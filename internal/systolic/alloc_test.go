@@ -1,107 +1,6 @@
 package systolic
 
-import (
-	"testing"
-
-	"systolicdb/internal/relation"
-)
-
-// accumulateCell duplicates the accumulation processor of §4.2
-// (cells.Accumulate) for the same import-cycle reason as compareCell.
-type accumulateCell struct{}
-
-func (accumulateCell) Step(in *Inputs, out *Outputs) {
-	switch {
-	case in.N.HasFlag && in.W.HasFlag:
-		t := in.N
-		t.Flag = t.Flag || in.W.Flag
-		out.S = t
-	case in.N.HasFlag:
-		out.S = in.N
-	case in.W.HasFlag:
-		out.S = in.W
-	}
-}
-func (accumulateCell) Reset() {}
-
-// allocFreeGrid wires the comparison array for n identical m-element tuples
-// on each side, with feeders that index precomputed operands and sinks that
-// only count, so any allocation a pulse makes is the engine's own. With
-// accumulate set, a column of accumulation cells to the right ORs each
-// row's results into a t_i stream moving down, as in the intersection
-// array of §4.2.
-func allocFreeGrid(t *testing.T, n, m int, accumulate bool) (*Grid, *int) {
-	t.Helper()
-	rows, cols := 2*n-1, m
-	if accumulate {
-		cols++
-	}
-	g, err := NewGrid(rows, cols, func(_, c int) Cell {
-		if c == m {
-			return accumulateCell{}
-		}
-		return compareCell{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	elems := make([]relation.Element, n*m)
-	for i := range elems {
-		elems[i] = relation.Element(i)
-	}
-	for k := 0; k < m; k++ {
-		k := k
-		feed := func(p int) Token {
-			if q := p - k; q >= 0 && q%2 == 0 && q/2 < n {
-				return ValToken(elems[q/2*m+k], Tag{})
-			}
-			return Empty
-		}
-		if err := g.Feed(North, k, feed); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Feed(South, k, feed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for r := 0; r < rows; r++ {
-		r := r
-		if err := g.Feed(West, r, func(p int) Token {
-			if (p-r+n-1)%2 == 0 {
-				return FlagToken(true, Tag{})
-			}
-			return Empty
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := new(int)
-	count := func(_ int, tok Token) {
-		if tok.Present() {
-			*seen++
-		}
-	}
-	if accumulate {
-		if err := g.Feed(North, m, func(p int) Token {
-			if p%2 == 0 && p/2 < n {
-				return FlagToken(false, Tag{})
-			}
-			return Empty
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Drain(South, m, count); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		for r := 0; r < rows; r++ {
-			if err := g.Drain(East, r, count); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return g, seen
-}
+import "testing"
 
 // TestSteppingAllocatesNothing pins that cells step in place: once a grid
 // has run, further pulses allocate nothing, traced or not. A cell's inputs
@@ -115,7 +14,12 @@ func TestSteppingAllocatesNothing(t *testing.T) {
 		accumulate bool
 	}{{"comparison", false}, {"intersection", true}} {
 		for _, traced := range []bool{false, true} {
-			g, seen := allocFreeGrid(t, n, m, tc.accumulate)
+			seen := 0
+			g := buildComparisonGrid(t, n, m, tc.accumulate, func(_ int, tok Token) {
+				if tok.Present() {
+					seen++
+				}
+			})
 			if traced {
 				g.SetTracer(tracerFunc(func(Snapshot) {}))
 			}
@@ -125,7 +29,7 @@ func TestSteppingAllocatesNothing(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s (traced %v): %v allocations per 4 pulses, want 0", tc.name, traced, allocs)
 			}
-			if *seen == 0 {
+			if seen == 0 {
 				t.Errorf("%s (traced %v): no token left the grid", tc.name, traced)
 			}
 			if st := g.Stats(); st.ActiveSteps == 0 || st.Pulses != 48 {

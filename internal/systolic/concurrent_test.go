@@ -30,30 +30,54 @@ func (compareCell) Step(in *Inputs, out *Outputs) {
 }
 func (compareCell) Reset() {}
 
+// accumulateCell duplicates the accumulation processor of §4.2
+// (cells.Accumulate) for the same reason.
+type accumulateCell struct{}
+
+func (accumulateCell) Step(in *Inputs, out *Outputs) {
+	switch {
+	case in.N.HasFlag && in.W.HasFlag:
+		t := in.N
+		t.Flag = t.Flag || in.W.Flag
+		out.S = t
+	case in.N.HasFlag:
+		out.S = in.N
+	case in.W.HasFlag:
+		out.S = in.W
+	}
+}
+func (accumulateCell) Reset() {}
+
 // buildComparisonGrid wires a small 2-D comparison problem (identical
-// relations so every diagonal matches) and returns the grid plus a place
-// the east-side results accumulate.
-func buildComparisonGrid(t *testing.T, n, m int) (*Grid, *[]bool) {
+// relations so every diagonal matches) whose feeders index precomputed
+// operands. Results leave through sink: from the east edge, or, with
+// accumulate set, from the foot of a column of accumulation cells to the
+// right that ORs each row's results into a t_i stream moving down, as in
+// the intersection array of §4.2.
+func buildComparisonGrid(t *testing.T, n, m int, accumulate bool, sink Sink) *Grid {
 	t.Helper()
-	rows := 2*n - 1
-	g, err := NewGrid(rows, m, func(_, _ int) Cell { return compareCell{} })
+	rows, cols := 2*n-1, m
+	if accumulate {
+		cols++
+	}
+	g, err := NewGrid(rows, cols, func(_, c int) Cell {
+		if c == m {
+			return accumulateCell{}
+		}
+		return compareCell{}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuple := func(i int) []relation.Element {
-		out := make([]relation.Element, m)
-		for k := range out {
-			out[k] = relation.Element(i*m + k)
-		}
-		return out
+	elems := make([]relation.Element, n*m)
+	for i := range elems {
+		elems[i] = relation.Element(i)
 	}
-	alpha := 0
 	for k := 0; k < m; k++ {
 		k := k
 		feed := func(p int) Token {
-			q := p - alpha - k
-			if q >= 0 && q%2 == 0 && q/2 < n {
-				return ValToken(tuple(q / 2)[k], Tag{})
+			if q := p - k; q >= 0 && q%2 == 0 && q/2 < n {
+				return ValToken(elems[q/2*m+k], Tag{})
 			}
 			return Empty
 		}
@@ -76,17 +100,35 @@ func buildComparisonGrid(t *testing.T, n, m int) (*Grid, *[]bool) {
 			t.Fatal(err)
 		}
 	}
-	results := &[]bool{}
-	for r := 0; r < rows; r++ {
-		if err := g.Drain(East, r, func(_ int, tok Token) {
-			if tok.HasFlag {
-				*results = append(*results, tok.Flag)
+	if accumulate {
+		if err := g.Feed(North, m, func(p int) Token {
+			if p%2 == 0 && p/2 < n {
+				return FlagToken(false, Tag{})
 			}
+			return Empty
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if err := g.Drain(South, m, sink); err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	return g, results
+	for r := 0; r < rows; r++ {
+		if err := g.Drain(East, r, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// collect returns a sink appending every flag that leaves the grid to res.
+func collect(res *[]bool) Sink {
+	return func(_ int, tok Token) {
+		if tok.HasFlag {
+			*res = append(*res, tok.Flag)
+		}
+	}
 }
 
 // TestConcurrentParallelGridsWithTracing backs the "safe for concurrent
@@ -96,7 +138,8 @@ func buildComparisonGrid(t *testing.T, n, m int) (*Grid, *[]bool) {
 // grid run alone exactly.
 func TestConcurrentParallelGridsWithTracing(t *testing.T) {
 	const n, m, pulses = 8, 2, 40
-	alone, aloneRes := buildComparisonGrid(t, n, m)
+	var aloneRes []bool
+	alone := buildComparisonGrid(t, n, m, false, collect(&aloneRes))
 	alone.Reset()
 	alone.Run(pulses)
 	aloneStats := alone.Stats()
@@ -108,7 +151,8 @@ func TestConcurrentParallelGridsWithTracing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g, res := buildComparisonGrid(t, n, m)
+			var res []bool
+			g := buildComparisonGrid(t, n, m, false, collect(&res))
 			traced := 0
 			var lastPulse int
 			g.SetTracer(tracerFunc(func(s Snapshot) {
@@ -133,12 +177,12 @@ func TestConcurrentParallelGridsWithTracing(t *testing.T) {
 				errs <- fmt.Errorf("grid %d: stats %+v differ from a grid run alone %+v", i, st, aloneStats)
 				return
 			}
-			if len(*res) != len(*aloneRes) {
-				errs <- fmt.Errorf("grid %d: %d results vs %d run alone", i, len(*res), len(*aloneRes))
+			if len(res) != len(aloneRes) {
+				errs <- fmt.Errorf("grid %d: %d results vs %d run alone", i, len(res), len(aloneRes))
 				return
 			}
-			for k := range *res {
-				if (*res)[k] != (*aloneRes)[k] {
+			for k := range res {
+				if res[k] != aloneRes[k] {
 					errs <- fmt.Errorf("grid %d: result %d differs", i, k)
 					return
 				}
