@@ -68,9 +68,6 @@ func (c *Catalog) Get(name string) (*relation.Relation, bool) {
 	return r, ok
 }
 
-// Len returns the number of stored relations.
-func (c *Catalog) Len() int { return len(c.Snapshot()) }
-
 // Names returns the sorted relation names.
 func (c *Catalog) Names() []string {
 	snap := c.Snapshot()
