@@ -90,31 +90,7 @@ func CompareTuples(a, b relation.Tuple) (bool, systolic.Stats, error) {
 	if err != nil {
 		return false, systolic.Stats{}, err
 	}
-	for k := 0; k < m; k++ {
-		k := k
-		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
-			if p == k {
-				return systolic.ValToken(a[k], systolic.Tag{Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return false, systolic.Stats{}, err
-		}
-		if err := grid.Feed(systolic.South, k, func(p int) systolic.Token {
-			if p == k {
-				return systolic.ValToken(b[k], systolic.Tag{Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return false, systolic.Stats{}, err
-		}
-	}
-	if err := grid.Feed(systolic.West, 0, func(p int) systolic.Token {
-		if p == 0 {
-			return systolic.FlagToken(true, systolic.Tag{Valid: true})
-		}
-		return systolic.Empty
-	}); err != nil {
+	if err := grid.Feed(tuplePorts(a, b)...); err != nil {
 		return false, systolic.Stats{}, err
 	}
 	var (
@@ -135,6 +111,34 @@ func CompareTuples(a, b relation.Tuple) (bool, systolic.Stats, error) {
 		return false, grid.Stats(), fmt.Errorf("comparison: linear array produced no result in %d pulses", m)
 	}
 	return result, grid.Stats(), nil
+}
+
+// tuplePorts returns the feeds of the linear comparison array: element k
+// of a from above and of b from below, both at pulse k, and TRUE from the
+// west at pulse 0.
+func tuplePorts(a, b relation.Tuple) []systolic.Port {
+	ports := []systolic.Port{{Side: systolic.West, Window: systolic.Window{Stride: 1, Count: 1},
+		Feed: func(p int) systolic.Token {
+			if p == 0 {
+				return systolic.FlagToken(true, systolic.Tag{Valid: true})
+			}
+			return systolic.Empty
+		}}}
+	for k := range a {
+		elem := func(t relation.Tuple) systolic.Feeder {
+			return func(p int) systolic.Token {
+				if p == k {
+					return systolic.ValToken(t[k], systolic.Tag{Elem: int32(k), Valid: true})
+				}
+				return systolic.Empty
+			}
+		}
+		w := systolic.Window{First: k, Stride: 1, Count: 1}
+		ports = append(ports,
+			systolic.Port{Side: systolic.North, Index: k, Window: w, Feed: elem(a)},
+			systolic.Port{Side: systolic.South, Index: k, Window: w, Feed: elem(b)})
+	}
+	return ports
 }
 
 // checkWidths verifies every tuple has width m and returns m (taken from
@@ -198,50 +202,10 @@ func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wra
 	}
 	grid.SetTracer(tracer)
 
-	// Feed A from the top and B from the bottom with the staggered,
-	// two-pulse-spaced schedule of §3.2.
-	for k := 0; k < m; k++ {
-		k := k
-		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
-			// a_{i,k} enters at pulse Alpha + 2i + k.
-			q := p - sched.Alpha - k
-			if q >= 0 && q%2 == 0 && q/2 < nA {
-				i := q / 2
-				return systolic.ValToken(a[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, err
-		}
-		if err := grid.Feed(systolic.South, k, func(p int) systolic.Token {
-			q := p - sched.Beta - k
-			if q >= 0 && q%2 == 0 && q/2 < nB {
-				j := q / 2
-				return systolic.ValToken(b[j][k], systolic.Tag{Tuple: int32(j), Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Feed the initial booleans from the west: the boolean for pair
-	// (i, j) must arrive at that pair's row exactly at its start pulse.
-	for r := 0; r < sched.Rows; r++ {
-		r := r
-		if err := grid.Feed(systolic.West, r, func(p int) systolic.Token {
-			i, j, ok := sched.PairAt(r, p)
-			if !ok {
-				return systolic.Empty
-			}
-			v := true
-			if init != nil {
-				v = init(i, j)
-			}
-			return systolic.FlagToken(v, systolic.Tag{Tuple: int32(i), Elem: int32(j), Valid: true})
-		}); err != nil {
-			return nil, err
-		}
+	// Feed A from the top, B from the bottom and the initial booleans
+	// from the west with the staggered, two-pulse-spaced schedule of §3.2.
+	if err := grid.Feed(sched.Ports(a, b, init)...); err != nil {
+		return nil, err
 	}
 
 	// Collect the finished t_ij at the east side. The pair identity is
@@ -301,6 +265,38 @@ func (s FixedSchedule) ExitPulse(i, j int) int { return i + j + s.M - 1 }
 // TotalPulses returns the pulses needed to drain all results.
 func (s FixedSchedule) TotalPulses() int { return s.ExitPulse(s.NA-1, s.NB-1) + 1 }
 
+// ports returns the feeds of the fixed-relation array: a_{i,k} enters the
+// top of column k at pulse i + k, and the initial boolean of pair (i, j)
+// the west of row j at pulse i + j.
+func (s FixedSchedule) ports(a []relation.Tuple, init InitFunc) []systolic.Port {
+	var ports []systolic.Port
+	for k := 0; k < s.M; k++ {
+		ports = append(ports, systolic.Port{Side: systolic.North, Index: k, Window: systolic.Window{First: k, Stride: 1, Count: s.NA},
+			Feed: func(p int) systolic.Token {
+				i := p - k
+				if i >= 0 && i < s.NA {
+					return systolic.ValToken(a[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
+				}
+				return systolic.Empty
+			}})
+	}
+	for r := 0; r < s.NB; r++ {
+		ports = append(ports, systolic.Port{Side: systolic.West, Index: r, Window: systolic.Window{First: r, Stride: 1, Count: s.NA},
+			Feed: func(p int) systolic.Token {
+				i := p - r
+				if i >= 0 && i < s.NA {
+					v := true
+					if init != nil {
+						v = init(i, r)
+					}
+					return systolic.FlagToken(v, systolic.Tag{Tuple: int32(i), Elem: int32(r), Valid: true})
+				}
+				return systolic.Empty
+			}})
+	}
+	return ports
+}
+
 // RunFixed runs the fixed-relation comparison variant of §8: relation B is
 // preloaded (one tuple per row, one element per cell) and relation A
 // streams through. It produces the same matrix T as Run2D with roughly
@@ -321,33 +317,8 @@ func RunFixed(a, b []relation.Tuple, init InitFunc) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for k := 0; k < m; k++ {
-		k := k
-		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
-			i := p - k
-			if i >= 0 && i < nA {
-				return systolic.ValToken(a[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for r := 0; r < nB; r++ {
-		r := r
-		if err := grid.Feed(systolic.West, r, func(p int) systolic.Token {
-			i := p - r
-			if i >= 0 && i < nA {
-				v := true
-				if init != nil {
-					v = init(i, r)
-				}
-				return systolic.FlagToken(v, systolic.Tag{Tuple: int32(i), Elem: int32(r), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, err
-		}
+	if err := grid.Feed(sched.ports(a, init)...); err != nil {
+		return nil, err
 	}
 	t := NewMatrix(nA, nB)
 	var collectErr error

@@ -13,6 +13,9 @@ package comparison
 
 import (
 	"fmt"
+
+	"systolicdb/internal/relation"
+	"systolicdb/internal/systolic"
 )
 
 // Schedule is the closed-form timing of the two-dimensional comparison
@@ -88,6 +91,64 @@ func (s Schedule) ExitPulse(i, j int) int { return s.StartPulse(i, j) + s.M - 1 
 // in NA + NB + M — the pipelining claim of §3.2.
 func (s Schedule) TotalPulses() int {
 	return s.ExitPulse(s.NA-1, s.NB-1) + 1
+}
+
+// StartWindow returns the pulses at which the pairs compared in a row
+// start in column 0: the row's west feed. Row r holds the pairs with
+// j - i = diff = r - (NA-1), for i from lo = max(0, -diff) to hi =
+// min(NA-1, NB-1-diff), and pair (i, i+diff) starts at NA-1 + Alpha + 2i +
+// diff: hi-lo+1 pulses, two apart, the first at NA-1 + Alpha + 2·lo + diff.
+func (s Schedule) StartWindow(row int) systolic.Window {
+	diff := row - (s.NA - 1)
+	lo, hi := max(0, -diff), min(s.NA-1, s.NB-1-diff)
+	return systolic.Window{First: s.NA - 1 + s.Alpha + 2*lo + diff, Stride: 2, Count: max(0, hi-lo+1)}
+}
+
+// Ports returns the boundary feeds of the two-dimensional comparison
+// array: a_{i,k} enters the top of column k at pulse Alpha + 2i + k and
+// b_{j,k} the bottom at Beta + 2j + k (the staggered, two-pulse-spaced
+// schedule of §3.2), and the initial boolean of pair (i, j) — init(i, j),
+// or TRUE for a nil init — enters the west of the pair's row exactly at
+// its start pulse. The intersection, remove-duplicates and join arrays
+// feed the same ports. Every tuple must be M elements wide.
+func (s Schedule) Ports(a, b []relation.Tuple, init InitFunc) []systolic.Port {
+	ports := make([]systolic.Port, 0, 2*s.M+s.Rows)
+	for k := 0; k < s.M; k++ {
+		ports = append(ports,
+			systolic.Port{Side: systolic.North, Index: k, Window: systolic.Window{First: s.Alpha + k, Stride: 2, Count: s.NA},
+				Feed: func(p int) systolic.Token {
+					q := p - s.Alpha - k
+					if q >= 0 && q%2 == 0 && q/2 < s.NA {
+						i := q / 2
+						return systolic.ValToken(a[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
+					}
+					return systolic.Empty
+				}},
+			systolic.Port{Side: systolic.South, Index: k, Window: systolic.Window{First: s.Beta + k, Stride: 2, Count: s.NB},
+				Feed: func(p int) systolic.Token {
+					q := p - s.Beta - k
+					if q >= 0 && q%2 == 0 && q/2 < s.NB {
+						j := q / 2
+						return systolic.ValToken(b[j][k], systolic.Tag{Tuple: int32(j), Elem: int32(k), Valid: true})
+					}
+					return systolic.Empty
+				}})
+	}
+	for r := 0; r < s.Rows; r++ {
+		ports = append(ports, systolic.Port{Side: systolic.West, Index: r, Window: s.StartWindow(r),
+			Feed: func(p int) systolic.Token {
+				i, j, ok := s.PairAt(r, p)
+				if !ok {
+					return systolic.Empty
+				}
+				v := true
+				if init != nil {
+					v = init(i, j)
+				}
+				return systolic.FlagToken(v, systolic.Tag{Tuple: int32(i), Elem: int32(j), Valid: true})
+			}})
+	}
+	return ports
 }
 
 // PairAt inverts the schedule: it returns the 0-based (i, j) whose

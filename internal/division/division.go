@@ -83,6 +83,32 @@ func ReferenceBits(pairs []Pair, xs, divisor []relation.Element) []bool {
 	return bits
 }
 
+// pairPorts feeds the pairs from the bottom: z_i into the left column at
+// pulse i, y_i one step behind into the right column at pulse i+1; the AND
+// probe follows the last y at pulse n+1.
+func pairPorts(pairs []Pair) []systolic.Port {
+	n := len(pairs)
+	return []systolic.Port{
+		{Side: systolic.South, Index: 0, Window: systolic.Window{First: 0, Stride: 1, Count: n},
+			Feed: func(p int) systolic.Token {
+				if p >= 0 && p < n {
+					return systolic.ValToken(pairs[p].Z, systolic.Tag{Tuple: int32(p), Valid: true})
+				}
+				return systolic.Empty
+			}},
+		{Side: systolic.South, Index: 1, Window: systolic.Window{First: 1, Stride: 1, Count: n + 1},
+			Feed: func(p int) systolic.Token {
+				switch {
+				case p >= 1 && p-1 < n:
+					return systolic.ValToken(pairs[p-1].Y, systolic.Tag{Tuple: int32(p - 1), Valid: true})
+				case p == n+1:
+					return systolic.FlagToken(true, systolic.Tag{Valid: true})
+				}
+				return systolic.Empty
+			}},
+	}
+}
+
 // RunArrayWrap is RunArray with an optional cell wrapper applied to every
 // processor (the fault layer's injection hook); a nil wrap behaves exactly
 // like RunArray.
@@ -109,26 +135,7 @@ func RunArrayWrap(pairs []Pair, xs, divisor []relation.Element, tracer systolic.
 	}
 	grid.SetTracer(tracer)
 
-	// Feed the pairs from the bottom: z_i into the left column at pulse
-	// i, y_i one step behind into the right column at pulse i+1; the AND
-	// probe follows the last y at pulse n+1.
-	if err := grid.Feed(systolic.South, 0, func(p int) systolic.Token {
-		if p < n {
-			return systolic.ValToken(pairs[p].Z, systolic.Tag{Tuple: int32(p), Valid: true})
-		}
-		return systolic.Empty
-	}); err != nil {
-		return nil, systolic.Stats{}, err
-	}
-	if err := grid.Feed(systolic.South, 1, func(p int) systolic.Token {
-		switch {
-		case p >= 1 && p-1 < n:
-			return systolic.ValToken(pairs[p-1].Y, systolic.Tag{Tuple: int32(p - 1), Valid: true})
-		case p == n+1:
-			return systolic.FlagToken(true, systolic.Tag{Valid: true})
-		}
-		return systolic.Empty
-	}); err != nil {
+	if err := grid.Feed(pairPorts(pairs)...); err != nil {
 		return nil, systolic.Stats{}, err
 	}
 

@@ -165,6 +165,11 @@ func (c *multiGate) Reset() {
 	c.hold = systolic.Empty
 }
 
+// Visit implements systolic.Visited: a held gated value and the frame
+// tail leave on the first idle east pulse, whether or not an input is
+// present.
+func (c *multiGate) Visit() systolic.Visit { return systolic.EveryPulse }
+
 // multiDivisor is the divisor-block processor: one stored element of one
 // divisor tuple, plus its index within the group. It counts value tokens
 // since the last frame leader to know which y element is passing.
@@ -233,6 +238,52 @@ type GeneralProblem struct {
 	Divisor []relation.Tuple // divisor tuples, width ky
 }
 
+// probeEntry is the pulse at which the AND probe enters the last gate
+// column, after the last of n pairs with a frame period of ky+2.
+func probeEntry(n, kz, ky int) int { return (ky+2)*n + kz + 2*ky + 2 }
+
+// ports returns the south feeds of the general array: pair p's z elements
+// (stagger 1) at pulse S·p + c into column c < kz, its y elements
+// (stagger 2) at S·p + kz + 2c into gate column kz + c, with S = ky+2 the
+// frame period, and the probe after the last pair into the last gate
+// column. The probe is off that column's S-pulse lattice, so its window
+// takes every pulse from the first y to the probe.
+func (p GeneralProblem) ports(kz, ky int) []systolic.Port {
+	n, S := len(p.ZS), ky+2
+	var ports []systolic.Port
+	for c := 0; c < kz; c++ {
+		ports = append(ports, systolic.Port{Side: systolic.South, Index: c, Window: systolic.Window{First: c, Stride: S, Count: n},
+			Feed: func(pulse int) systolic.Token {
+				q := pulse - c
+				if q >= 0 && q%S == 0 && q/S < n {
+					pr := q / S
+					return systolic.ValToken(p.ZS[pr][c], systolic.Tag{Tuple: int32(pr), Elem: int32(c), Valid: true})
+				}
+				return systolic.Empty
+			}})
+	}
+	probe := probeEntry(n, kz, ky)
+	for c := 0; c < ky; c++ {
+		w := systolic.Window{First: kz + 2*c, Stride: S, Count: n}
+		if c == ky-1 {
+			w = systolic.Window{First: kz + 2*c, Stride: 1, Count: probe - (kz + 2*c) + 1}
+		}
+		ports = append(ports, systolic.Port{Side: systolic.South, Index: kz + c, Window: w,
+			Feed: func(pulse int) systolic.Token {
+				if c == ky-1 && pulse == probe {
+					return systolic.FlagToken(true, systolic.Tag{Valid: true})
+				}
+				q := pulse - kz - 2*c
+				if q >= 0 && q%S == 0 && q/S < n {
+					pr := q / S
+					return systolic.ValToken(p.YS[pr][c], systolic.Tag{Tuple: int32(pr), Elem: int32(c), Valid: true})
+				}
+				return systolic.Empty
+			}})
+	}
+	return ports
+}
+
 // RunGeneralArray runs the multi-column division array and returns the
 // quotient-membership bit per stored quotient tuple.
 func RunGeneralArray(p GeneralProblem, tracer systolic.Tracer) ([]bool, systolic.Stats, error) {
@@ -274,7 +325,6 @@ func RunGeneralArray(p GeneralProblem, tracer systolic.Tracer) ([]bool, systolic
 	n := len(p.ZS)
 	nDiv := len(p.Divisor)
 	cols := kz + ky + nDiv*ky
-	S := ky + 2 // pair pipeline period: one frame is leader + ky values + tail
 
 	grid, err := systolic.NewGrid(nRows, cols, func(r, c int) systolic.Cell {
 		switch {
@@ -292,38 +342,8 @@ func RunGeneralArray(p GeneralProblem, tracer systolic.Tracer) ([]bool, systolic
 	}
 	grid.SetTracer(tracer)
 
-	// South feeders: z elements (stagger 1), y elements (stagger 2), and
-	// the probe after the last pair on the last gate column.
-	for c := 0; c < kz; c++ {
-		c := c
-		if err := grid.Feed(systolic.South, c, func(pulse int) systolic.Token {
-			q := pulse - c
-			if q >= 0 && q%S == 0 && q/S < n {
-				pr := q / S
-				return systolic.ValToken(p.ZS[pr][c], systolic.Tag{Tuple: int32(pr), Elem: int32(c), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
-	}
-	probeEntry := S*n + kz + 2*ky + 2
-	for c := 0; c < ky; c++ {
-		c := c
-		col := kz + c
-		if err := grid.Feed(systolic.South, col, func(pulse int) systolic.Token {
-			if c == ky-1 && pulse == probeEntry {
-				return systolic.FlagToken(true, systolic.Tag{Valid: true})
-			}
-			q := pulse - kz - 2*c
-			if q >= 0 && q%S == 0 && q/S < n {
-				pr := q / S
-				return systolic.ValToken(p.YS[pr][c], systolic.Tag{Tuple: int32(pr), Elem: int32(c), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
+	if err := grid.Feed(p.ports(kz, ky)...); err != nil {
+		return nil, systolic.Stats{}, err
 	}
 
 	bits := make([]bool, nRows)
@@ -347,7 +367,7 @@ func RunGeneralArray(p GeneralProblem, tracer systolic.Tracer) ([]bool, systolic
 	}
 
 	grid.Reset()
-	grid.Run(probeEntry + nRows + nDiv*ky + ky + 6)
+	grid.Run(probeEntry(n, kz, ky) + nRows + nDiv*ky + ky + 6)
 	if collectErr != nil {
 		return nil, systolic.Stats{}, collectErr
 	}

@@ -345,6 +345,11 @@ func (f *faultCell) Reset() {
 	f.pulse = 0
 }
 
+// Visit implements systolic.Visited: whether the plan fires depends on the
+// pulse ordinal the cell counts, so its grid visits every cell at every
+// pulse and each ordinal is the pulse it names.
+func (f *faultCell) Visit() systolic.Visit { return systolic.EveryCell }
+
 // SpecHelp is a one-line usage string for -fault flags.
 func SpecHelp() string {
 	modes := slices.Clone(modeNames[:])

@@ -80,12 +80,8 @@ func runWrapped(t *testing.T, wrap systolic.Wrap, n int) map[int]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := grid.Feed(systolic.West, 0, func(p int) systolic.Token {
-		if p < n {
-			return systolic.FlagToken(true, systolic.Tag{Valid: true})
-		}
-		return systolic.Empty
-	}); err != nil {
+	if err := grid.Feed(systolic.Port{Side: systolic.West, Window: systolic.Window{Stride: 1, Count: n},
+		Feed: func(int) systolic.Token { return systolic.FlagToken(true, systolic.Tag{Valid: true}) }}); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[int]bool)

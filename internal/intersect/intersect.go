@@ -48,6 +48,21 @@ func accumExitPulse(s comparison.Schedule, i int) int {
 	return accumEnterPulse(s, i) + s.Rows - 1
 }
 
+// accumPort feeds the top of the accumulation column (column M) each
+// tuple's accumulator with initial value FALSE (paper §4.2: "provided we
+// initialize the value moving down through the accumulation array as
+// FALSE"), tuple i's at accumEnterPulse(s, i).
+func accumPort(s comparison.Schedule) systolic.Port {
+	return systolic.Port{Side: systolic.North, Index: s.M, Window: systolic.Window{First: accumEnterPulse(s, 0), Stride: 2, Count: s.NA},
+		Feed: func(p int) systolic.Token {
+			q := p - accumEnterPulse(s, 0)
+			if q >= 0 && q%2 == 0 && q/2 < s.NA {
+				return systolic.FlagToken(false, systolic.Tag{Tuple: int32(q / 2), Valid: true})
+			}
+			return systolic.Empty
+		}}
+}
+
 // RunAccumulated builds and runs the combined comparison + accumulation
 // grid of Figure 4-1 on tuple lists a and b, with init supplying the
 // initial boolean for each pair (nil = all TRUE, the intersection setting;
@@ -88,33 +103,6 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 	}
 	grid.SetTracer(tracer)
 
-	// Relation feeds, identical to comparison.Run2D.
-	for k := 0; k < m; k++ {
-		k := k
-		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
-			q := p - sched.Alpha - k
-			if q >= 0 && q%2 == 0 && q/2 < nA {
-				i := q / 2
-				if len(a[i]) != m {
-					return systolic.Empty // widths validated below
-				}
-				return systolic.ValToken(a[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
-		if err := grid.Feed(systolic.South, k, func(p int) systolic.Token {
-			q := p - sched.Beta - k
-			if q >= 0 && q%2 == 0 && q/2 < nB {
-				j := q / 2
-				return systolic.ValToken(b[j][k], systolic.Tag{Tuple: int32(j), Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
-	}
 	for _, t := range a {
 		if len(t) != m {
 			return nil, systolic.Stats{}, fmt.Errorf("intersect: ragged tuple widths in A")
@@ -126,35 +114,9 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 		}
 	}
 
-	// West side: the initial booleans for each pair.
-	for r := 0; r < sched.Rows; r++ {
-		r := r
-		if err := grid.Feed(systolic.West, r, func(p int) systolic.Token {
-			i, j, ok := sched.PairAt(r, p)
-			if !ok {
-				return systolic.Empty
-			}
-			v := true
-			if init != nil {
-				v = init(i, j)
-			}
-			return systolic.FlagToken(v, systolic.Tag{Tuple: int32(i), Elem: int32(j), Valid: true})
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
-	}
-
-	// North side of the accumulation column: inject each tuple's
-	// accumulator with initial value FALSE (paper §4.2: "provided we
-	// initialize the value moving down through the accumulation array as
-	// FALSE").
-	if err := grid.Feed(systolic.North, m, func(p int) systolic.Token {
-		q := p - sched.Alpha - m
-		if q >= 0 && q%2 == 0 && q/2 < nA {
-			return systolic.FlagToken(false, systolic.Tag{Tuple: int32(q / 2), Valid: true})
-		}
-		return systolic.Empty
-	}); err != nil {
+	// The comparison module's feeds, identical to comparison.Run2D, and
+	// the accumulators entering the top of the accumulation column.
+	if err := grid.Feed(append(sched.Ports(a, b, init), accumPort(sched))...); err != nil {
 		return nil, systolic.Stats{}, err
 	}
 

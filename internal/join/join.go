@@ -212,40 +212,8 @@ func RunTWrap(aKeys, bKeys []relation.Tuple, ops []cells.Op, wrap systolic.Wrap)
 	if err != nil {
 		return nil, systolic.Stats{}, err
 	}
-	for k := 0; k < w; k++ {
-		k := k
-		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
-			q := p - sched.Alpha - k
-			if q >= 0 && q%2 == 0 && q/2 < nA {
-				i := q / 2
-				return systolic.ValToken(aKeys[i][k], systolic.Tag{Tuple: int32(i), Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
-		if err := grid.Feed(systolic.South, k, func(p int) systolic.Token {
-			q := p - sched.Beta - k
-			if q >= 0 && q%2 == 0 && q/2 < nB {
-				j := q / 2
-				return systolic.ValToken(bKeys[j][k], systolic.Tag{Tuple: int32(j), Elem: int32(k), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
-	}
-	for r := 0; r < sched.Rows; r++ {
-		r := r
-		if err := grid.Feed(systolic.West, r, func(p int) systolic.Token {
-			i, j, ok := sched.PairAt(r, p)
-			if !ok {
-				return systolic.Empty
-			}
-			return systolic.FlagToken(true, systolic.Tag{Tuple: int32(i), Elem: int32(j), Valid: true})
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
+	if err := grid.Feed(sched.Ports(aKeys, bKeys, nil)...); err != nil {
+		return nil, systolic.Stats{}, err
 	}
 	t := comparison.NewMatrix(nA, nB)
 	seen := 0

@@ -61,6 +61,10 @@ func (c *cell) Step(in *systolic.Inputs, out *systolic.Outputs) {
 
 func (c *cell) Reset() { c.held = systolic.Empty }
 
+// Visit implements systolic.Visited: the result register releases what it
+// held on a pulse whose inputs may be idle.
+func (c *cell) Visit() systolic.Visit { return systolic.EveryPulse }
+
 // Match streams text through a pattern-match array and returns one boolean
 // per alignment p in [0, len(text)-len(pattern)]: whether
 // text[p : p+len(pattern)] matches the pattern.
@@ -88,30 +92,7 @@ func Match(pattern, text []relation.Element) ([]bool, systolic.Stats, error) {
 	if err != nil {
 		return nil, systolic.Stats{}, err
 	}
-	// Text channel: character q reaches cell k at pulse q + k. Each
-	// column is fed from the north with the appropriately delayed
-	// character stream (the physical chip shifts characters cell to
-	// cell; feeding each column the same stream delayed by k is the
-	// same dataflow expressed through the engine's boundary).
-	for k := 0; k < L; k++ {
-		k := k
-		if err := grid.Feed(systolic.North, k, func(p int) systolic.Token {
-			q := p - k
-			if q >= 0 && q < len(text) {
-				return systolic.ValToken(text[q], systolic.Tag{Tuple: int32(q), Valid: true})
-			}
-			return systolic.Empty
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
-	}
-	// Result channel: alignment p's TRUE token enters cell 0 at pulse p.
-	if err := grid.Feed(systolic.West, 0, func(p int) systolic.Token {
-		if p < nAlign {
-			return systolic.FlagToken(true, systolic.Tag{Tuple: int32(p), Valid: true})
-		}
-		return systolic.Empty
-	}); err != nil {
+	if err := grid.Feed(ports(L, text)...); err != nil {
 		return nil, systolic.Stats{}, err
 	}
 	matches := make([]bool, nAlign)
@@ -148,6 +129,34 @@ func Match(pattern, text []relation.Element) ([]bool, systolic.Stats, error) {
 		}
 	}
 	return matches, grid.Stats(), nil
+}
+
+// ports returns the chip's feeds. Text channel: character q reaches cell k
+// at pulse q + k. Each column is fed from the north with the appropriately
+// delayed character stream (the physical chip shifts characters cell to
+// cell; feeding each column the same stream delayed by k is the same
+// dataflow expressed through the engine's boundary). Result channel:
+// alignment p's TRUE token enters cell 0 at pulse p.
+func ports(L int, text []relation.Element) []systolic.Port {
+	nAlign := len(text) - L + 1
+	ports := []systolic.Port{{Side: systolic.West, Index: 0, Window: systolic.Window{First: 0, Stride: 1, Count: nAlign},
+		Feed: func(p int) systolic.Token {
+			if p >= 0 && p < nAlign {
+				return systolic.FlagToken(true, systolic.Tag{Tuple: int32(p), Valid: true})
+			}
+			return systolic.Empty
+		}}}
+	for k := 0; k < L; k++ {
+		ports = append(ports, systolic.Port{Side: systolic.North, Index: k, Window: systolic.Window{First: k, Stride: 1, Count: len(text)},
+			Feed: func(p int) systolic.Token {
+				q := p - k
+				if q >= 0 && q < len(text) {
+					return systolic.ValToken(text[q], systolic.Tag{Tuple: int32(q), Valid: true})
+				}
+				return systolic.Empty
+			}})
+	}
+	return ports
 }
 
 // MatchString runs the array on byte strings; '?' in the pattern is the

@@ -75,38 +75,23 @@ func buildComparisonGrid(t *testing.T, n, m int, accumulate bool, sink Sink) *Gr
 	}
 	for k := 0; k < m; k++ {
 		k := k
-		feed := func(p int) Token {
-			if q := p - k; q >= 0 && q%2 == 0 && q/2 < n {
-				return ValToken(elems[q/2*m+k], Tag{})
-			}
-			return Empty
-		}
-		if err := g.Feed(North, k, feed); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Feed(South, k, feed); err != nil {
+		w := Window{First: k, Stride: 2, Count: n}
+		feed := func(p int) Token { return ValToken(elems[(p-k)/2*m+k], Tag{}) }
+		if err := g.Feed(Port{Side: North, Index: k, Window: w, Feed: feed}, Port{Side: South, Index: k, Window: w, Feed: feed}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for r := 0; r < rows; r++ {
-		r := r
-		if err := g.Feed(West, r, func(p int) Token {
-			// A TRUE for every scheduled pair start (parity check only).
-			if (p-r+n-1)%2 == 0 {
-				return FlagToken(true, Tag{})
-			}
-			return Empty
-		}); err != nil {
+		// A TRUE for every scheduled pair start (parity check only).
+		first := ((r-n+1)%2 + 2) % 2
+		if err := g.Feed(Port{Side: West, Index: r, Window: Window{First: first, Stride: 2, Count: 64},
+			Feed: func(int) Token { return FlagToken(true, Tag{}) }}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if accumulate {
-		if err := g.Feed(North, m, func(p int) Token {
-			if p%2 == 0 && p/2 < n {
-				return FlagToken(false, Tag{})
-			}
-			return Empty
-		}); err != nil {
+		if err := g.Feed(Port{Side: North, Index: m, Window: Window{First: 0, Stride: 2, Count: n},
+			Feed: func(int) Token { return FlagToken(false, Tag{}) }}); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.Drain(South, m, sink); err != nil {

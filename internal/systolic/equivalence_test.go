@@ -110,6 +110,8 @@ func (c *countingCell) Reset() {
 	c.pulse = 0
 }
 
+func (c *countingCell) Visit() systolic.Visit { return systolic.EveryCell }
+
 // driverCase is one random shape of one array driver. run executes it
 // with an optional tracer and wrap; a driver that takes neither ignores
 // them, and says so through traced and wrapped.

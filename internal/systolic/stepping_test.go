@@ -64,7 +64,8 @@ func (c *holdCell) Step(in *Inputs, out *Outputs) {
 	out.E, c.held = c.held, in.W
 	out.S = in.N
 }
-func (c *holdCell) Reset() { c.held = Empty }
+func (c *holdCell) Reset()       { c.held = Empty }
+func (c *holdCell) Visit() Visit { return EveryPulse }
 
 // pulseCounter is the identity wrap of the dense reference: it steps its
 // cell unchanged and counts pulses, so its grid visits every cell at every
@@ -78,7 +79,8 @@ func (c *pulseCounter) Step(in *Inputs, out *Outputs) {
 	c.inner.Step(in, out)
 	c.pulse++
 }
-func (c *pulseCounter) Reset() { c.inner.Reset(); c.pulse = 0 }
+func (c *pulseCounter) Reset()       { c.inner.Reset(); c.pulse = 0 }
+func (c *pulseCounter) Visit() Visit { return EveryCell }
 
 // program is one random grid: its shape, a cell kind per cell, the feeds
 // (each a window of pulses, with every gap-th pulse of it left idle) and
@@ -164,14 +166,18 @@ func (p program) run(t testing.TB, dense bool) (Stats, []string, []delivery) {
 	}
 	for k, f := range p.feeds {
 		f, k := f, k
-		if err := g.Feed(f.side, f.port, func(pulse int) Token {
+		w := Window{First: f.first, Stride: f.stride, Count: f.count}
+		if err := g.Feed(Port{Side: f.side, Index: f.port, Window: w, Feed: func(pulse int) Token {
 			q := pulse - f.first
-			if q < 0 || q%f.stride != 0 || q/f.stride >= f.count || (f.gap > 0 && (q/f.stride)%f.gap == f.gap-1) {
+			if q < 0 || q%f.stride != 0 || q/f.stride >= f.count {
+				t.Errorf("feeder of %v[%d] called at pulse %d, outside its window %+v", f.side, f.port, pulse, w)
+			}
+			if f.gap > 0 && (q/f.stride)%f.gap == f.gap-1 {
 				return Empty
 			}
 			return Token{Val: relation.Element(100*k + q), HasVal: true, Flag: q%3 == 0, HasFlag: q%2 == 0,
 				Tag: Tag{Tuple: int32(k), Elem: int32(q), Valid: true}}
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,9 +186,10 @@ func (p program) run(t testing.TB, dense bool) (Stats, []string, []delivery) {
 		for port := range ports {
 			side, port := Side(side), port
 			if err := g.Drain(side, port, func(pulse int, tok Token) {
-				if tok.Present() {
-					log = append(log, delivery{pulse, side, port, tok})
+				if !tok.Present() {
+					t.Errorf("sink of %v[%d] called with an idle token at pulse %d", side, port, pulse)
 				}
+				log = append(log, delivery{pulse, side, port, tok})
 			}); err != nil {
 				t.Fatal(err)
 			}

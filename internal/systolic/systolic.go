@@ -25,6 +25,7 @@ package systolic
 
 import (
 	"fmt"
+	"slices"
 
 	"systolicdb/internal/obs"
 	"systolicdb/internal/relation"
@@ -132,9 +133,36 @@ type Cell interface {
 	Reset()
 }
 
+// Visit says at which pulses the grid must latch and step a cell. A cell
+// that does not implement Visited is visited OnInput.
+type Visit uint8
+
+const (
+	// OnInput visits a cell only at a pulse where one of its input lines
+	// carries a token. Its Step on idle inputs must change nothing and
+	// present nothing — true of every processor of the paper's arrays,
+	// whose registers move only when data arrives.
+	OnInput Visit = iota
+	// EveryPulse visits a cell at every pulse, because it may present a
+	// token with idle inputs: a register that releases what it latched a
+	// pulse earlier, as in the pattern-match chip.
+	EveryPulse
+	// EveryCell visits a cell and every other cell of its grid at every
+	// pulse, because the cell counts pulses: the fault layer's wrapper
+	// decides by pulse ordinal whether to fire.
+	EveryCell
+)
+
+// Visited is implemented by a cell that must be visited more often than
+// OnInput. NewGrid asks each cell once.
+type Visited interface {
+	Visit() Visit
+}
+
 // Wrap transforms the cell built for (row, col) — the hook the fault layer
 // uses to corrupt a grid's processors without the array drivers knowing
-// anything about fault models. A nil Wrap is the identity.
+// anything about fault models. A nil Wrap is the identity. A wrapper cell
+// must report a Visit at least as frequent as its inner cell's.
 type Wrap func(row, col int, cell Cell) Cell
 
 // BuildWith composes a cell builder with an optional wrapper.
@@ -145,11 +173,33 @@ func BuildWith(build func(row, col int) Cell, wrap Wrap) func(row, col int) Cell
 	return func(r, c int) Cell { return wrap(r, c, build(r, c)) }
 }
 
-// Feeder produces the token entering one boundary port at each pulse. The
-// staggered input schedules of §3 are implemented as feeders.
+// Feeder produces the token entering one boundary port at a pulse of the
+// port's Window. The staggered input schedules of §3 are implemented as
+// feeders.
 type Feeder func(pulse int) Token
 
-// Sink receives a token leaving one boundary port at a given pulse.
+// Window is the set of pulses at which a boundary port is fed: Count
+// pulses, Stride apart, the first at First. Each staggered schedule of §3
+// feeds a port at a fixed spacing — two pulses on the counter-flow
+// arrays, one on the others — so one window describes it.
+type Window struct {
+	First, Stride, Count int
+}
+
+// Port registers one boundary input port: where it is (for North/South
+// the Index is a column; for East/West it is a row), the Window of pulses
+// its schedule feeds, and the Feeder the grid calls at those pulses and at
+// no other.
+type Port struct {
+	Side  Side
+	Index int
+	Window
+	Feed Feeder
+}
+
+// Sink receives a token leaving one boundary port at a given pulse. It is
+// called only for a present token. Within one pulse, sinks are called
+// north and south by column, then west and east by row.
 type Sink func(pulse int, tok Token)
 
 // Side identifies one side of the grid for feeder/sink registration.
@@ -182,7 +232,7 @@ func (s Side) String() string {
 type Stats struct {
 	Pulses      int // pulses executed
 	Cells       int // number of processors in the grid
-	CellSteps   int // Pulses * Cells
+	CellSteps   int // Pulses * Cells: every processor is counted at every pulse, visited or not
 	ActiveSteps int // cell-steps during which at least one input was present
 }
 
@@ -197,11 +247,11 @@ func (s Stats) Utilization() float64 {
 }
 
 // Snapshot is the latched state of the whole grid at one pulse: the inputs
-// every cell latched, offered to the Tracer once all cells have stepped and
-// before boundary outputs are drained. Latched holds row views over the
-// grid's latch plane, which the next pulse overwrites: a Tracer that
-// retains snapshots must deep-copy them during Observe (trace.Recorder
-// does).
+// every cell latched (all idle for a cell no token reached), offered to the
+// Tracer once all cells have stepped and before boundary outputs are
+// drained. Latched holds row views over the grid's latch plane, which the
+// next pulse overwrites: a Tracer that retains snapshots must deep-copy
+// them during Observe (trace.Recorder does).
 type Snapshot struct {
 	Pulse   int
 	Rows    int
@@ -218,18 +268,63 @@ type Tracer interface {
 // 2-1a); rows or cols of 1 give the linearly connected array (Figure 2-1b).
 type Grid struct {
 	rows, cols int
-	cells      []Cell // row-major
+	cells      []Cell    // row-major
+	pos        []cellPos // row and column of each cell
 
-	// feeders and sinks are indexed by side, then by port: the column for
-	// North/South, the row for East/West. A nil entry is an unfed port.
-	feeders [4][]Feeder
-	sinks   [4][]Sink
+	// Boundary ports are numbered in the order sinks see a pulse's
+	// tokens: the north and south ports of column c are 2c and 2c+1, the
+	// west and east ports of row r are 2·cols+2r and 2·cols+2r+1.
+	feeds   []feed  // by port; a zero Count is an unfed port
+	sinks   []Sink  // by port; nil is an undrained port
+	bound   []Token // by port: the token fed at this pulse
+	fed     []int32 // ports fed at this pulse
+	drained []drained
+	cal     calendar
 
 	ins        []Inputs   // row-major latch plane: the inputs each cell latched this pulse
 	prev, outs []Outputs  // row-major output planes: previous pulse, this pulse
 	latched    [][]Inputs // row views over ins, handed to the tracer
-	stats      Stats
-	trace      Tracer
+
+	// A pulse visits the cells in visit: those a token reached from a
+	// neighbour or a feeder, and the EveryPulse cells in always. mark[i]
+	// is one more than the last pulse cell i was scheduled for. Stepping
+	// fills next for the following pulse; last holds the cells visited at
+	// the previous pulse, whose slots of prev are cleared once latched. A
+	// dense grid (one holding an EveryCell cell) visits all instead.
+	dense             bool
+	all, always       []int32
+	mark              []int32
+	visit, next, last []int32
+
+	stats Stats
+	trace Tracer
+}
+
+type cellPos struct{ row, col int32 }
+
+// feed is one port's registration and its place in the calendar: the
+// next pulse of its window to wake and how many wake-ups remain.
+type feed struct {
+	Port
+	next, left int
+}
+
+// drained is a present token that left the grid through a drained port.
+type drained struct {
+	port int32
+	tok  Token
+}
+
+// calendar wakes each feeder at the pulses of its window and at no other.
+// pending holds the ports whose window has not begun, in order of first
+// pulse; once begun, a port waits in the ring bucket of its next pulse.
+// The ring is one longer than the largest stride, so a port woken at pulse
+// p is never filed back into p's own bucket.
+type calendar struct {
+	armed   bool
+	pending []int32
+	cursor  int
+	ring    [][]int32
 }
 
 // NewGrid builds a grid. The build function supplies the cell for each
@@ -238,21 +333,25 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("systolic: grid dimensions %dx%d must be positive", rows, cols)
 	}
+	n, ports := rows*cols, 2*(rows+cols)
 	g := &Grid{
 		rows:    rows,
 		cols:    cols,
-		cells:   make([]Cell, rows*cols),
-		ins:     make([]Inputs, rows*cols),
-		prev:    make([]Outputs, rows*cols),
-		outs:    make([]Outputs, rows*cols),
+		cells:   make([]Cell, n),
+		pos:     make([]cellPos, n),
+		feeds:   make([]feed, ports),
+		sinks:   make([]Sink, ports),
+		bound:   make([]Token, ports),
+		fed:     make([]int32, 0, ports),
+		drained: make([]drained, 0, ports),
+		ins:     make([]Inputs, n),
+		prev:    make([]Outputs, n),
+		outs:    make([]Outputs, n),
 		latched: make([][]Inputs, rows),
+		mark:    make([]int32, n),
 	}
 	for r := range g.latched {
 		g.latched[r] = g.ins[r*cols : (r+1)*cols : (r+1)*cols]
-	}
-	for side, ports := range [4]int{North: cols, South: cols, East: rows, West: rows} {
-		g.feeders[side] = make([]Feeder, ports)
-		g.sinks[side] = make([]Sink, ports)
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -260,44 +359,104 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 			if cell == nil {
 				return nil, fmt.Errorf("systolic: build returned nil cell at (%d,%d)", r, c)
 			}
-			g.cells[r*cols+c] = cell
+			i := r*cols + c
+			g.cells[i], g.pos[i] = cell, cellPos{int32(r), int32(c)}
+			if v, ok := cell.(Visited); ok {
+				switch v.Visit() {
+				case EveryPulse:
+					g.always = append(g.always, int32(i))
+				case EveryCell:
+					g.dense = true
+				}
+			}
 		}
+	}
+	if g.dense {
+		g.all = make([]int32, n)
+		for i := range g.all {
+			g.all[i] = int32(i)
+		}
+	} else {
+		g.visit, g.next, g.last = make([]int32, 0, n), make([]int32, 0, n), make([]int32, 0, n)
 	}
 	return g, nil
 }
 
-// Feed registers the feeder for a boundary input port. For North/South the
-// index is a column; for East/West it is a row. Feeding a port twice
-// replaces the earlier feeder.
-func (g *Grid) Feed(side Side, index int, f Feeder) error {
-	if err := g.checkPort(side, index); err != nil {
-		return err
+// port returns the number of a boundary port: for North/South the index
+// is a column; for East/West it is a row.
+func (g *Grid) port(side Side, index int) (int, error) {
+	limit := g.cols
+	if side == East || side == West {
+		limit = g.rows
 	}
-	g.feeders[side][index] = f
+	switch {
+	case side < North || side > West:
+		return 0, fmt.Errorf("systolic: invalid side %v", side)
+	case index < 0 || index >= limit:
+		return 0, fmt.Errorf("systolic: port %v[%d] out of range [0,%d)", side, index, limit)
+	case side == North || side == South:
+		return 2*index + int(side-North), nil
+	}
+	return 2*g.cols + 2*index + int(West-side), nil
+}
+
+// portCell returns the cell behind a boundary port.
+func (g *Grid) portCell(port int) int {
+	if port < 2*g.cols {
+		if port%2 == 0 {
+			return port / 2
+		}
+		return (g.rows-1)*g.cols + port/2
+	}
+	r := (port - 2*g.cols) / 2
+	if port%2 == 0 {
+		return r * g.cols
+	}
+	return r*g.cols + g.cols - 1
+}
+
+// Feed registers boundary input ports; every other port is idle. Feeding
+// a port twice replaces the earlier registration.
+func (g *Grid) Feed(ports ...Port) error {
+	for _, p := range ports {
+		port, err := g.port(p.Side, p.Index)
+		if err != nil {
+			return err
+		}
+		if p.First < 0 || p.Count < 0 || (p.Count > 1 && p.Stride < 1) {
+			return fmt.Errorf("systolic: port %v[%d]: invalid window %+v", p.Side, p.Index, p.Window)
+		}
+		if p.Count <= 1 {
+			p.Stride = 1
+		}
+		if p.Feed == nil {
+			p.Count = 0
+		}
+		g.feeds[port] = feed{Port: p}
+	}
+	g.cal.armed = false
 	return nil
 }
 
 // Drain registers the sink for a boundary output port.
 func (g *Grid) Drain(side Side, index int, s Sink) error {
-	if err := g.checkPort(side, index); err != nil {
+	port, err := g.port(side, index)
+	if err != nil {
 		return err
 	}
-	g.sinks[side][index] = s
-	return nil
-}
-
-func (g *Grid) checkPort(side Side, index int) error {
-	if side < North || side > West {
-		return fmt.Errorf("systolic: invalid side %v", side)
-	}
-	if limit := len(g.feeders[side]); index < 0 || index >= limit {
-		return fmt.Errorf("systolic: port %v[%d] out of range [0,%d)", side, index, limit)
-	}
+	g.sinks[port] = s
 	return nil
 }
 
 // SetTracer installs a tracer (nil disables tracing).
-func (g *Grid) SetTracer(t Tracer) { g.trace = t }
+func (g *Grid) SetTracer(t Tracer) {
+	if t != nil && g.trace == nil {
+		// Untraced pulses leave the latch slots of visited cells as they
+		// were; a traced pulse shows idle inputs for every cell it skips.
+		clear(g.ins)
+	}
+	g.trace = t
+}
 
 // Reset clears all wires and statistics and resets every cell's registers.
 func (g *Grid) Reset() {
@@ -305,26 +464,18 @@ func (g *Grid) Reset() {
 		cell.Reset()
 		g.ins[i], g.prev[i], g.outs[i] = Inputs{}, Outputs{}, Outputs{}
 	}
+	clear(g.mark)
+	clear(g.bound)
+	g.fed, g.drained = g.fed[:0], g.drained[:0]
+	if !g.dense {
+		g.visit, g.next, g.last = g.visit[:0], g.next[:0], g.last[:0]
+	}
+	g.cal.armed = false
 	g.stats = Stats{Cells: g.rows * g.cols}
 }
 
 // Stats returns the accumulated run statistics.
 func (g *Grid) Stats() Stats { return g.stats }
-
-// feed returns the boundary token for a port, or Empty if it is unfed.
-func (g *Grid) feed(side Side, index, pulse int) Token {
-	if f := g.feeders[side][index]; f != nil {
-		return f(pulse)
-	}
-	return Empty
-}
-
-// drain delivers a boundary token to its sink, if any.
-func (g *Grid) drain(side Side, index, pulse int, tok Token) {
-	if s := g.sinks[side][index]; s != nil {
-		s(pulse, tok)
-	}
-}
 
 // Run advances the grid by the given number of pulses. It may be called
 // repeatedly; pulse numbering continues across calls until Reset. Every
@@ -347,12 +498,93 @@ func (g *Grid) Run(pulses int) {
 	mUtilization.Set(g.stats.Utilization())
 }
 
-// step executes one pulse: one pass over the rows latches and steps every
-// cell, the tracer sees the latch plane, boundary outputs are drained, and
-// the output planes swap.
+// arm files every fed port in the calendar from the given pulse on: at
+// the first pulse of its window not yet past.
+func (g *Grid) arm(pulse int) {
+	c := &g.cal
+	c.pending, c.cursor = c.pending[:0], 0
+	size := 1
+	for port := range g.feeds {
+		fd := &g.feeds[port]
+		skip := 0
+		if pulse > fd.First {
+			skip = (pulse - fd.First + fd.Stride - 1) / fd.Stride
+		}
+		if fd.left = fd.Count - skip; fd.left <= 0 {
+			continue
+		}
+		fd.next = fd.First + skip*fd.Stride
+		c.pending = append(c.pending, int32(port))
+		size = max(size, fd.Stride+1)
+	}
+	slices.SortFunc(c.pending, func(a, b int32) int { return g.feeds[a].next - g.feeds[b].next })
+	if cap(c.ring) < size {
+		c.ring = make([][]int32, size)
+	}
+	c.ring = c.ring[:size]
+	for b := range c.ring {
+		if cap(c.ring[b]) < len(c.pending) {
+			c.ring[b] = make([]int32, 0, len(c.pending))
+		}
+		c.ring[b] = c.ring[b][:0]
+	}
+	c.armed = true
+}
+
+// wake calls the feeders due at this pulse — the only call of a Feeder —
+// and holds each present token on its port for the cells to latch.
+func (g *Grid) wake(pulse int) {
+	c := &g.cal
+	due := &c.ring[pulse%len(c.ring)]
+	for ; c.cursor < len(c.pending) && g.feeds[c.pending[c.cursor]].next == pulse; c.cursor++ {
+		*due = append(*due, c.pending[c.cursor])
+	}
+	for _, port := range *due {
+		fd := &g.feeds[port]
+		if tok := fd.Feed(pulse); tok.Present() {
+			g.bound[port] = tok
+			g.fed = append(g.fed, port)
+		}
+		if fd.left--; fd.left > 0 {
+			fd.next += fd.Stride
+			later := &c.ring[fd.next%len(c.ring)]
+			*later = append(*later, port)
+		}
+	}
+	*due = (*due)[:0]
+}
+
+// schedule adds cell i to list for the pulse whose stamp (pulse+1) is
+// given, unless it is there already.
+func (g *Grid) schedule(list *[]int32, i int, stamp int32) {
+	if g.mark[i] != stamp {
+		g.mark[i] = stamp
+		*list = append(*list, int32(i))
+	}
+}
+
+// step executes one pulse: the due feeders are woken, every cell to visit
+// latches its inputs and steps in place, the tracer sees the latch plane,
+// the tokens that left the grid are delivered to their sinks, and the
+// output planes swap.
 func (g *Grid) step() {
 	pulse := g.stats.Pulses
-	g.stats.ActiveSteps += g.stepRows(pulse)
+	if !g.cal.armed {
+		g.arm(pulse)
+	}
+	g.wake(pulse)
+	visit := g.all
+	if !g.dense {
+		stamp := int32(pulse + 1)
+		for _, i := range g.always {
+			g.schedule(&g.visit, int(i), stamp)
+		}
+		for _, port := range g.fed {
+			g.schedule(&g.visit, g.portCell(int(port)), stamp)
+		}
+		visit = g.visit
+	}
+	g.stats.ActiveSteps += g.stepCells(visit, pulse)
 	g.stats.CellSteps += g.rows * g.cols
 	if g.trace != nil {
 		g.trace.Observe(Snapshot{Pulse: pulse, Rows: g.rows, Cols: g.cols, Latched: g.latched})
@@ -361,58 +593,115 @@ func (g *Grid) step() {
 	// An output presented at pulse p is considered to leave the array at
 	// pulse p (it would be latched by an external consumer at p+1; the
 	// off-by-one is uniform and hidden inside the array drivers).
-	last := (g.rows - 1) * g.cols
-	for c := 0; c < g.cols; c++ {
-		g.drain(North, c, pulse, g.outs[c].N)
-		g.drain(South, c, pulse, g.outs[last+c].S)
+	if len(g.drained) > 1 {
+		slices.SortFunc(g.drained, func(a, b drained) int { return int(a.port - b.port) })
 	}
-	for r := 0; r < g.rows; r++ {
-		g.drain(West, r, pulse, g.outs[r*g.cols].W)
-		g.drain(East, r, pulse, g.outs[r*g.cols+g.cols-1].E)
+	for _, d := range g.drained {
+		g.sinks[d.port](pulse, d.tok)
 	}
+	g.drained = g.drained[:0]
+	for _, port := range g.fed {
+		g.bound[port] = Empty
+	}
+	g.fed = g.fed[:0]
 
+	// Clear what the next pulse must see as idle: the outputs of the
+	// previous pulse (this plane becomes the next pulse's output plane)
+	// and, when traced, the inputs this pulse latched.
+	if g.dense {
+		clear(g.prev)
+	} else {
+		for _, i := range g.last {
+			g.prev[i] = Outputs{}
+		}
+		if g.trace != nil {
+			for _, i := range visit {
+				g.ins[i] = Inputs{}
+			}
+		}
+		g.last, g.visit, g.next = g.visit, g.next, g.last[:0]
+	}
 	g.prev, g.outs = g.outs, g.prev
 	g.stats.Pulses++
 }
 
-// stepRows runs one pulse over every row: each cell latches its inputs
-// into its slot of the latch plane, from the previous pulse's output plane
-// (or a boundary feeder), and steps in place, presenting its outputs in its
-// cleared slot of this pulse's plane. It returns how many of the cells had
-// an input present.
-func (g *Grid) stepRows(pulse int) int {
+// stepCells runs one pulse over the cells to visit: each latches its
+// inputs into its slot of the latch plane, from the previous pulse's
+// output plane or a boundary port, and steps in place, presenting its
+// outputs in its idle slot of this pulse's plane. A present output is
+// scheduled at the neighbour it faces for the next pulse, or kept for its
+// sink when it leaves the grid. It returns how many of the cells had an
+// input present.
+func (g *Grid) stepCells(visit []int32, pulse int) int {
 	active := 0
-	rows, cols, prev, ins, outs := g.rows, g.cols, g.prev, g.ins, g.outs
-	for r := 0; r < rows; r++ {
-		for c, i := 0, r*cols; c < cols; c, i = c+1, i+1 {
-			in := &ins[i]
+	rows, cols, prev, ins, outs, bound := g.rows, g.cols, g.prev, g.ins, g.outs, g.bound
+	east := 2 * cols // the west port of row r is east+2r, its east port one more
+	stamp := int32(pulse + 2)
+	for _, i32 := range visit {
+		i := int(i32)
+		r, c := int(g.pos[i].row), int(g.pos[i].col)
+		in := &ins[i]
+		if r == 0 {
+			in.N = bound[2*c]
+		} else {
+			in.N = prev[i-cols].S
+		}
+		if r == rows-1 {
+			in.S = bound[2*c+1]
+		} else {
+			in.S = prev[i+cols].N
+		}
+		if c == 0 {
+			in.W = bound[east+2*r]
+		} else {
+			in.W = prev[i-1].E
+		}
+		if c == cols-1 {
+			in.E = bound[east+2*r+1]
+		} else {
+			in.E = prev[i+1].W
+		}
+		if in.Any() {
+			active++
+		}
+		out := &outs[i]
+		g.cells[i].Step(in, out)
+		if out.N.Present() {
 			if r == 0 {
-				in.N = g.feed(North, c, pulse)
-			} else {
-				in.N = prev[i-cols].S
+				g.leave(2*c, out.N)
+			} else if !g.dense {
+				g.schedule(&g.next, i-cols, stamp)
 			}
+		}
+		if out.S.Present() {
 			if r == rows-1 {
-				in.S = g.feed(South, c, pulse)
-			} else {
-				in.S = prev[i+cols].N
+				g.leave(2*c+1, out.S)
+			} else if !g.dense {
+				g.schedule(&g.next, i+cols, stamp)
 			}
+		}
+		if out.W.Present() {
 			if c == 0 {
-				in.W = g.feed(West, r, pulse)
-			} else {
-				in.W = prev[i-1].E
+				g.leave(east+2*r, out.W)
+			} else if !g.dense {
+				g.schedule(&g.next, i-1, stamp)
 			}
+		}
+		if out.E.Present() {
 			if c == cols-1 {
-				in.E = g.feed(East, r, pulse)
-			} else {
-				in.E = prev[i+1].W
+				g.leave(east+2*r+1, out.E)
+			} else if !g.dense {
+				g.schedule(&g.next, i+1, stamp)
 			}
-			if in.Any() {
-				active++
-			}
-			out := &outs[i]
-			*out = Outputs{}
-			g.cells[i].Step(in, out)
 		}
 	}
 	return active
+}
+
+// leave keeps a token leaving the grid through a port for its sink, if
+// the port has one.
+func (g *Grid) leave(port int, tok Token) {
+	if g.sinks[port] != nil {
+		g.drained = append(g.drained, drained{int32(port), tok})
+	}
 }

@@ -70,18 +70,28 @@ func TestPortValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Feed(North, 3, nil); err == nil {
+	if err := g.Feed(Port{Side: North, Index: 3}); err == nil {
 		t.Error("out-of-range north port not rejected")
 	}
-	if err := g.Feed(West, 2, nil); err == nil {
+	if err := g.Feed(Port{Side: West, Index: 2}); err == nil {
 		t.Error("out-of-range west port not rejected")
 	}
 	if err := g.Drain(Side(9), 0, nil); err == nil {
 		t.Error("invalid side not rejected")
 	}
-	if err := g.Feed(East, 1, func(int) Token { return Empty }); err != nil {
+	for _, w := range []Window{{First: -1, Count: 1}, {Count: -1}, {Stride: 0, Count: 2}} {
+		if err := g.Feed(Port{Side: East, Index: 1, Window: w, Feed: func(int) Token { return Empty }}); err == nil {
+			t.Errorf("window %+v not rejected", w)
+		}
+	}
+	if err := g.Feed(Port{Side: East, Index: 1, Window: Window{First: 0, Stride: 2, Count: 3}, Feed: func(int) Token { return Empty }}); err != nil {
 		t.Errorf("valid port rejected: %v", err)
 	}
+}
+
+// once feeds tok at pulse 0 only.
+func once(side Side, index int, tok Token) Port {
+	return Port{Side: side, Index: index, Window: Window{Count: 1}, Feed: func(int) Token { return tok }}
 }
 
 func TestTokenTraversalLatency(t *testing.T) {
@@ -94,12 +104,7 @@ func TestTokenTraversalLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Feed(North, 0, func(p int) Token {
-		if p == 0 {
-			return ValToken(relation.Element(77), Tag{})
-		}
-		return Empty
-	}); err != nil {
+	if err := g.Feed(once(North, 0, ValToken(relation.Element(77), Tag{}))); err != nil {
 		t.Fatal(err)
 	}
 	gotPulse := -1
@@ -125,20 +130,7 @@ func TestCounterFlowTokensPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Feed(North, 0, func(p int) Token {
-		if p == 0 {
-			return ValToken(1, Tag{})
-		}
-		return Empty
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Feed(South, 0, func(p int) Token {
-		if p == 0 {
-			return ValToken(2, Tag{})
-		}
-		return Empty
-	}); err != nil {
+	if err := g.Feed(once(North, 0, ValToken(1, Tag{})), once(South, 0, ValToken(2, Tag{}))); err != nil {
 		t.Fatal(err)
 	}
 	var gotSouth, gotNorth relation.Element
@@ -168,12 +160,7 @@ func TestStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Feed(North, 0, func(p int) Token {
-		if p == 0 {
-			return ValToken(5, Tag{})
-		}
-		return Empty
-	}); err != nil {
+	if err := g.Feed(once(North, 0, ValToken(5, Tag{}))); err != nil {
 		t.Fatal(err)
 	}
 	g.Reset()
