@@ -2,12 +2,14 @@ package systolic_test
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,7 +33,15 @@ type record struct {
 	result string
 	stats  systolic.Stats
 	snaps  *recorder // nil when the driver takes no tracer
-	emits  []string  // (pulse, side, port, token); nil when the driver takes no wrap
+	emits  []emit    // nil when the driver takes no wrap
+}
+
+// emit is a token presented on the grid boundary: (pulse, side, port,
+// token) rendered as text, and its place in the order sinks see a pulse's
+// tokens (north and south by column, then west and east by row).
+type emit struct {
+	pulse, order int
+	text         string
 }
 
 // recorder hashes every snapshot it observes, in order.
@@ -78,7 +88,7 @@ func (h *hashWriter) sum() string {
 // under this wrap is the dense reference a visit-only-what-a-token-reaches
 // grid must reproduce. Cells on the boundary also log what they present
 // toward the outside of a rows x cols grid.
-func countingWrap(rows, cols int, emits *[]string) systolic.Wrap {
+func countingWrap(rows, cols int, emits *[]emit) systolic.Wrap {
 	return func(row, col int, cell systolic.Cell) systolic.Cell {
 		return &countingCell{inner: cell, row: row, col: col, rows: rows, cols: cols, emits: emits}
 	}
@@ -88,20 +98,20 @@ type countingCell struct {
 	inner                systolic.Cell
 	row, col, rows, cols int
 	pulse                int
-	emits                *[]string
+	emits                *[]emit
 }
 
 func (c *countingCell) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	c.inner.Step(in, out)
-	emit := func(edge bool, side systolic.Side, port int, t systolic.Token) {
+	log := func(edge bool, side systolic.Side, port, order int, t systolic.Token) {
 		if edge && t.Present() {
-			*c.emits = append(*c.emits, fmt.Sprintf("%d %v %d %v/%v", c.pulse, side, port, t, t.Tag))
+			*c.emits = append(*c.emits, emit{c.pulse, order, fmt.Sprintf("%d %v %d %v/%v", c.pulse, side, port, t, t.Tag)})
 		}
 	}
-	emit(c.row == 0, systolic.North, c.col, out.N)
-	emit(c.row == c.rows-1, systolic.South, c.col, out.S)
-	emit(c.col == c.cols-1, systolic.East, c.row, out.E)
-	emit(c.col == 0, systolic.West, c.row, out.W)
+	log(c.row == 0, systolic.North, c.col, 2*c.col, out.N)
+	log(c.row == c.rows-1, systolic.South, c.col, 2*c.col+1, out.S)
+	log(c.col == c.cols-1, systolic.East, c.row, 2*c.cols+2*c.row+1, out.E)
+	log(c.col == 0, systolic.West, c.row, 2*c.cols+2*c.row, out.W)
 	c.pulse++
 }
 
@@ -351,22 +361,28 @@ func (c driverCase) record(wrapped bool) record {
 	}
 	var wrap systolic.Wrap
 	if wrapped {
-		r.emits = []string{}
+		r.emits = []emit{}
 		wrap = countingWrap(c.rows, c.cols, &r.emits)
 	}
 	r.result, r.stats = c.run(tr, wrap)
 	return r
 }
 
-func (r record) line(name string, emits []string) string {
+func (r record) line(name string, emits []emit) string {
 	snaps := "-"
 	if r.snaps != nil {
 		snaps = fmt.Sprintf("%d:%s", r.snaps.pulses, r.snaps.h.sum())
 	}
 	em := "-"
 	if emits != nil {
+		// In the order sinks see them, whatever order the cells stepped.
+		slices.SortStableFunc(emits, func(a, b emit) int {
+			return cmp.Or(cmp.Compare(a.pulse, b.pulse), cmp.Compare(a.order, b.order))
+		})
 		var h hashWriter
-		h.buf = []byte(strings.Join(emits, "\n"))
+		for _, e := range emits {
+			h.buf = append(append(h.buf, e.text...), '\n')
+		}
 		em = fmt.Sprintf("%d:%s", len(emits), h.sum())
 	}
 	var h hashWriter
@@ -390,7 +406,7 @@ func TestDriverStepping(t *testing.T) {
 	var lines []string
 	for _, c := range driverCases() {
 		plain := c.record(false)
-		emits := []string(nil)
+		emits := []emit(nil)
 		if c.wrapped {
 			dense := c.record(true)
 			if plain.result != dense.result || plain.stats != dense.stats {

@@ -17,10 +17,19 @@
 // plane and writing their slot of this pulse's output plane, so no token is
 // copied through the Cell interface.
 //
+// Every processor is counted at every pulse, but the grid latches and
+// steps only the cells a token reaches: a processor of the paper's arrays
+// stepped on four idle lines changes nothing and presents nothing, so
+// skipping it is the same synchronous model (§8: "only half of the
+// processors in a systolic array are busy at any one time"). A cell that
+// may emit with idle inputs, or that counts pulses, says so through
+// Visited.
+//
 // Tokens entering the grid boundary are produced by Feeders (the "staggered"
-// input schedules of §3) and tokens leaving the boundary are delivered to
-// Sinks. An optional Tracer observes the latched state each pulse, enabling
-// the data-movement snapshots of Figures 3-4, 4-1 and 7-2.
+// input schedules of §3), each registered with the Window of pulses at
+// which it feeds its port, and present tokens leaving the boundary are
+// delivered to Sinks. An optional Tracer observes the latched state each
+// pulse, enabling the data-movement snapshots of Figures 3-4, 4-1 and 7-2.
 package systolic
 
 import (
@@ -126,8 +135,9 @@ type Outputs struct {
 // latch plane and out its slot of this pulse's output plane, cleared before
 // the call: Step sets the lines it drives and leaves the rest idle. Both
 // point into grid-owned planes that the next pulse overwrites, so Step must
-// not retain either pointer. Reset restores the power-on register state,
-// allowing a grid to be reused across runs.
+// not retain either pointer. The grid steps a cell only at the pulses its
+// Visit asks for (OnInput unless it implements Visited). Reset restores the
+// power-on register state, allowing a grid to be reused across runs.
 type Cell interface {
 	Step(in *Inputs, out *Outputs)
 	Reset()
@@ -286,14 +296,12 @@ type Grid struct {
 	latched    [][]Inputs // row views over ins, handed to the tracer
 
 	// A pulse visits the cells in visit: those a token reached from a
-	// neighbour or a feeder, and the EveryPulse cells in always. mark[i]
-	// is one more than the last pulse cell i was scheduled for. Stepping
+	// neighbour or a feeder, and the cells in always (the EveryPulse
+	// cells, or every cell of a grid holding an EveryCell one). mark[i] is
+	// one more than the last pulse cell i was scheduled for. Stepping
 	// fills next for the following pulse; last holds the cells visited at
-	// the previous pulse, whose slots of prev are cleared once latched. A
-	// dense grid (one holding an EveryCell cell) visits all instead.
-	dense             bool
-	all, always       []int32
-	mark              []int32
+	// the previous pulse, whose slots of prev are cleared once latched.
+	always, mark      []int32
 	visit, next, last []int32
 
 	stats Stats
@@ -302,11 +310,12 @@ type Grid struct {
 
 type cellPos struct{ row, col int32 }
 
-// feed is one port's registration and its place in the calendar: the
-// next pulse of its window to wake and how many wake-ups remain.
+// feed is one port's registration, the cell behind the port, and its
+// place in the calendar: the next pulse of its window to wake and how many
+// wake-ups remain.
 type feed struct {
 	Port
-	next, left int
+	cell, next, left int
 }
 
 // drained is a present token that left the grid through a drained port.
@@ -349,7 +358,11 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 		outs:    make([]Outputs, n),
 		latched: make([][]Inputs, rows),
 		mark:    make([]int32, n),
+		visit:   make([]int32, 0, n),
+		next:    make([]int32, 0, n),
+		last:    make([]int32, 0, n),
 	}
+	dense := false
 	for r := range g.latched {
 		g.latched[r] = g.ins[r*cols : (r+1)*cols : (r+1)*cols]
 	}
@@ -366,60 +379,47 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 				case EveryPulse:
 					g.always = append(g.always, int32(i))
 				case EveryCell:
-					g.dense = true
+					dense = true
 				}
 			}
 		}
 	}
-	if g.dense {
-		g.all = make([]int32, n)
-		for i := range g.all {
-			g.all[i] = int32(i)
+	if dense {
+		g.always = make([]int32, n)
+		for i := range g.always {
+			g.always[i] = int32(i)
 		}
-	} else {
-		g.visit, g.next, g.last = make([]int32, 0, n), make([]int32, 0, n), make([]int32, 0, n)
 	}
 	return g, nil
 }
 
-// port returns the number of a boundary port: for North/South the index
-// is a column; for East/West it is a row.
-func (g *Grid) port(side Side, index int) (int, error) {
+// port returns the number of a boundary port and the cell behind it: for
+// North/South the index is a column; for East/West it is a row.
+func (g *Grid) port(side Side, index int) (port, cell int, err error) {
 	limit := g.cols
 	if side == East || side == West {
 		limit = g.rows
 	}
 	switch {
 	case side < North || side > West:
-		return 0, fmt.Errorf("systolic: invalid side %v", side)
+		return 0, 0, fmt.Errorf("systolic: invalid side %v", side)
 	case index < 0 || index >= limit:
-		return 0, fmt.Errorf("systolic: port %v[%d] out of range [0,%d)", side, index, limit)
-	case side == North || side == South:
-		return 2*index + int(side-North), nil
+		return 0, 0, fmt.Errorf("systolic: port %v[%d] out of range [0,%d)", side, index, limit)
+	case side == North:
+		return 2 * index, index, nil
+	case side == South:
+		return 2*index + 1, (g.rows-1)*g.cols + index, nil
+	case side == West:
+		return 2*g.cols + 2*index, index * g.cols, nil
 	}
-	return 2*g.cols + 2*index + int(West-side), nil
-}
-
-// portCell returns the cell behind a boundary port.
-func (g *Grid) portCell(port int) int {
-	if port < 2*g.cols {
-		if port%2 == 0 {
-			return port / 2
-		}
-		return (g.rows-1)*g.cols + port/2
-	}
-	r := (port - 2*g.cols) / 2
-	if port%2 == 0 {
-		return r * g.cols
-	}
-	return r*g.cols + g.cols - 1
+	return 2*g.cols + 2*index + 1, index*g.cols + g.cols - 1, nil
 }
 
 // Feed registers boundary input ports; every other port is idle. Feeding
 // a port twice replaces the earlier registration.
 func (g *Grid) Feed(ports ...Port) error {
 	for _, p := range ports {
-		port, err := g.port(p.Side, p.Index)
+		port, cell, err := g.port(p.Side, p.Index)
 		if err != nil {
 			return err
 		}
@@ -432,7 +432,7 @@ func (g *Grid) Feed(ports ...Port) error {
 		if p.Feed == nil {
 			p.Count = 0
 		}
-		g.feeds[port] = feed{Port: p}
+		g.feeds[port] = feed{Port: p, cell: cell}
 	}
 	g.cal.armed = false
 	return nil
@@ -440,7 +440,7 @@ func (g *Grid) Feed(ports ...Port) error {
 
 // Drain registers the sink for a boundary output port.
 func (g *Grid) Drain(side Side, index int, s Sink) error {
-	port, err := g.port(side, index)
+	port, _, err := g.port(side, index)
 	if err != nil {
 		return err
 	}
@@ -467,9 +467,7 @@ func (g *Grid) Reset() {
 	clear(g.mark)
 	clear(g.bound)
 	g.fed, g.drained = g.fed[:0], g.drained[:0]
-	if !g.dense {
-		g.visit, g.next, g.last = g.visit[:0], g.next[:0], g.last[:0]
-	}
+	g.visit, g.next, g.last = g.visit[:0], g.next[:0], g.last[:0]
 	g.cal.armed = false
 	g.stats = Stats{Cells: g.rows * g.cols}
 }
@@ -532,7 +530,8 @@ func (g *Grid) arm(pulse int) {
 }
 
 // wake calls the feeders due at this pulse — the only call of a Feeder —
-// and holds each present token on its port for the cells to latch.
+// and holds each present token on its port for its cell, which it
+// schedules, to latch.
 func (g *Grid) wake(pulse int) {
 	c := &g.cal
 	due := &c.ring[pulse%len(c.ring)]
@@ -544,6 +543,7 @@ func (g *Grid) wake(pulse int) {
 		if tok := fd.Feed(pulse); tok.Present() {
 			g.bound[port] = tok
 			g.fed = append(g.fed, port)
+			g.schedule(&g.visit, fd.cell, int32(pulse+1))
 		}
 		if fd.left--; fd.left > 0 {
 			fd.next += fd.Stride
@@ -573,18 +573,10 @@ func (g *Grid) step() {
 		g.arm(pulse)
 	}
 	g.wake(pulse)
-	visit := g.all
-	if !g.dense {
-		stamp := int32(pulse + 1)
-		for _, i := range g.always {
-			g.schedule(&g.visit, int(i), stamp)
-		}
-		for _, port := range g.fed {
-			g.schedule(&g.visit, g.portCell(int(port)), stamp)
-		}
-		visit = g.visit
+	for _, i := range g.always {
+		g.schedule(&g.visit, int(i), int32(pulse+1))
 	}
-	g.stats.ActiveSteps += g.stepCells(visit, pulse)
+	g.stats.ActiveSteps += g.stepCells(pulse)
 	g.stats.CellSteps += g.rows * g.cols
 	if g.trace != nil {
 		g.trace.Observe(Snapshot{Pulse: pulse, Rows: g.rows, Cols: g.cols, Latched: g.latched})
@@ -608,19 +600,15 @@ func (g *Grid) step() {
 	// Clear what the next pulse must see as idle: the outputs of the
 	// previous pulse (this plane becomes the next pulse's output plane)
 	// and, when traced, the inputs this pulse latched.
-	if g.dense {
-		clear(g.prev)
-	} else {
-		for _, i := range g.last {
-			g.prev[i] = Outputs{}
-		}
-		if g.trace != nil {
-			for _, i := range visit {
-				g.ins[i] = Inputs{}
-			}
-		}
-		g.last, g.visit, g.next = g.visit, g.next, g.last[:0]
+	for _, i := range g.last {
+		g.prev[i] = Outputs{}
 	}
+	if g.trace != nil {
+		for _, i := range g.visit {
+			g.ins[i] = Inputs{}
+		}
+	}
+	g.last, g.visit, g.next = g.visit, g.next, g.last[:0]
 	g.prev, g.outs = g.outs, g.prev
 	g.stats.Pulses++
 }
@@ -632,12 +620,12 @@ func (g *Grid) step() {
 // scheduled at the neighbour it faces for the next pulse, or kept for its
 // sink when it leaves the grid. It returns how many of the cells had an
 // input present.
-func (g *Grid) stepCells(visit []int32, pulse int) int {
+func (g *Grid) stepCells(pulse int) int {
 	active := 0
 	rows, cols, prev, ins, outs, bound := g.rows, g.cols, g.prev, g.ins, g.outs, g.bound
 	east := 2 * cols // the west port of row r is east+2r, its east port one more
 	stamp := int32(pulse + 2)
-	for _, i32 := range visit {
+	for _, i32 := range g.visit {
 		i := int(i32)
 		r, c := int(g.pos[i].row), int(g.pos[i].col)
 		in := &ins[i]
@@ -669,28 +657,28 @@ func (g *Grid) stepCells(visit []int32, pulse int) int {
 		if out.N.Present() {
 			if r == 0 {
 				g.leave(2*c, out.N)
-			} else if !g.dense {
+			} else {
 				g.schedule(&g.next, i-cols, stamp)
 			}
 		}
 		if out.S.Present() {
 			if r == rows-1 {
 				g.leave(2*c+1, out.S)
-			} else if !g.dense {
+			} else {
 				g.schedule(&g.next, i+cols, stamp)
 			}
 		}
 		if out.W.Present() {
 			if c == 0 {
 				g.leave(east+2*r, out.W)
-			} else if !g.dense {
+			} else {
 				g.schedule(&g.next, i-1, stamp)
 			}
 		}
 		if out.E.Present() {
 			if c == cols-1 {
 				g.leave(east+2*r+1, out.E)
-			} else if !g.dense {
+			} else {
 				g.schedule(&g.next, i+1, stamp)
 			}
 		}
