@@ -504,6 +504,9 @@ func (g *Grid) arm(pulse int) {
 	size := 1
 	for port := range g.feeds {
 		fd := &g.feeds[port]
+		if fd.left = 0; fd.Count == 0 {
+			continue
+		}
 		skip := 0
 		if pulse > fd.First {
 			skip = (pulse - fd.First + fd.Stride - 1) / fd.Stride

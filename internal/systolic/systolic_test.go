@@ -1,6 +1,7 @@
 package systolic
 
 import (
+	"slices"
 	"testing"
 
 	"systolicdb/internal/relation"
@@ -152,6 +153,30 @@ func TestCounterFlowTokensPass(t *testing.T) {
 	g.Run(rows + 1)
 	if gotSouth != 1 || gotNorth != 2 {
 		t.Errorf("counter-flow results: south=%d north=%d, want 1 and 2", gotSouth, gotNorth)
+	}
+}
+
+// TestFeedBetweenRuns: a port registered after some pulses have run is
+// fed from the next pulse on, at the pulses of its window not yet past.
+func TestFeedBetweenRuns(t *testing.T) {
+	g, err := NewGrid(1, 2, func(_, _ int) Cell { return passCell{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	if err := g.Drain(East, 0, func(p int, tok Token) { got = append(got, p, int(tok.Val)) }); err != nil {
+		t.Fatal(err)
+	}
+	g.Reset()
+	g.Run(4)
+	if err := g.Feed(Port{Side: West, Window: Window{First: 1, Stride: 3, Count: 3},
+		Feed: func(p int) Token { return ValToken(relation.Element(p), Tag{}) }}); err != nil {
+		t.Fatal(err)
+	}
+	g.Run(6)
+	// Pulse 1 is past; pulses 4 and 7 are fed and leave one pulse later.
+	if want := []int{5, 4, 8, 7}; !slices.Equal(got, want) {
+		t.Errorf("east deliveries (pulse, value) = %v, want %v", got, want)
 	}
 }
 
