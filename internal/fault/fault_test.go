@@ -2,6 +2,8 @@ package fault
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +97,37 @@ func runWrapped(t *testing.T, wrap systolic.Wrap, n int) map[int]bool {
 	grid.Reset()
 	grid.Run(n + 2)
 	return out
+}
+
+// TestFaultOrdinalsCountIdlePulses: a wrapped cell's pulse ordinal is the
+// grid's pulse even at pulses when no token reaches the cell, so a fault
+// aimed at (cell, pulse) hits the token that arrives there at that pulse.
+// A grid that stepped only the cells a token reaches would leave cell
+// (0,1) at ordinal 0 when the token arrives at pulse 4, and miss it.
+func TestFaultOrdinalsCountIdlePulses(t *testing.T) {
+	inj, err := NewInjector(&Plan{Mode: Flip, Seed: 1, Row: 0, Col: 1, Pulse: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := systolic.NewGrid(1, 2, systolic.BuildWith(func(_, _ int) systolic.Cell {
+		return &passthrough{}
+	}, inj.NewRun()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grid.Feed(systolic.Port{Side: systolic.West, Window: systolic.Window{First: 3, Stride: 1, Count: 1},
+		Feed: func(int) systolic.Token { return systolic.FlagToken(true, systolic.Tag{}) }}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if err := grid.Drain(systolic.East, 0, func(p int, tok systolic.Token) { got = append(got, fmt.Sprint(p, tok)) }); err != nil {
+		t.Fatal(err)
+	}
+	grid.Reset()
+	grid.Run(6)
+	if want := []string{"4 F"}; !slices.Equal(got, want) {
+		t.Errorf("east deliveries %q, want %q (the TRUE flipped at cell 0x1, pulse 4)", got, want)
+	}
 }
 
 // TestInjectorDeterminism: two injectors from the same plan corrupt the
