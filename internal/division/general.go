@@ -165,10 +165,10 @@ func (c *multiGate) Reset() {
 	c.hold = systolic.Empty
 }
 
-// Visit implements systolic.Visited: a held gated value and the frame
+// EveryPulse implements systolic.Visited: a held gated value and the frame
 // tail leave on the first idle east pulse, whether or not an input is
 // present.
-func (c *multiGate) Visit() systolic.Visit { return systolic.EveryPulse }
+func (c *multiGate) EveryPulse() bool { return true }
 
 // multiDivisor is the divisor-block processor: one stored element of one
 // divisor tuple, plus its index within the group. It counts value tokens

@@ -247,61 +247,54 @@ func NewInjector(p *Plan) (*Injector, error) {
 // Injected returns how many cell-pulses have been corrupted so far.
 func (inj *Injector) Injected() int64 { return inj.injected.Load() }
 
-// fires decides whether the fault fires for (run, row, col, pulse).
-func (inj *Injector) fires(run uint64, row, col, pulse int) bool {
+// NewRun returns the systolic cell wrapper for one grid build. Every call
+// advances the attempt nonce, so a rebuilt grid (a retry) sees a fresh
+// fault pattern under the same plan and seed. A cell the plan does not
+// target is left unwrapped.
+func (inj *Injector) NewRun() systolic.Wrap {
 	p := &inj.plan
-	if p.Mode != Flaky { // Flaky targets pulses, not cells
-		if p.Row >= 0 && row != p.Row {
-			return false
+	// Every decision hashes its own coordinates, so campaigns are
+	// reproducible without shared PRNG state: (seed, run) once per run,
+	// the cell once per wrapped cell, the pulse at each step.
+	run := chaos.Mix64(uint64(p.Seed) ^ inj.runs.Add(1)*chaos.Gamma)
+	return func(row, col int, cell systolic.Cell) systolic.Cell {
+		key := run
+		if p.Mode != Flaky { // Flaky targets pulses, not cells
+			if p.Row >= 0 && row != p.Row || p.Col >= 0 && col != p.Col {
+				return cell
+			}
+			key = chaos.Mix64(key ^ uint64(row)<<32 ^ uint64(uint32(col)))
 		}
-		if p.Col >= 0 && col != p.Col {
-			return false
-		}
+		return &faultCell{Cell: cell, inj: inj, key: key}
 	}
+}
+
+// fires decides whether the fault fires at pulse for the cell whose
+// hashed coordinates are key.
+func (inj *Injector) fires(key uint64, pulse int) bool {
+	p := &inj.plan
 	if p.Pulse >= 0 && pulse != p.Pulse {
 		return false
 	}
 	if p.Rate == 0 {
 		return true // deterministic single-pulse fault
 	}
-	// Every decision hashes its own coordinates, so campaigns are
-	// reproducible without shared PRNG state.
-	h := uint64(p.Seed)
-	h = chaos.Mix64(h ^ run*chaos.Gamma)
-	if p.Mode != Flaky {
-		h = chaos.Mix64(h ^ uint64(row)<<32 ^ uint64(uint32(col)))
-	}
-	h = chaos.Mix64(h ^ uint64(pulse))
-	return h < inj.threshold
-}
-
-// NewRun returns the systolic cell wrapper for one grid build. Every call
-// advances the attempt nonce, so a rebuilt grid (a retry) sees a fresh
-// fault pattern under the same plan and seed.
-func (inj *Injector) NewRun() systolic.Wrap {
-	run := inj.runs.Add(1)
-	return func(row, col int, cell systolic.Cell) systolic.Cell {
-		return &faultCell{inner: cell, inj: inj, run: run, row: row, col: col}
-	}
+	return chaos.Mix64(key^uint64(pulse)) < inj.threshold
 }
 
 // faultCell wraps one processor and corrupts its outputs per the plan.
 type faultCell struct {
-	inner systolic.Cell
-	inj   *Injector
-	run   uint64
-	row   int
-	col   int
-	pulse int
+	systolic.Cell // the wrapped processor
+	inj           *Injector
+	key           uint64 // the hashed (seed, run, row, col)
+	pulse         *int   // the grid's clock
 }
 
 // Step steps the inner cell, then corrupts the outputs it presented in
 // place when the plan fires for this cell and pulse.
 func (f *faultCell) Step(in *systolic.Inputs, out *systolic.Outputs) {
-	f.inner.Step(in, out)
-	pulse := f.pulse
-	f.pulse++
-	if !f.inj.fires(f.run, f.row, f.col, pulse) {
+	f.Cell.Step(in, out)
+	if !f.inj.fires(f.key, *f.pulse) {
 		return
 	}
 	any := false
@@ -340,15 +333,17 @@ func (f *faultCell) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	}
 }
 
-func (f *faultCell) Reset() {
-	f.inner.Reset()
-	f.pulse = 0
-}
+// Clock implements systolic.Clocked: the plan fires by the grid's pulse.
+func (f *faultCell) Clock(pulse *int) { f.pulse = pulse }
 
-// Visit implements systolic.Visited: whether the plan fires depends on the
-// pulse ordinal the cell counts, so its grid visits every cell at every
-// pulse and each ordinal is the pulse it names.
-func (f *faultCell) Visit() systolic.Visit { return systolic.EveryCell }
+// EveryPulse implements systolic.Visited: the wrapper is visited when its
+// inner cell would be. At a pulse the grid skips, the inner cell would
+// present nothing, and every mode leaves four idle outputs idle, so no
+// fault is lost.
+func (f *faultCell) EveryPulse() bool {
+	v, ok := f.Cell.(systolic.Visited)
+	return ok && v.EveryPulse()
+}
 
 // SpecHelp is a one-line usage string for -fault flags.
 func SpecHelp() string {

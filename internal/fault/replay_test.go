@@ -43,7 +43,9 @@ func TestAbsoluteReplay(t *testing.T) {
 			for row := 0; row < 8; row++ {
 				for col := 0; col < 8; col++ {
 					cell := wrap(row, col, emitter{})
-					for pulse := range fired {
+					var pulse int
+					cell.(systolic.Clocked).Clock(&pulse)
+					for pulse = range fired {
 						var out systolic.Outputs
 						cell.Step(&systolic.Inputs{}, &out)
 						if !out.E.HasFlag || !out.E.Flag {

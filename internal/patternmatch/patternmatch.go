@@ -61,9 +61,9 @@ func (c *cell) Step(in *systolic.Inputs, out *systolic.Outputs) {
 
 func (c *cell) Reset() { c.held = systolic.Empty }
 
-// Visit implements systolic.Visited: the result register releases what it
-// held on a pulse whose inputs may be idle.
-func (c *cell) Visit() systolic.Visit { return systolic.EveryPulse }
+// EveryPulse implements systolic.Visited: the result register releases
+// what it held on a pulse whose inputs may be idle.
+func (c *cell) EveryPulse() bool { return true }
 
 // Match streams text through a pattern-match array and returns one boolean
 // per alignment p in [0, len(text)-len(pattern)]: whether

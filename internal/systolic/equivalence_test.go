@@ -82,12 +82,13 @@ func (h *hashWriter) sum() string {
 }
 
 // countingWrap is the identity wrap of the reference runs: each wrapped
-// cell steps its inner cell unchanged and counts its own pulses, the way
-// the fault layer's cells do. A cell that counts pulses must see every
-// pulse, so a grid holding one visits every cell at every pulse: a run
-// under this wrap is the dense reference a visit-only-what-a-token-reaches
-// grid must reproduce. Cells on the boundary also log what they present
-// toward the outside of a rows x cols grid.
+// cell steps its inner cell unchanged and counts its own pulses. A cell
+// that counts pulses must see every pulse, so it asks to be visited every
+// pulse; as every cell is wrapped, the grid visits every cell at every
+// pulse: a run under this wrap is the dense reference a
+// visit-only-what-a-token-reaches grid must reproduce. Cells on the
+// boundary also log what they present toward the outside of a rows x cols
+// grid.
 func countingWrap(rows, cols int, emits *[]emit) systolic.Wrap {
 	return func(row, col int, cell systolic.Cell) systolic.Cell {
 		return &countingCell{inner: cell, row: row, col: col, rows: rows, cols: cols, emits: emits}
@@ -120,7 +121,7 @@ func (c *countingCell) Reset() {
 	c.pulse = 0
 }
 
-func (c *countingCell) Visit() systolic.Visit { return systolic.EveryCell }
+func (c *countingCell) EveryPulse() bool { return true }
 
 // driverCase is one random shape of one array driver. run executes it
 // with an optional tracer and wrap; a driver that takes neither ignores

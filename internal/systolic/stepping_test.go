@@ -64,12 +64,12 @@ func (c *holdCell) Step(in *Inputs, out *Outputs) {
 	out.E, c.held = c.held, in.W
 	out.S = in.N
 }
-func (c *holdCell) Reset()       { c.held = Empty }
-func (c *holdCell) Visit() Visit { return EveryPulse }
+func (c *holdCell) Reset()           { c.held = Empty }
+func (c *holdCell) EveryPulse() bool { return true }
 
 // pulseCounter is the identity wrap of the dense reference: it steps its
-// cell unchanged and counts pulses, so its grid visits every cell at every
-// pulse.
+// cell unchanged and counts pulses, so it asks to be visited every pulse;
+// wrapping every cell, it makes its grid visit every cell at every pulse.
 type pulseCounter struct {
 	inner Cell
 	pulse int
@@ -79,8 +79,8 @@ func (c *pulseCounter) Step(in *Inputs, out *Outputs) {
 	c.inner.Step(in, out)
 	c.pulse++
 }
-func (c *pulseCounter) Reset()       { c.inner.Reset(); c.pulse = 0 }
-func (c *pulseCounter) Visit() Visit { return EveryCell }
+func (c *pulseCounter) Reset()           { c.inner.Reset(); c.pulse = 0 }
+func (c *pulseCounter) EveryPulse() bool { return true }
 
 // program is one random grid: its shape, a cell kind per cell, the feeds
 // (each a window of pulses, with every gap-th pulse of it left idle) and

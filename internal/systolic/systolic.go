@@ -22,8 +22,8 @@
 // stepped on four idle lines changes nothing and presents nothing, so
 // skipping it is the same synchronous model (§8: "only half of the
 // processors in a systolic array are busy at any one time"). A cell that
-// may emit with idle inputs, or that counts pulses, says so through
-// Visited.
+// may emit with idle inputs says so through Visited; a cell that needs the
+// pulse number reads the grid's clock through Clocked.
 //
 // Tokens entering the grid boundary are produced by Feeders (the "staggered"
 // input schedules of §3), each registered with the Window of pulses at
@@ -135,44 +135,41 @@ type Outputs struct {
 // latch plane and out its slot of this pulse's output plane, cleared before
 // the call: Step sets the lines it drives and leaves the rest idle. Both
 // point into grid-owned planes that the next pulse overwrites, so Step must
-// not retain either pointer. The grid steps a cell only at the pulses its
-// Visit asks for (OnInput unless it implements Visited). Reset restores the
-// power-on register state, allowing a grid to be reused across runs.
+// not retain either pointer. The grid steps a cell only at a pulse where
+// one of its input lines carries a token, unless it is Visited every pulse.
+// Reset restores the power-on register state, allowing a grid to be reused
+// across runs.
 type Cell interface {
 	Step(in *Inputs, out *Outputs)
 	Reset()
 }
 
-// Visit says at which pulses the grid must latch and step a cell. A cell
-// that does not implement Visited is visited OnInput.
-type Visit uint8
-
-const (
-	// OnInput visits a cell only at a pulse where one of its input lines
-	// carries a token. Its Step on idle inputs must change nothing and
-	// present nothing — true of every processor of the paper's arrays,
-	// whose registers move only when data arrives.
-	OnInput Visit = iota
-	// EveryPulse visits a cell at every pulse, because it may present a
-	// token with idle inputs: a register that releases what it latched a
-	// pulse earlier, as in the pattern-match chip.
-	EveryPulse
-	// EveryCell visits a cell and every other cell of its grid at every
-	// pulse, because the cell counts pulses: the fault layer's wrapper
-	// decides by pulse ordinal whether to fire.
-	EveryCell
-)
-
-// Visited is implemented by a cell that must be visited more often than
-// OnInput. NewGrid asks each cell once.
+// Visited is implemented by a cell that may present a token with idle
+// inputs: a register that releases what it latched a pulse earlier, as in
+// the pattern-match chip. The grid visits a cell whose EveryPulse reports
+// true at every pulse. It visits every other cell only at a pulse where one
+// of its input lines carries a token, so that cell's Step on idle inputs
+// must change nothing and present nothing — true of every processor of the
+// paper's arrays, whose registers move only when data arrives. NewGrid asks
+// each cell once.
 type Visited interface {
-	Visit() Visit
+	EveryPulse() bool
+}
+
+// Clocked is implemented by a cell that needs the number of the pulse it
+// steps at, as the fault layer's wrapper does to decide whether to fire.
+// NewGrid hands such a cell the grid's pulse counter once: during Step it
+// reads the current pulse, and Reset restarts it at 0. The cell must not
+// write it.
+type Clocked interface {
+	Clock(pulse *int)
 }
 
 // Wrap transforms the cell built for (row, col) — the hook the fault layer
 // uses to corrupt a grid's processors without the array drivers knowing
 // anything about fault models. A nil Wrap is the identity. A wrapper cell
-// must report a Visit at least as frequent as its inner cell's.
+// reports its inner cell's EveryPulse, so the grid visits it whenever it
+// would visit the inner cell.
 type Wrap func(row, col int, cell Cell) Cell
 
 // BuildWith composes a cell builder with an optional wrapper.
@@ -296,11 +293,11 @@ type Grid struct {
 	latched    [][]Inputs // row views over ins, handed to the tracer
 
 	// A pulse visits the cells in visit: those a token reached from a
-	// neighbour or a feeder, and the cells in always (the EveryPulse
-	// cells, or every cell of a grid holding an EveryCell one). mark[i] is
-	// one more than the last pulse cell i was scheduled for. Stepping
-	// fills next for the following pulse; last holds the cells visited at
-	// the previous pulse, whose slots of prev are cleared once latched.
+	// neighbour or a feeder, and the cells in always (those Visited every
+	// pulse). mark[i] is one more than the last pulse cell i was scheduled
+	// for. Stepping fills next for the following pulse; last holds the
+	// cells visited at the previous pulse, whose slots of prev are cleared
+	// once latched.
 	always, mark      []int32
 	visit, next, last []int32
 
@@ -362,7 +359,6 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 		next:    make([]int32, 0, n),
 		last:    make([]int32, 0, n),
 	}
-	dense := false
 	for r := range g.latched {
 		g.latched[r] = g.ins[r*cols : (r+1)*cols : (r+1)*cols]
 	}
@@ -374,20 +370,12 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 			}
 			i := r*cols + c
 			g.cells[i], g.pos[i] = cell, cellPos{int32(r), int32(c)}
-			if v, ok := cell.(Visited); ok {
-				switch v.Visit() {
-				case EveryPulse:
-					g.always = append(g.always, int32(i))
-				case EveryCell:
-					dense = true
-				}
+			if v, ok := cell.(Visited); ok && v.EveryPulse() {
+				g.always = append(g.always, int32(i))
 			}
-		}
-	}
-	if dense {
-		g.always = make([]int32, n)
-		for i := range g.always {
-			g.always[i] = int32(i)
+			if clk, ok := cell.(Clocked); ok {
+				clk.Clock(&g.stats.Pulses)
+			}
 		}
 	}
 	return g, nil
