@@ -90,6 +90,7 @@ func CompareTuples(a, b relation.Tuple) (bool, systolic.Stats, error) {
 	if err != nil {
 		return false, systolic.Stats{}, err
 	}
+	defer grid.Release()
 	if err := grid.Feed(tuplePorts(a, b)...); err != nil {
 		return false, systolic.Stats{}, err
 	}
@@ -200,6 +201,7 @@ func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wra
 	if err != nil {
 		return nil, err
 	}
+	defer grid.Release()
 	grid.SetTracer(tracer)
 
 	// Feed A from the top, B from the bottom and the initial booleans
@@ -317,6 +319,7 @@ func RunFixed(a, b []relation.Tuple, init InitFunc) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer grid.Release()
 	if err := grid.Feed(sched.ports(a, init)...); err != nil {
 		return nil, err
 	}

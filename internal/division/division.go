@@ -133,6 +133,7 @@ func RunArrayWrap(pairs []Pair, xs, divisor []relation.Element, tracer systolic.
 	if err != nil {
 		return nil, systolic.Stats{}, err
 	}
+	defer grid.Release()
 	grid.SetTracer(tracer)
 
 	if err := grid.Feed(pairPorts(pairs)...); err != nil {

@@ -340,6 +340,7 @@ func RunGeneralArray(p GeneralProblem, tracer systolic.Tracer) ([]bool, systolic
 	if err != nil {
 		return nil, systolic.Stats{}, err
 	}
+	defer grid.Release()
 	grid.SetTracer(tracer)
 
 	if err := grid.Feed(p.ports(kz, ky)...); err != nil {

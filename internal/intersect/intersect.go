@@ -91,18 +91,6 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 		return nil, systolic.Stats{}, err
 	}
 
-	// Columns 0..m-1: comparison processors. Column m: accumulation.
-	grid, err := systolic.NewGrid(sched.Rows, m+1, systolic.BuildWith(func(_, c int) systolic.Cell {
-		if c < m {
-			return cells.Compare{}
-		}
-		return cells.Accumulate{}
-	}, wrap))
-	if err != nil {
-		return nil, systolic.Stats{}, err
-	}
-	grid.SetTracer(tracer)
-
 	for _, t := range a {
 		if len(t) != m {
 			return nil, systolic.Stats{}, fmt.Errorf("intersect: ragged tuple widths in A")
@@ -113,6 +101,19 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 			return nil, systolic.Stats{}, fmt.Errorf("intersect: tuple width mismatch between relations")
 		}
 	}
+
+	// Columns 0..m-1: comparison processors. Column m: accumulation.
+	grid, err := systolic.NewGrid(sched.Rows, m+1, systolic.BuildWith(func(_, c int) systolic.Cell {
+		if c < m {
+			return cells.Compare{}
+		}
+		return cells.Accumulate{}
+	}, wrap))
+	if err != nil {
+		return nil, systolic.Stats{}, err
+	}
+	defer grid.Release()
+	grid.SetTracer(tracer)
 
 	// The comparison module's feeds, identical to comparison.Run2D, and
 	// the accumulators entering the top of the accumulation column.

@@ -212,6 +212,7 @@ func RunTWrap(aKeys, bKeys []relation.Tuple, ops []cells.Op, wrap systolic.Wrap)
 	if err != nil {
 		return nil, systolic.Stats{}, err
 	}
+	defer grid.Release()
 	if err := grid.Feed(sched.Ports(aKeys, bKeys, nil)...); err != nil {
 		return nil, systolic.Stats{}, err
 	}

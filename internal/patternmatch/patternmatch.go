@@ -92,6 +92,7 @@ func Match(pattern, text []relation.Element) ([]bool, systolic.Stats, error) {
 	if err != nil {
 		return nil, systolic.Stats{}, err
 	}
+	defer grid.Release()
 	if err := grid.Feed(ports(L, text)...); err != nil {
 		return nil, systolic.Stats{}, err
 	}

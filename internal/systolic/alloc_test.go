@@ -37,4 +37,44 @@ func TestSteppingAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
+
+	// A grid's whole life on a shape a released grid has: NewGrid takes
+	// the released grid's planes and port tables, so building, feeding,
+	// draining, running and releasing it allocate nothing.
+	if raceEnabled {
+		t.Log("skipping the released-grid cycle: the race detector's pool drops grids")
+		return
+	}
+	rows, cols, build, ports := comparisonProblem(n, m, true)
+	seen, want := 0, -1
+	sink := func(int, Token) { seen++ }
+	cycle := func() {
+		g, err := NewGrid(rows, cols, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Feed(ports...); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Drain(South, m, sink); err != nil {
+			t.Fatal(err)
+		}
+		seen = 0
+		g.Reset()
+		g.Run(4 * n)
+		g.Release()
+		if want < 0 {
+			want = seen
+		}
+		if seen == 0 || seen != want {
+			t.Errorf("released-grid cycle: %d tokens left the grid, want %d (and not 0)", seen, want)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("released-grid cycle: %v allocations per NewGrid, Feed, Drain, Run and Release, want 0", allocs)
+	}
 }
+
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool

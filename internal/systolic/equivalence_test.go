@@ -44,14 +44,17 @@ type emit struct {
 	text         string
 }
 
-// recorder hashes every snapshot it observes, in order.
+// recorder hashes every snapshot it observes, in order, and notes the
+// grid's latch plane.
 type recorder struct {
 	pulses int
 	h      hashWriter
+	plane  *systolic.Inputs
 }
 
 func (r *recorder) Observe(s systolic.Snapshot) {
 	r.pulses++
+	r.plane = &s.Latched[0][0]
 	r.h.int(s.Pulse, s.Rows, s.Cols)
 	for _, row := range s.Latched {
 		for i := range row {
@@ -123,9 +126,10 @@ func (c *countingCell) Reset() {
 
 func (c *countingCell) EveryPulse() bool { return true }
 
-// driverCase is one random shape of one array driver. run executes it
-// with an optional tracer and wrap; a driver that takes neither ignores
-// them, and says so through traced and wrapped.
+// driverCase is one random shape of one array driver: the rows x cols
+// grid it builds, and run, which executes it with an optional tracer and
+// wrap; a driver that takes neither ignores them, and says so through
+// traced and wrapped.
 type driverCase struct {
 	name            string
 	rows, cols      int
@@ -199,7 +203,7 @@ func driverCases() []driverCase {
 	for n := range perDriver {
 		nA, nB, m := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(3)
 		a, b, init := randTuples(rng, nA, m, 3), randTuples(rng, nB, m, 3), randInit(rng)
-		add(driverCase{name: fmt.Sprintf("RunFixed/%d/%dx%dx%d", n, nA, nB, m),
+		add(driverCase{name: fmt.Sprintf("RunFixed/%d/%dx%dx%d", n, nA, nB, m), rows: nB, cols: m,
 			run: func(systolic.Tracer, systolic.Wrap) (string, systolic.Stats) {
 				res, err := comparison.RunFixed(a, b, init)
 				if err != nil {
@@ -213,7 +217,7 @@ func driverCases() []driverCase {
 		m := 1 + rng.Intn(5)
 		a := randTuples(rng, 1, m, 2)[0]
 		b := randTuples(rng, 1, m, 2)[0]
-		add(driverCase{name: fmt.Sprintf("CompareTuples/%d/m%d", n, m),
+		add(driverCase{name: fmt.Sprintf("CompareTuples/%d/m%d", n, m), rows: 1, cols: m,
 			run: func(systolic.Tracer, systolic.Wrap) (string, systolic.Stats) {
 				eq, st, err := comparison.CompareTuples(a, b)
 				return outcome(eq, err), st
@@ -242,7 +246,7 @@ func driverCases() []driverCase {
 		nA, nB, m := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(3)
 		ra := relation.MustRelation(schema(m), randTuples(rng, nA, m, 3))
 		rb := relation.MustRelation(schema(m), randTuples(rng, nB, m, 3))
-		add(driverCase{name: fmt.Sprintf("Difference/%d/%dx%dx%d", n, nA, nB, m),
+		add(driverCase{name: fmt.Sprintf("Difference/%d/%dx%dx%d", n, nA, nB, m), rows: nA + nB - 1, cols: m + 1,
 			run: func(systolic.Tracer, systolic.Wrap) (string, systolic.Stats) {
 				res, err := intersect.Difference(ra, rb)
 				if err != nil {
@@ -324,7 +328,11 @@ func driverCases() []driverCase {
 			p.ZS = append(p.ZS, p.Xs[rng.Intn(nX)])
 			p.YS = append(p.YS, randTuples(rng, 1, ky, 2)[0])
 		}
-		add(driverCase{name: fmt.Sprintf("GeneralDivide/%d/kz%d.ky%d.%dx%dx%d", n, kz, ky, nX, nDiv, nPairs), traced: true,
+		cols := kz + ky + nDiv*ky
+		if nPairs == 0 && nDiv == 0 {
+			cols = kz + 1 // the array's width when no tuple gives ky
+		}
+		add(driverCase{name: fmt.Sprintf("GeneralDivide/%d/kz%d.ky%d.%dx%dx%d", n, kz, ky, nX, nDiv, nPairs), rows: nX, cols: cols, traced: true,
 			run: func(tr systolic.Tracer, _ systolic.Wrap) (string, systolic.Stats) {
 				bits, st, err := division.RunGeneralArray(p, tr)
 				return outcome(bits, err), st
@@ -344,7 +352,7 @@ func driverCases() []driverCase {
 		for k := range text {
 			text[k] = relation.Element(rng.Intn(3))
 		}
-		add(driverCase{name: fmt.Sprintf("Match/%d/L%d.n%d", n, L, nText),
+		add(driverCase{name: fmt.Sprintf("Match/%d/L%d.n%d", n, L, nText), rows: 1, cols: L,
 			run: func(systolic.Tracer, systolic.Wrap) (string, systolic.Stats) {
 				m, st, err := patternmatch.Match(pattern, text)
 				return outcome(m, err), st
@@ -403,49 +411,135 @@ func (r record) line(name string, emits []emit) string {
 // written from a grid that latched and stepped every cell at every pulse
 // and called every feeder at every pulse. Rewrite it with -update only
 // when an array's timing is meant to change.
+//
+// A second pass runs every case again, each run just after a grid of its
+// shape with another history was released (see soil), so the driver's
+// NewGrid takes that grid: the golden must still match.
 func TestDriverStepping(t *testing.T) {
-	var lines []string
-	for _, c := range driverCases() {
-		plain := c.record(false)
-		emits := []emit(nil)
-		if c.wrapped {
-			dense := c.record(true)
-			if plain.result != dense.result || plain.stats != dense.stats {
-				t.Errorf("%s: result %q stats %+v; every cell visited: %q %+v", c.name, plain.result, plain.stats, dense.result, dense.stats)
-			}
-			if plain.snaps != nil && string(plain.snaps.h.buf) != string(dense.snaps.h.buf) {
-				t.Errorf("%s: snapshots differ from the run that visits every cell", c.name)
-			}
-			emits = dense.emits
-		}
-		lines = append(lines, plain.line(c.name, emits))
-	}
 	const golden = "testdata/stepping.golden"
-	if *updateStepping {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	var want []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		want = append(want, sc.Text())
+	if !*updateStepping {
+		f, err := os.Open(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			want = append(want, sc.Text())
+		}
 	}
-	if len(want) != len(lines) {
-		t.Fatalf("%d runs, golden has %d", len(lines), len(want))
-	}
-	for i := range lines {
-		if lines[i] != want[i] {
-			t.Errorf("run %d moved:\n got  %s\n want %s", i, lines[i], want[i])
+	for pass := range 2 {
+		var lines []string
+		reused := 0
+		for i, c := range driverCases() {
+			record := func(wrapped bool) record {
+				if pass == 0 {
+					return c.record(wrapped)
+				}
+				plane := soil(t, c.rows, c.cols, 2+i%9)
+				r := c.record(wrapped)
+				if r.snaps != nil && r.snaps.plane == plane {
+					reused++
+				}
+				return r
+			}
+			plain := record(false)
+			emits := []emit(nil)
+			if c.wrapped {
+				dense := record(true)
+				if plain.result != dense.result || plain.stats != dense.stats {
+					t.Errorf("pass %d: %s: result %q stats %+v; every cell visited: %q %+v", pass, c.name, plain.result, plain.stats, dense.result, dense.stats)
+				}
+				if plain.snaps != nil && string(plain.snaps.h.buf) != string(dense.snaps.h.buf) {
+					t.Errorf("pass %d: %s: snapshots differ from the run that visits every cell", pass, c.name)
+				}
+				emits = dense.emits
+			}
+			lines = append(lines, plain.line(c.name, emits))
+		}
+		if *updateStepping {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if pass == 1 && reused == 0 {
+			t.Error("no traced driver run took the grid released before it")
+		}
+		if len(want) != len(lines) {
+			t.Fatalf("pass %d: %d runs, golden has %d", pass, len(lines), len(want))
+		}
+		for i := range lines {
+			if lines[i] != want[i] {
+				t.Errorf("pass %d: run %d moved:\n got  %s\n want %s", pass, i, lines[i], want[i])
+			}
 		}
 	}
 }
+
+// soilCell presents a token on all four lines at every step, so a grid
+// of them has every wire busy. Those built with every set are visited
+// every pulse; all are clocked, and stamp the pulse into their tokens.
+type soilCell struct {
+	every bool
+	pulse *int
+}
+
+func (c *soilCell) Step(_ *systolic.Inputs, out *systolic.Outputs) {
+	t := systolic.Token{Val: relation.Element(*c.pulse), HasVal: true, Flag: true, HasFlag: true}
+	out.N, out.S, out.E, out.W = t, t, t, t
+}
+func (c *soilCell) Reset()           {}
+func (c *soilCell) EveryPulse() bool { return c.every }
+func (c *soilCell) Clock(pulse *int) { c.pulse = pulse }
+
+// soil runs a rows x cols grid of soilCells for the given number of
+// pulses, with every port fed at a stride of 7 (a calendar ring longer
+// than any driver's) and drained, and a tracer, then releases it with
+// tokens still on its wires, and returns its latch plane. Its feeders,
+// sinks and tracer fail the test if a grid calls them after release.
+func soil(t *testing.T, rows, cols, pulses int) *systolic.Inputs {
+	t.Helper()
+	g, err := systolic.NewGrid(rows, cols, func(r, c int) systolic.Cell { return &soilCell{every: (r+c)%2 == 0} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := false
+	alive := func(what string) {
+		if done {
+			t.Errorf("a released grid called its %s", what)
+		}
+	}
+	feed := func(p int) systolic.Token {
+		alive("feeder")
+		return systolic.ValToken(relation.Element(-p), systolic.Tag{Tuple: int32(p), Valid: true})
+	}
+	var plane *systolic.Inputs
+	g.SetTracer(tracerFunc(func(s systolic.Snapshot) {
+		alive("tracer")
+		plane = &s.Latched[0][0]
+	}))
+	for side, ports := range [4]int{systolic.North: cols, systolic.South: cols, systolic.East: rows, systolic.West: rows} {
+		for port := range ports {
+			w := systolic.Window{First: port % 3, Stride: 7, Count: 20}
+			if err := g.Feed(systolic.Port{Side: systolic.Side(side), Index: port, Window: w, Feed: feed}); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Drain(systolic.Side(side), port, func(int, systolic.Token) { alive("sink") }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g.Run(pulses)
+	done = true
+	g.Release()
+	return plane
+}
+
+type tracerFunc func(systolic.Snapshot)
+
+func (f tracerFunc) Observe(s systolic.Snapshot) { f(s) }

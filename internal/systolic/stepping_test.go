@@ -140,7 +140,8 @@ type delivery struct {
 
 // run builds and runs the program, wrapped in pulseCounter when dense,
 // and returns its Stats, its snapshots rendered per pulse and every sink
-// call on every port.
+// call on every port. It releases the grid, so the next run of a shape
+// in its size class takes it.
 func (p program) run(t testing.TB, dense bool) (Stats, []string, []delivery) {
 	g, err := NewGrid(p.rows, p.cols, func(r, c int) Cell {
 		var cell Cell
@@ -164,6 +165,7 @@ func (p program) run(t testing.TB, dense bool) (Stats, []string, []delivery) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Release()
 	for k, f := range p.feeds {
 		f, k := f, k
 		w := Window{First: f.first, Stride: f.stride, Count: f.count}
@@ -206,8 +208,8 @@ func (p program) run(t testing.TB, dense bool) (Stats, []string, []delivery) {
 		}
 		snaps = append(snaps, sb.String())
 	}))
-	g.Reset()
-	// Two calls: the grid's state carries across Run calls.
+	// No Reset: a grid from NewGrid starts idle, a released one too. Two
+	// calls: the grid's state carries across Run calls.
 	g.Run(p.pulses / 2)
 	g.Run(p.pulses - p.pulses/2)
 	return g.Stats(), snaps, log
@@ -226,11 +228,18 @@ func deliveryOrder(d delivery) int {
 // cells a token reaches runs the program exactly as one that visits every
 // cell at every pulse — same Stats, same snapshots, same sink calls in the
 // same order — and its sinks see each pulse's tokens north and south by
-// column, then west and east by row.
+// column, then west and east by row. The program runs a third time on the
+// grid the dense run released, whose cells were all visited every pulse,
+// and must repeat its first run.
 func checkStepping(t *testing.T, p program) {
 	t.Helper()
 	st, snaps, log := p.run(t, false)
 	wantSt, wantSnaps, wantLog := p.run(t, true)
+	againSt, againSnaps, againLog := p.run(t, false)
+	if againSt != st || !slices.Equal(againSnaps, snaps) || !slices.Equal(againLog, log) {
+		t.Fatalf("%+v: a run on a released grid differs from the first run:\n got  %+v %v %v\n want %+v %v %v",
+			p, againSt, againSnaps, againLog, st, snaps, log)
+	}
 	if st != wantSt {
 		t.Fatalf("%+v: stats %+v, visiting every cell %+v", p, st, wantSt)
 	}

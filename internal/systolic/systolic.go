@@ -30,11 +30,20 @@
 // which it feeds its port, and present tokens leaving the boundary are
 // delivered to Sinks. An optional Tracer observes the latched state each
 // pulse, enabling the data-movement snapshots of Figures 3-4, 4-1 and 7-2.
+//
+// The package owns every grid's memory. An array driver builds a grid
+// with NewGrid for one run and gives it back with Release when the run
+// ends; NewGrid takes a released grid of the same size class when one is
+// free, as §8's one physical array is fed again for each sub-problem. Only
+// the planes and port tables are reused: NewGrid builds every cell anew,
+// so no register carries over from one run to the next.
 package systolic
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"systolicdb/internal/obs"
 	"systolicdb/internal/relation"
@@ -134,11 +143,13 @@ type Outputs struct {
 // the cell's internal registers. The grid passes in this cell's slot of its
 // latch plane and out its slot of this pulse's output plane, cleared before
 // the call: Step sets the lines it drives and leaves the rest idle. Both
-// point into grid-owned planes that the next pulse overwrites, so Step must
-// not retain either pointer. The grid steps a cell only at a pulse where
-// one of its input lines carries a token, unless it is Visited every pulse.
-// Reset restores the power-on register state, allowing a grid to be reused
-// across runs.
+// point into grid-owned planes that the next pulse overwrites, and that
+// Release hands to the next grid, so Step must not retain either pointer.
+// The grid steps a cell only at a pulse where one of its input lines
+// carries a token, unless it is Visited every pulse. Reset restores the
+// power-on register state, allowing Grid.Reset to rerun a grid. A cell
+// belongs to the grid NewGrid built it for: Release drops it, and the
+// next NewGrid builds its own cells.
 type Cell interface {
 	Step(in *Inputs, out *Outputs)
 	Reset()
@@ -257,8 +268,9 @@ func (s Stats) Utilization() float64 {
 // every cell latched (all idle for a cell no token reached), offered to the
 // Tracer once all cells have stepped and before boundary outputs are
 // drained. Latched holds row views over the grid's latch plane, which the
-// next pulse overwrites: a Tracer that retains snapshots must deep-copy
-// them during Observe (trace.Recorder does).
+// next pulse overwrites and Release hands to the next grid: a Tracer that
+// retains snapshots must deep-copy them during Observe (trace.Recorder
+// does).
 type Snapshot struct {
 	Pulse   int
 	Rows    int
@@ -303,6 +315,9 @@ type Grid struct {
 
 	stats Stats
 	trace Tracer
+
+	class int  // size class: the planes have room for 1<<class cells
+	free  bool // released and not yet taken again
 }
 
 type cellPos struct{ row, col int32 }
@@ -334,38 +349,27 @@ type calendar struct {
 }
 
 // NewGrid builds a grid. The build function supplies the cell for each
-// (row, col); it must not return nil.
+// (row, col); it must not return nil. The grid's planes and port tables
+// come from a released grid of the same size class when one is free (see
+// Release), and are allocated otherwise; either way the grid starts with
+// every wire idle, no port fed or drained, no tracer and zero Stats. The
+// cells are always built anew, so no register outlives the grid that
+// held it, and NewGrid asks each cell once for Visited and Clocked.
 func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("systolic: grid dimensions %dx%d must be positive", rows, cols)
 	}
-	n, ports := rows*cols, 2*(rows+cols)
-	g := &Grid{
-		rows:    rows,
-		cols:    cols,
-		cells:   make([]Cell, n),
-		pos:     make([]cellPos, n),
-		feeds:   make([]feed, ports),
-		sinks:   make([]Sink, ports),
-		bound:   make([]Token, ports),
-		fed:     make([]int32, 0, ports),
-		drained: make([]drained, 0, ports),
-		ins:     make([]Inputs, n),
-		prev:    make([]Outputs, n),
-		outs:    make([]Outputs, n),
-		latched: make([][]Inputs, rows),
-		mark:    make([]int32, n),
-		visit:   make([]int32, 0, n),
-		next:    make([]int32, 0, n),
-		last:    make([]int32, 0, n),
+	class := bits.Len(uint(rows*cols - 1))
+	g, _ := released[class].Get().(*Grid)
+	if g == nil {
+		g = &Grid{class: class}
 	}
-	for r := range g.latched {
-		g.latched[r] = g.ins[r*cols : (r+1)*cols : (r+1)*cols]
-	}
+	g.fit(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			cell := build(r, c)
 			if cell == nil {
+				g.Release()
 				return nil, fmt.Errorf("systolic: build returned nil cell at (%d,%d)", r, c)
 			}
 			i := r*cols + c
@@ -379,6 +383,60 @@ func NewGrid(rows, cols int, build func(row, col int) Cell) (*Grid, error) {
 		}
 	}
 	return g, nil
+}
+
+// released holds the grids given back by Release, one pool per size
+// class: class k holds grids with planes for up to 1<<k cells, so the
+// number of pools is fixed whatever the shapes served, and the GC may
+// reclaim any grid a pool holds.
+var released [bits.UintSize]sync.Pool
+
+// fit shapes g as a rows x cols grid, allocating the planes of its size
+// class if g is new and growing a port table too short for this shape:
+// the only place grid memory is allocated. Every slot of a new or
+// released grid is idle, so fit clears nothing.
+func (g *Grid) fit(rows, cols int) {
+	n, ports := rows*cols, 2*(rows+cols)
+	if size := 1 << g.class; cap(g.cells) < size {
+		g.cells, g.pos = make([]Cell, size), make([]cellPos, size)
+		g.ins, g.prev, g.outs = make([]Inputs, size), make([]Outputs, size), make([]Outputs, size)
+		g.mark = make([]int32, size)
+		g.visit, g.next, g.last = make([]int32, 0, size), make([]int32, 0, size), make([]int32, 0, size)
+	}
+	if cap(g.feeds) < ports {
+		g.feeds, g.sinks, g.bound = make([]feed, ports), make([]Sink, ports), make([]Token, ports)
+		g.fed, g.drained = make([]int32, 0, ports), make([]drained, 0, ports)
+	}
+	if cap(g.latched) < rows {
+		g.latched = make([][]Inputs, rows)
+	}
+	g.rows, g.cols, g.free = rows, cols, false
+	g.cells, g.pos, g.mark = g.cells[:n], g.pos[:n], g.mark[:n]
+	g.ins, g.prev, g.outs = g.ins[:n], g.prev[:n], g.outs[:n]
+	g.feeds, g.sinks, g.bound = g.feeds[:ports], g.sinks[:ports], g.bound[:ports]
+	g.latched = g.latched[:rows]
+	for r := range g.latched {
+		g.latched[r] = g.ins[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+}
+
+// Release gives the grid back for a later NewGrid to reuse, as the one
+// physical array of §8 is fed again for each sub-problem. It idles every
+// wire and drops the cells, feeders, sinks and tracer, so a released grid
+// holds nothing of its run. After Release the caller must not use the
+// grid or any Snapshot's Latched views; a driver reads Stats first (a
+// deferred Release runs after the return values are read). A second
+// Release of the same grid does nothing.
+func (g *Grid) Release() {
+	if g.free {
+		return
+	}
+	g.idle()
+	clear(g.cells)
+	clear(g.feeds)
+	clear(g.sinks)
+	g.always, g.trace, g.stats, g.free = g.always[:0], nil, Stats{}, true
+	released[g.class].Put(g)
 }
 
 // port returns the number of a boundary port and the cell behind it: for
@@ -448,16 +506,24 @@ func (g *Grid) SetTracer(t Tracer) {
 
 // Reset clears all wires and statistics and resets every cell's registers.
 func (g *Grid) Reset() {
-	for i, cell := range g.cells {
+	for _, cell := range g.cells {
 		cell.Reset()
-		g.ins[i], g.prev[i], g.outs[i] = Inputs{}, Outputs{}, Outputs{}
 	}
+	g.idle()
+	g.stats = Stats{Cells: g.rows * g.cols}
+}
+
+// idle clears every wire, port token, schedule mark and visit list, and
+// disarms the calendar.
+func (g *Grid) idle() {
+	clear(g.ins)
+	clear(g.prev)
+	clear(g.outs)
 	clear(g.mark)
 	clear(g.bound)
 	g.fed, g.drained = g.fed[:0], g.drained[:0]
 	g.visit, g.next, g.last = g.visit[:0], g.next[:0], g.last[:0]
 	g.cal.armed = false
-	g.stats = Stats{Cells: g.rows * g.cols}
 }
 
 // Stats returns the accumulated run statistics.

@@ -66,6 +66,99 @@ func TestGridValidation(t *testing.T) {
 	}
 }
 
+// TestReleaseTwice pins that a second Release of one grid does nothing:
+// were the grid pooled twice, the next two NewGrid calls would hand one
+// grid to two runs.
+func TestReleaseTwice(t *testing.T) {
+	build := func(_, _ int) Cell { return passCell{} }
+	for range 8 {
+		g, err := NewGrid(3, 5, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+		g.Release()
+		a, _ := NewGrid(3, 5, build)
+		b, _ := NewGrid(3, 5, build)
+		if a == b {
+			t.Fatal("two NewGrid calls returned one grid released twice")
+		}
+		a.Release()
+		b.Release()
+	}
+}
+
+// TestReleaseDropsReferences pins that a released grid holds none of its
+// run's cells, feeders, sinks or tracer, so the pool keeps no driver data
+// alive.
+func TestReleaseDropsReferences(t *testing.T) {
+	g, err := NewGrid(2, 2, func(_, _ int) Cell { return &countCell{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(int) Token { return ValToken(1, Tag{}) }
+	if err := g.Feed(Port{Side: North, Index: 1, Window: Window{Count: 1}, Feed: feed}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Drain(South, 1, func(int, Token) {}); err != nil {
+		t.Fatal(err)
+	}
+	g.SetTracer(tracerFunc(func(Snapshot) {}))
+	g.Run(3)
+	g.Release()
+	for i, c := range g.cells {
+		if c != nil {
+			t.Errorf("released grid holds cell %d", i)
+		}
+	}
+	for port := range g.feeds {
+		if g.feeds[port].Feed != nil || g.sinks[port] != nil {
+			t.Errorf("released grid holds the feeder or sink of port %d", port)
+		}
+	}
+	if g.trace != nil {
+		t.Error("released grid holds its tracer")
+	}
+}
+
+// TestNilCellReleasesGrid pins that NewGrid gives back the released grid
+// it took when build returns a nil cell, so the next NewGrid of the shape
+// takes it again.
+func TestNilCellReleasesGrid(t *testing.T) {
+	pass := func(_, _ int) Cell { return passCell{} }
+	hole := func(r, c int) Cell {
+		if r == 1 && c == 2 {
+			return nil
+		}
+		return passCell{}
+	}
+	taken := 0
+	for range 20 {
+		g, err := NewGrid(2, 3, pass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+		if _, err := NewGrid(2, 3, hole); err == nil {
+			t.Fatal("nil cell not rejected")
+		}
+		h, err := NewGrid(2, 3, pass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h == g {
+			taken++
+		}
+		if h.cells[5] == nil || len(h.always) != 0 {
+			t.Fatalf("grid after a nil cell: cells %v, always %v", h.cells, h.always)
+		}
+		h.Release()
+	}
+	if taken == 0 {
+		t.Error("a NewGrid that met a nil cell kept the released grid it took")
+	}
+}
+
 func TestPortValidation(t *testing.T) {
 	g, err := NewGrid(2, 3, func(_, _ int) Cell { return passCell{} })
 	if err != nil {

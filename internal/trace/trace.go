@@ -11,6 +11,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"systolicdb/internal/systolic"
@@ -26,12 +27,12 @@ var _ systolic.Tracer = (*Recorder)(nil)
 // Observe implements systolic.Tracer.
 func (r *Recorder) Observe(s systolic.Snapshot) {
 	// Deep-copy the latched state: the snapshot's rows are views over the
-	// grid's latch plane, which the next pulse overwrites.
+	// grid's latch plane, which the next pulse overwrites and a released
+	// grid hands to the next run.
 	cp := systolic.Snapshot{Pulse: s.Pulse, Rows: s.Rows, Cols: s.Cols}
 	cp.Latched = make([][]systolic.Inputs, s.Rows)
 	for i := range s.Latched {
-		cp.Latched[i] = make([]systolic.Inputs, s.Cols)
-		copy(cp.Latched[i], s.Latched[i])
+		cp.Latched[i] = slices.Clone(s.Latched[i])
 	}
 	r.snaps = append(r.snaps, cp)
 }
