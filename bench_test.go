@@ -77,7 +77,7 @@ func BenchmarkComparison2D(b *testing.B) {
 			var pulses, cellSteps, active int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := comparison.Run2D(at, ct, nil, nil)
+				res, err := comparison.Run2D(at, ct, nil, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -269,7 +269,7 @@ func BenchmarkWordVsBitLevel(b *testing.B) {
 	b.Run("word", func(b *testing.B) {
 		var pulses int
 		for i := 0; i < b.N; i++ {
-			res, err := comparison.Run2D(at, ct, nil, nil)
+			res, err := comparison.Run2D(at, ct, nil, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -345,7 +345,7 @@ func BenchmarkMovingVsFixed(b *testing.B) {
 	b.Run("moving", func(b *testing.B) {
 		var pulses, cellSteps, active int
 		for i := 0; i < b.N; i++ {
-			res, err := comparison.Run2D(at, ct, nil, nil)
+			res, err := comparison.Run2D(at, ct, nil, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

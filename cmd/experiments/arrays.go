@@ -67,11 +67,11 @@ func runE2() error {
 		if err != nil {
 			return err
 		}
-		res, err := comparison.Run2D(a.Tuples(), b.Tuples(), nil, nil)
+		res, err := comparison.Run2D(a.Tuples(), b.Tuples(), nil, nil, nil)
 		if err != nil {
 			return err
 		}
-		want := comparison.ReferenceT(a.Tuples(), b.Tuples(), nil)
+		want := comparison.ReferenceT(a.Tuples(), b.Tuples(), nil, nil)
 		ok := res.T.Equal(want)
 		row(fmt.Sprintf("|A|=%d |B|=%d m=%d", nA, nB, m),
 			"pulses=%d (linear bound 2·max+min+m-3=%d) T-correct=%v",
@@ -374,7 +374,7 @@ func runE10() error {
 	if err != nil {
 		return err
 	}
-	word, err := comparison.Run2D(a.Tuples(), b.Tuples(), nil, nil)
+	word, err := comparison.Run2D(a.Tuples(), b.Tuples(), nil, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -402,7 +402,7 @@ func runE11() error {
 	if err != nil {
 		return err
 	}
-	mono, err := comparison.Run2D(a.Tuples(), b.Tuples(), nil, nil)
+	mono, err := comparison.Run2D(a.Tuples(), b.Tuples(), nil, nil, nil)
 	if err != nil {
 		return err
 	}

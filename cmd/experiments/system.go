@@ -91,7 +91,7 @@ func runE14() error {
 	if err != nil {
 		return err
 	}
-	moving, err := comparison.Run2D(a.Tuples(), b.Tuples(), nil, nil)
+	moving, err := comparison.Run2D(a.Tuples(), b.Tuples(), nil, nil, nil)
 	if err != nil {
 		return err
 	}

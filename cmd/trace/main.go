@@ -65,7 +65,7 @@ func figure33Relations() ([]relation.Tuple, []relation.Tuple) {
 
 func traceComparison(rec *trace.Recorder) error {
 	a, b := figure33Relations()
-	res, err := comparison.Run2D(a, b, nil, rec)
+	res, err := comparison.Run2D(a, b, nil, nil, rec)
 	if err != nil {
 		return err
 	}

@@ -120,7 +120,7 @@ func Run2D(a, b []relation.Tuple, width int, init comparison.InitFunc) (*compari
 	if err != nil {
 		return nil, fmt.Errorf("bitlevel: relation B: %w", err)
 	}
-	return comparison.Run2D(ea, eb, init, nil)
+	return comparison.Run2D(ea, eb, nil, init, nil)
 }
 
 // IntersectBits runs the complete intersection array of §4 at bit level:

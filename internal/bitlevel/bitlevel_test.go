@@ -108,7 +108,7 @@ func TestBitLevel2DMatchesWordLevel(t *testing.T) {
 		return out
 	}
 	a, b := mk(5, 2), mk(6, 2)
-	word, err := comparison.Run2D(a, b, nil, nil)
+	word, err := comparison.Run2D(a, b, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

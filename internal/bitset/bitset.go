@@ -41,7 +41,6 @@ import (
 	"systolicdb/internal/cells"
 	"systolicdb/internal/comparison"
 	"systolicdb/internal/division"
-	"systolicdb/internal/join"
 	"systolicdb/internal/relation"
 )
 
@@ -341,26 +340,6 @@ func identity(m int) []int {
 	return cols
 }
 
-// checkWidths validates the tuple lists the way the pulse drivers do
-// (intersect.go / comparison.checkWidths), so both backends reject ragged
-// input with the same shape of error.
-func checkWidths(a, b []relation.Tuple, m int) error {
-	if m == 0 {
-		return fmt.Errorf("bitset: zero-width tuples")
-	}
-	for _, t := range a {
-		if len(t) != m {
-			return fmt.Errorf("bitset: ragged tuple widths in A")
-		}
-	}
-	for _, t := range b {
-		if len(t) != m {
-			return fmt.Errorf("bitset: tuple width mismatch between relations")
-		}
-	}
-	return nil
-}
-
 // Membership computes the accumulated bit t_i = OR_j (a_i = b_j) for every
 // tuple of a — the word-parallel equivalent of intersect.RunAccumulated
 // with a nil init mask (equation 4.1 of the paper). The return conventions
@@ -374,8 +353,8 @@ func Membership(a, b []relation.Tuple) ([]bool, Stats, error) {
 	if len(b) == 0 {
 		return make([]bool, len(a)), st, nil
 	}
-	m := len(a[0])
-	if err := checkWidths(a, b, m); err != nil {
+	m, err := comparison.CheckWidths(a, b, nil)
+	if err != nil {
 		return nil, st, err
 	}
 	cols := identity(m)
@@ -395,8 +374,8 @@ func Duplicates(a []relation.Tuple) ([]bool, Stats, error) {
 	if len(a) == 0 {
 		return nil, Stats{}, nil
 	}
-	m := len(a[0])
-	if err := checkWidths(a, nil, m); err != nil {
+	m, err := comparison.CheckWidths(a, a, nil)
+	if err != nil {
 		return nil, Stats{}, err
 	}
 	dup, st := duplicates(a, identity(m))
@@ -441,7 +420,7 @@ func JoinT(aKeys, bKeys []relation.Tuple, ops []cells.Op) (*comparison.Matrix, S
 	if len(ops) == 0 {
 		return nil, st, fmt.Errorf("bitset: join needs at least one operator")
 	}
-	if err := join.CheckKeys(aKeys, bKeys, ops); err != nil {
+	if _, err := comparison.CheckWidths(aKeys, bKeys, ops); err != nil {
 		return nil, st, err
 	}
 	t := comparison.NewMatrix(len(aKeys), len(bKeys))

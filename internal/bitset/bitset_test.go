@@ -142,9 +142,10 @@ func TestRaggedInputsRejected(t *testing.T) {
 	}
 }
 
-// TestJoinTEmptySides pins the empty-side convention shared with
-// join.RunTWrap: an empty side yields an all-FALSE matrix, no error, even
-// when the other side is ragged (the guard runs after the early return).
+// TestJoinTEmptySides pins the empty-side convention shared with the
+// pulse array (comparison.Run2D): an empty side yields an all-FALSE
+// matrix, no error, even when the other side is ragged (the guard runs
+// after the early return).
 func TestJoinTEmptySides(t *testing.T) {
 	m, _, err := JoinT(nil, tuples(1, 1, 2), []cells.Op{cells.EQ})
 	if err != nil {

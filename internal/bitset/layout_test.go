@@ -14,6 +14,7 @@ import (
 
 	"systolicdb/internal/bitset"
 	"systolicdb/internal/cells"
+	"systolicdb/internal/comparison"
 	"systolicdb/internal/division"
 	"systolicdb/internal/join"
 	"systolicdb/internal/relation"
@@ -107,7 +108,7 @@ func TestLayoutJoin(t *testing.T) {
 		a, b := mixedRel(t, rng, n, 0), mixedRel(t, rng, n, n/3)
 		for _, spec := range specs {
 			aKeys, bKeys := join.Keys(a, spec.ACols), join.Keys(b, spec.BCols)
-			want := join.ReferenceT(aKeys, bKeys, spec.Ops)
+			want := comparison.ReferenceT(aKeys, bKeys, spec.Ops, nil)
 			got, _, err := bitset.JoinT(aKeys, bKeys, spec.Ops)
 			if err != nil {
 				t.Fatalf("n=%d %+v: %v", n, spec, err)

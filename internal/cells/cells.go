@@ -49,9 +49,6 @@ func (Compare) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	thetaStep(EQ, in, out)
 }
 
-// Reset implements systolic.Cell; Compare is stateless.
-func (Compare) Reset() {}
-
 // Theta is the §6.3.2 θ-comparison processor: identical wiring to Compare
 // but with a preloaded comparison operator ("it might be preloaded into the
 // array of processors").
@@ -63,9 +60,6 @@ type Theta struct {
 func (c Theta) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	thetaStep(c.Op, in, out)
 }
-
-// Reset implements systolic.Cell; Theta is stateless.
-func (Theta) Reset() {}
 
 func thetaStep(op Op, in *systolic.Inputs, out *systolic.Outputs) {
 	if in.N.HasVal {
@@ -82,14 +76,6 @@ func thetaStep(op Op, in *systolic.Inputs, out *systolic.Outputs) {
 		out.E = t
 	}
 }
-
-// Emit is the comparison processor used in the join array's right-most
-// column (Figure 6-1): it behaves like Theta, but the t it produces is the
-// final t_ij, emitted for collection rather than further accumulation. It
-// is structurally identical to Theta — the distinction is only which
-// boundary the driver drains — so Emit is an alias kept for readability in
-// array builders.
-type Emit = Theta
 
 // Accumulate is the accumulation processor of §4.2. Per pulse:
 //
@@ -116,9 +102,6 @@ func (Accumulate) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	}
 }
 
-// Reset implements systolic.Cell; Accumulate is stateless.
-func (Accumulate) Reset() {}
-
 // DividendStore is the left-column dividend-array processor of §7. It
 // stores one distinct element x appearing in column A1 of the dividend
 // ("the left-hand column ... stores (distinct) elements appearing in column
@@ -137,10 +120,6 @@ func (c *DividendStore) Step(in *systolic.Inputs, out *systolic.Outputs) {
 		out.E = systolic.FlagToken(in.S.Val == c.X, in.S.Tag)
 	}
 }
-
-// Reset implements systolic.Cell. The preloaded element is configuration,
-// not run state, so it survives Reset.
-func (c *DividendStore) Reset() {}
 
 // DividendGate is the right-column dividend-array processor of §7. The y of
 // a dividend pair arrives from below (one step behind its z); the boolean t
@@ -174,9 +153,6 @@ func (DividendGate) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	}
 }
 
-// Reset implements systolic.Cell; DividendGate is stateless.
-func (DividendGate) Reset() {}
-
 // Divisor is the divisor-array processor of §7. It stores one element of
 // the divisor relation B. "Each processor of the row checks if the element
 // it is storing matches any of the y's passing from left to right along the
@@ -204,7 +180,3 @@ func (c *Divisor) Step(in *systolic.Inputs, out *systolic.Outputs) {
 		out.E = probe
 	}
 }
-
-// Reset implements systolic.Cell: clears the match register, keeps the
-// preloaded element.
-func (c *Divisor) Reset() { c.matched = false }

@@ -121,10 +121,6 @@ func TestDividendStoreCell(t *testing.T) {
 	if out.E.Flag {
 		t.Error("non-match signalled TRUE")
 	}
-	c.Reset()
-	if c.X != 7 {
-		t.Error("Reset cleared the preloaded element")
-	}
 }
 
 func TestDividendGateCell(t *testing.T) {
@@ -175,11 +171,7 @@ func TestDivisorCell(t *testing.T) {
 	if !out.E.HasFlag || !out.E.Flag {
 		t.Error("probe AND matched register wrong")
 	}
-	c.Reset()
-	if c.matched {
-		t.Error("Reset did not clear the register")
-	}
-	out = step(c, systolic.Inputs{W: flag(true)})
+	out = step(c2, systolic.Inputs{W: flag(true)})
 	if out.E.Flag {
 		t.Error("probe TRUE through unmatched cell")
 	}

@@ -33,7 +33,3 @@ func (c *StoredCompare) Step(in *systolic.Inputs, out *systolic.Outputs) {
 		out.E = t
 	}
 }
-
-// Reset implements systolic.Cell. The preloaded element is configuration,
-// not run state, so it survives Reset.
-func (c *StoredCompare) Reset() {}

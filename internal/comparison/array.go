@@ -106,7 +106,6 @@ func CompareTuples(a, b relation.Tuple) (bool, systolic.Stats, error) {
 	}); err != nil {
 		return false, systolic.Stats{}, err
 	}
-	grid.Reset()
 	grid.Run(m)
 	if !got {
 		return false, grid.Stats(), fmt.Errorf("comparison: linear array produced no result in %d pulses", m)
@@ -142,53 +141,61 @@ func tuplePorts(a, b relation.Tuple) []systolic.Port {
 	return ports
 }
 
-// checkWidths verifies every tuple has width m and returns m (taken from
-// the first tuple of a, else of b, else the provided fallback).
-func checkWidths(a, b []relation.Tuple) (int, error) {
-	m := -1
-	for _, t := range a {
-		if m < 0 {
-			m = len(t)
-		}
-		if len(t) != m {
-			return 0, fmt.Errorf("comparison: ragged tuple widths in A")
-		}
+// CheckWidths is the one width check of the tuple lists fed to the
+// comparison array, to the arrays built on it and to the bitset backend.
+// Every tuple of a and b must be len(ops) wide, one element per column's
+// operator, or, for nil ops, as wide as a's first tuple; a width of zero
+// is rejected. It returns the width, or 0 with no error when a or b is
+// empty: an empty side is answered without looking at widths.
+func CheckWidths(a, b []relation.Tuple, ops []cells.Op) (int, error) {
+	if len(a) == 0 || len(b) == 0 {
+		return 0, nil
 	}
-	for _, t := range b {
-		if m < 0 {
-			m = len(t)
-		}
-		if len(t) != m {
-			return 0, fmt.Errorf("comparison: tuple width mismatch between relations")
-		}
+	m := len(ops)
+	if ops == nil {
+		m = len(a[0])
 	}
 	if m == 0 {
 		return 0, fmt.Errorf("comparison: zero-width tuples")
+	}
+	for _, side := range []struct {
+		what   string
+		tuples []relation.Tuple
+	}{{"ragged tuple widths in A", a}, {"tuple width mismatch between relations", b}} {
+		for _, t := range side.tuples {
+			if len(t) != m {
+				return 0, fmt.Errorf("comparison: %s: key tuple width %d, want %d", side.what, len(t), m)
+			}
+		}
 	}
 	return m, nil
 }
 
 // Run2D runs the two-dimensional comparison array of Figure 3-3 on
 // relations A (fed from the top) and B (fed from the bottom), returning the
-// full matrix T. init supplies the per-pair initial boolean (nil = TRUE
-// everywhere). An optional tracer observes every pulse.
+// full matrix T. ops holds one comparison operator per column: nil is
+// equality everywhere, the comparison processors of §3.2, and otherwise
+// column k holds θ-processors preloaded with ops[k] (§6.3.2). The join
+// array of §6 is this array fed with the join columns. init supplies the
+// per-pair initial boolean (nil = TRUE everywhere). An optional tracer
+// observes every pulse.
 //
 // The function also validates the closed-form Schedule against the
 // simulation using token provenance tags: if a result arrives at a row or
 // pulse other than the one the schedule predicts, an error is returned.
-func Run2D(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer) (*Result, error) {
-	return Run2DWrap(a, b, init, tracer, nil)
+func Run2D(a, b []relation.Tuple, ops []cells.Op, init InitFunc, tracer systolic.Tracer) (*Result, error) {
+	return Run2DWrap(a, b, ops, init, tracer, nil)
 }
 
 // Run2DWrap is Run2D with an optional cell wrapper applied to every
 // processor of the grid (the fault layer's injection hook); a nil wrap
 // behaves exactly like Run2D.
-func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wrap systolic.Wrap) (*Result, error) {
+func Run2DWrap(a, b []relation.Tuple, ops []cells.Op, init InitFunc, tracer systolic.Tracer, wrap systolic.Wrap) (*Result, error) {
 	nA, nB := len(a), len(b)
 	if nA == 0 || nB == 0 {
 		return &Result{T: NewMatrix(nA, nB)}, nil
 	}
-	m, err := checkWidths(a, b)
+	m, err := CheckWidths(a, b, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -196,8 +203,11 @@ func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wra
 	if err != nil {
 		return nil, err
 	}
-	grid, err := systolic.NewGrid(sched.Rows, m,
-		systolic.BuildWith(func(_, _ int) systolic.Cell { return cells.Compare{} }, wrap))
+	build := func(_, _ int) systolic.Cell { return cells.Compare{} }
+	if ops != nil {
+		build = func(_, c int) systolic.Cell { return cells.Theta{Op: ops[c]} }
+	}
+	grid, err := systolic.NewGrid(sched.Rows, m, systolic.BuildWith(build, wrap))
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +249,6 @@ func Run2DWrap(a, b []relation.Tuple, init InitFunc, tracer systolic.Tracer, wra
 		}
 	}
 
-	grid.Reset()
 	grid.Run(sched.TotalPulses())
 	if collectErr != nil {
 		return nil, collectErr
@@ -308,7 +317,7 @@ func RunFixed(a, b []relation.Tuple, init InitFunc) (*Result, error) {
 	if nA == 0 || nB == 0 {
 		return &Result{T: NewMatrix(nA, nB)}, nil
 	}
-	m, err := checkWidths(a, b)
+	m, err := CheckWidths(a, b, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +352,6 @@ func RunFixed(a, b []relation.Tuple, init InitFunc) (*Result, error) {
 			return nil, err
 		}
 	}
-	grid.Reset()
 	grid.Run(sched.TotalPulses())
 	if collectErr != nil {
 		return nil, collectErr
@@ -356,17 +364,29 @@ func RunFixed(a, b []relation.Tuple, init InitFunc) (*Result, error) {
 
 // ReferenceT computes the matrix T by direct software evaluation — the
 // specification the arrays are tested against (paper §3.3's defining
-// equation).
-func ReferenceT(a, b []relation.Tuple, init InitFunc) *Matrix {
+// equation) and the host side of the fault layer's checksum lane. ops and
+// init mean what they mean to Run2D; with ops, every tuple must be at
+// least len(ops) wide (CheckWidths).
+func ReferenceT(a, b []relation.Tuple, ops []cells.Op, init InitFunc) *Matrix {
 	t := NewMatrix(len(a), len(b))
 	for i := range a {
 		for j := range b {
-			v := true
-			if init != nil {
-				v = init(i, j)
-			}
-			t.Bits[i][j] = v && a[i].Equal(b[j])
+			t.Bits[i][j] = (init == nil || init(i, j)) && match(a[i], b[j], ops)
 		}
 	}
 	return t
+}
+
+// match reports whether every column's operator holds between x and y
+// (tuple equality for nil ops).
+func match(x, y relation.Tuple, ops []cells.Op) bool {
+	if ops == nil {
+		return x.Equal(y)
+	}
+	for c, op := range ops {
+		if !op.Apply(x[c], y[c]) {
+			return false
+		}
+	}
+	return true
 }

@@ -93,11 +93,11 @@ func TestRun2DMatchesReference(t *testing.T) {
 		// A tiny domain forces plenty of matches.
 		a := randTuples(rng, shape[0], shape[2], 3)
 		b := randTuples(rng, shape[1], shape[2], 3)
-		res, err := Run2D(a, b, nil, nil)
+		res, err := Run2D(a, b, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("shape %v: %v", shape, err)
 		}
-		want := ReferenceT(a, b, nil)
+		want := ReferenceT(a, b, nil, nil)
 		if !res.T.Equal(want) {
 			t.Errorf("shape %v: T mismatch\ngot  %v\nwant %v", shape, res.T.Bits, want.Bits)
 		}
@@ -111,11 +111,11 @@ func TestRun2DWithInitMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randTuples(rng, 6, 3, 2)
 	init := func(i, j int) bool { return i > j } // remove-duplicates mask
-	res, err := Run2D(a, a, init, nil)
+	res, err := Run2D(a, a, nil, init, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ReferenceT(a, a, init)
+	want := ReferenceT(a, a, nil, init)
 	if !res.T.Equal(want) {
 		t.Errorf("masked T mismatch\ngot  %v\nwant %v", res.T.Bits, want.Bits)
 	}
@@ -133,7 +133,7 @@ func TestRunFixedMatchesRun2D(t *testing.T) {
 	for _, shape := range [][3]int{{1, 1, 1}, {5, 4, 3}, {8, 2, 2}, {3, 9, 5}} {
 		a := randTuples(rng, shape[0], shape[2], 3)
 		b := randTuples(rng, shape[1], shape[2], 3)
-		moving, err := Run2D(a, b, nil, nil)
+		moving, err := Run2D(a, b, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestFixedVariantImprovesUtilization(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randTuples(rng, 20, 4, 3)
 	b := randTuples(rng, 20, 4, 3)
-	moving, err := Run2D(a, b, nil, nil)
+	moving, err := Run2D(a, b, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFixedVariantImprovesUtilization(t *testing.T) {
 }
 
 func TestRun2DEmptyRelations(t *testing.T) {
-	res, err := Run2D(nil, nil, nil, nil)
+	res, err := Run2D(nil, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,10 @@ func TestRun2DEmptyRelations(t *testing.T) {
 func TestRun2DRejectsRaggedTuples(t *testing.T) {
 	a := []relation.Tuple{{1, 2}, {3}}
 	b := []relation.Tuple{{1, 2}}
-	if _, err := Run2D(a, b, nil, nil); err == nil {
+	if _, err := Run2D(a, b, nil, nil, nil); err == nil {
 		t.Error("ragged tuples not rejected")
 	}
-	if _, err := Run2D([]relation.Tuple{{1}}, []relation.Tuple{{1, 2}}, nil, nil); err == nil {
+	if _, err := Run2D([]relation.Tuple{{1}}, []relation.Tuple{{1, 2}}, nil, nil, nil); err == nil {
 		t.Error("width mismatch between relations not rejected")
 	}
 }

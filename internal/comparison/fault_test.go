@@ -18,7 +18,7 @@ func runWithFault(t *testing.T, mode fault.Mode, pulse int) (*Matrix, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run2DWrap(a, b, nil, nil, inj.NewRun())
+	res, err := Run2DWrap(a, b, nil, nil, nil, inj.NewRun())
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +34,7 @@ func runWithFault(t *testing.T, mode fault.Mode, pulse int) (*Matrix, error) {
 func TestFaultInjection(t *testing.T) {
 	a := []relation.Tuple{{1, 1}, {2, 2}, {3, 3}, {1, 1}}
 	b := []relation.Tuple{{2, 2}, {1, 1}, {4, 4}, {3, 3}}
-	want := ReferenceT(a, b, nil)
+	want := ReferenceT(a, b, nil, nil)
 	wantSum := fault.MatrixChecksum(want.Bits)
 
 	t.Run("baseline-no-fault", func(t *testing.T) {

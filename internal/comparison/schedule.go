@@ -4,11 +4,16 @@
 // pipelines all |A|·|B| tuple comparisons and produces the boolean matrix T
 // (Figures 3-3/3-4).
 //
+// The two-dimensional array takes one comparison operator per column, so
+// it is also the join array of §6: one processor column per join column,
+// with a θ comparator preloaded for a non-equi-join (§6.3.2). ReferenceT
+// is the one software definition of T for both, and CheckWidths the one
+// width check of the tuple lists fed to them.
+//
 // The package also exposes the input staggering schedule as a first-class
 // object (Schedule), because every compound array in the paper —
-// intersection, difference, remove-duplicates, join — reuses the same
-// dataflow and differs only in what is attached to the comparison array's
-// boundary.
+// intersection, difference, remove-duplicates — reuses the same dataflow
+// and differs only in what is attached to the comparison array's boundary.
 package comparison
 
 import (

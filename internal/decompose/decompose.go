@@ -22,6 +22,7 @@ package decompose
 import (
 	"fmt"
 
+	"systolicdb/internal/cells"
 	"systolicdb/internal/comparison"
 	"systolicdb/internal/fault"
 	"systolicdb/internal/intersect"
@@ -122,47 +123,33 @@ func (t Tiler) runTile(op string, ref func() fault.Checksum, attempt fault.Attem
 	return t.Runner.RunTile(op, ref, attempt)
 }
 
-// checkTuples rejects ragged tuple lists before any tile runs, the same
-// explicit rejection the array drivers perform (intersect.go,
-// comparison/array.go). The host-reference lane (comparison.ReferenceT)
-// indexes tuples directly, so without this guard a ragged input would
-// panic inside the checksum closure instead of returning an error.
-func checkTuples(a, b []relation.Tuple) error {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	m := len(a[0])
-	for _, t := range a {
-		if len(t) != m {
-			return fmt.Errorf("decompose: ragged tuple widths in A")
-		}
-	}
-	for _, t := range b {
-		if len(t) != m {
-			return fmt.Errorf("decompose: tuple width mismatch between relations")
-		}
-	}
-	return nil
-}
-
 // TiledT computes the full matrix T for a problem larger than the physical
 // array by running one comparison-array pass per tile. init receives
 // *global* pair indices.
 func TiledT(a, b []relation.Tuple, init comparison.InitFunc, size ArraySize) (*comparison.Matrix, Stats, error) {
-	return Tiler{Size: size}.T(a, b, init)
+	return Tiler{Size: size}.T(a, b, nil, init)
 }
 
-// T is TiledT through the tiler's runner.
-func (tl Tiler) T(a, b []relation.Tuple, init comparison.InitFunc) (*comparison.Matrix, Stats, error) {
+// T is TiledT through the tiler's runner, with one comparison operator per
+// column as comparison.Run2D takes them: nil ops tile the comparison array
+// of §3.2, and the join columns with their operators tile the join array
+// of §6 (fault op label "join", else "compare").
+func (tl Tiler) T(a, b []relation.Tuple, ops []cells.Op, init comparison.InitFunc) (*comparison.Matrix, Stats, error) {
 	if err := tl.Size.validate(); err != nil {
 		return nil, Stats{}, err
+	}
+	// Reject ragged input before any tile runs, so no device attempt,
+	// retry or quarantine is spent on it.
+	if _, err := comparison.CheckWidths(a, b, ops); err != nil {
+		return nil, Stats{}, err
+	}
+	op := "compare"
+	if ops != nil {
+		op = "join"
 	}
 	nA, nB := len(a), len(b)
 	t := comparison.NewMatrix(nA, nB)
 	var stats Stats
-	if err := checkTuples(a, b); err != nil {
-		return nil, Stats{}, err
-	}
 	for i0 := 0; i0 < nA; i0 += tl.Size.MaxA {
 		i1 := min(i0+tl.Size.MaxA, nA)
 		for j0 := 0; j0 < nB; j0 += tl.Size.MaxB {
@@ -174,12 +161,12 @@ func (tl Tiler) T(a, b []relation.Tuple, init comparison.InitFunc) (*comparison.
 			}
 			aT, bT := a[i0:i1], b[j0:j1]
 			var tile *comparison.Matrix
-			st, err := tl.runTile("compare",
+			st, err := tl.runTile(op,
 				func() fault.Checksum {
-					return fault.MatrixChecksum(comparison.ReferenceT(aT, bT, tileInit).Bits)
+					return fault.MatrixChecksum(comparison.ReferenceT(aT, bT, ops, tileInit).Bits)
 				},
 				func(wrap systolic.Wrap) (fault.Checksum, systolic.Stats, error) {
-					res, err := comparison.Run2DWrap(aT, bT, tileInit, nil, wrap)
+					res, err := comparison.Run2DWrap(aT, bT, ops, tileInit, nil, wrap)
 					if err != nil {
 						return fault.Checksum{}, systolic.Stats{}, err
 					}
@@ -213,7 +200,7 @@ func (tl Tiler) Accumulate(a, b []relation.Tuple, init comparison.InitFunc) ([]b
 	if nA == 0 || nB == 0 {
 		return keep, stats, nil
 	}
-	if err := checkTuples(a, b); err != nil {
+	if _, err := comparison.CheckWidths(a, b, nil); err != nil {
 		return nil, Stats{}, err
 	}
 	for i0 := 0; i0 < nA; i0 += tl.Size.MaxA {
@@ -229,7 +216,7 @@ func (tl Tiler) Accumulate(a, b []relation.Tuple, init comparison.InitFunc) ([]b
 			var tileBits []bool
 			st, err := tl.runTile("accumulate",
 				func() fault.Checksum {
-					return fault.BoolChecksum(comparison.ReferenceT(aT, bT, tileInit).OrRows())
+					return fault.BoolChecksum(comparison.ReferenceT(aT, bT, nil, tileInit).OrRows())
 				},
 				func(wrap systolic.Wrap) (fault.Checksum, systolic.Stats, error) {
 					bits, st, err := intersect.RunAccumulatedWrap(aT, bT, tileInit, nil, wrap)

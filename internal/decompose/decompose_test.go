@@ -26,7 +26,7 @@ func TestTiledTMatchesMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := mk(rng, 17, 2, 3)
 	b := mk(rng, 11, 2, 3)
-	mono, err := comparison.Run2D(a, b, nil, nil)
+	mono, err := comparison.Run2D(a, b, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTiledTWithGlobalInit(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	a := mk(rng, 10, 1, 2)
 	init := func(i, j int) bool { return i > j }
-	mono := comparison.ReferenceT(a, a, init)
+	mono := comparison.ReferenceT(a, a, nil, init)
 	tiled, _, err := TiledT(a, a, init, ArraySize{3, 4})
 	if err != nil {
 		t.Fatal(err)

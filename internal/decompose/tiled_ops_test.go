@@ -26,7 +26,7 @@ func TestTiledJoinTMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []ArraySize{{4, 3}, {13, 9}, {1, 1}, {5, 20}} {
-		tiled, st, err := Tiler{Size: size}.JoinT(a, b, ops)
+		tiled, st, err := Tiler{Size: size}.T(a, b, ops, nil)
 		if err != nil {
 			t.Fatalf("size %v: %v", size, err)
 		}
@@ -37,7 +37,7 @@ func TestTiledJoinTMatchesMonolithic(t *testing.T) {
 			t.Errorf("size %v: %d tiles, want %d", size, st.Tiles, size.Tiles(13, 9))
 		}
 	}
-	if _, _, err := (Tiler{Size: ArraySize{0, 1}}).JoinT(a, b, ops); err == nil {
+	if _, _, err := (Tiler{Size: ArraySize{0, 1}}).T(a, b, ops, nil); err == nil {
 		t.Error("invalid size not rejected")
 	}
 }
@@ -49,7 +49,7 @@ func TestTiledJoinTThetaOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, _, err := Tiler{Size: ArraySize{2, 1}}.JoinT(a, b, []cells.Op{cells.GT})
+	tiled, _, err := Tiler{Size: ArraySize{2, 1}}.T(a, b, []cells.Op{cells.GT}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,6 @@ func RunArrayWrap(pairs []Pair, xs, divisor []relation.Element, tracer systolic.
 
 	// The probe passes row r (top row is 0) at pulse n+1 + (nRows-1-r)
 	// and then crosses nB divisor cells; run long enough to drain row 0.
-	grid.Reset()
 	grid.Run(n + 1 + nRows + nB + 1)
 	if collectErr != nil {
 		return nil, systolic.Stats{}, collectErr

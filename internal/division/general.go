@@ -52,8 +52,6 @@ func (c *multiStore) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	}
 }
 
-func (c *multiStore) Reset() {}
-
 // multiGate is the gate-block processor. It forwards frame tokens from the
 // west, latches the pair's match bit from the frame leader (or, in the
 // first gate column, from the raw bit arriving off the left block), gates
@@ -160,11 +158,6 @@ func (c *multiGate) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	}
 }
 
-func (c *multiGate) Reset() {
-	c.bit, c.bitSet, c.hasHold, c.pendingTail = false, false, false, false
-	c.hold = systolic.Empty
-}
-
 // EveryPulse implements systolic.Visited: a held gated value and the frame
 // tail leave on the first idle east pulse, whether or not an input is
 // present.
@@ -222,10 +215,6 @@ func (c *multiDivisor) Step(in *systolic.Inputs, out *systolic.Outputs) {
 		}
 		out.E = probe
 	}
-}
-
-func (c *multiDivisor) Reset() {
-	c.counter, c.framed, c.frameMatch, c.groupMatched = 0, false, false, false
 }
 
 // GeneralProblem is a division expressed for the hardware general array:
@@ -367,7 +356,6 @@ func RunGeneralArray(p GeneralProblem, tracer systolic.Tracer) ([]bool, systolic
 		}
 	}
 
-	grid.Reset()
 	grid.Run(probeEntry(n, kz, ky) + nRows + nDiv*ky + ky + 6)
 	if collectErr != nil {
 		return nil, systolic.Stats{}, collectErr

@@ -70,7 +70,6 @@ type passthrough struct{ last systolic.Token }
 func (p *passthrough) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	out.E = in.W
 }
-func (p *passthrough) Reset() {}
 
 // runWrapped pushes n flag tokens through a 1x1 wrapped grid and returns
 // the emitted flags by pulse.
@@ -94,7 +93,6 @@ func runWrapped(t *testing.T, wrap systolic.Wrap, n int) map[int]bool {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	grid.Reset()
 	grid.Run(n + 2)
 	return out
 }
@@ -123,7 +121,6 @@ func TestFaultOrdinalsCountIdlePulses(t *testing.T) {
 	if err := grid.Drain(systolic.East, 0, func(p int, tok systolic.Token) { got = append(got, fmt.Sprint(p, tok)) }); err != nil {
 		t.Fatal(err)
 	}
-	grid.Reset()
 	grid.Run(6)
 	if want := []string{"4 F"}; !slices.Equal(got, want) {
 		t.Errorf("east deliveries %q, want %q (the TRUE flipped at cell 0x1, pulse 4)", got, want)
@@ -162,7 +159,6 @@ func TestMisrouteCountsOnlyAMove(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		grid.Reset()
 		grid.Run(4)
 		if !slices.Equal(got, []string{c.want}) || inj.Injected() != c.injected {
 			t.Errorf("misroute at pulse %d: deliveries %q, %d injected; want [%s], %d", c.pulse, got, inj.Injected(), c.want, c.injected)
@@ -269,7 +265,6 @@ func TestInjectorTargeting(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		grid.Reset()
 		grid.Run(4)
 		slices.Sort(got)
 		if want := []string{"0 2 T", "1 2 F", "2 2 T"}; !slices.Equal(got, want) || inj.Injected() != 1 {

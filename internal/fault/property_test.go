@@ -22,8 +22,8 @@ func TestSingleFaultDetectedOrHarmless(t *testing.T) {
 		t.Fatal(err)
 	}
 	at, bt := a.Tuples(), b.Tuples()
-	want := fault.BoolChecksum(comparison.ReferenceT(at, bt, nil).OrRows())
-	wantBits := comparison.ReferenceT(at, bt, nil).OrRows()
+	want := fault.BoolChecksum(comparison.ReferenceT(at, bt, nil, nil).OrRows())
+	wantBits := comparison.ReferenceT(at, bt, nil, nil).OrRows()
 
 	// Probe the grid dimensions and pulse budget with a pristine run.
 	_, stats, err := intersect.RunAccumulatedWrap(at, bt, nil, nil, nil)

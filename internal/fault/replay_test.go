@@ -18,7 +18,6 @@ type emitter struct{}
 func (emitter) Step(_ *systolic.Inputs, out *systolic.Outputs) {
 	out.E = systolic.FlagToken(true, systolic.Tag{Valid: true})
 }
-func (emitter) Reset() {}
 
 // TestAbsoluteReplay pins the values the fault layer derives from its hash
 // chain against the stored table (two injectors built by the same binary

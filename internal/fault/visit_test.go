@@ -129,7 +129,6 @@ func TestFaultedGridIsEventDriven(t *testing.T) {
 type holdCell struct{ held systolic.Token }
 
 func (c *holdCell) Step(in *systolic.Inputs, out *systolic.Outputs) { out.E, c.held = c.held, in.W }
-func (c *holdCell) Reset()                                          { c.held = systolic.Empty }
 func (c *holdCell) EveryPulse() bool                                { return true }
 
 // TestFaultWrapKeepsEveryPulse: wrapped by a plan that never fires, a row
@@ -153,7 +152,6 @@ func TestFaultWrapKeepsEveryPulse(t *testing.T) {
 		if err := grid.Drain(systolic.East, 0, func(p int, tok systolic.Token) { got = append(got, fmt.Sprint(p, tok)) }); err != nil {
 			t.Fatal(err)
 		}
-		grid.Reset()
 		grid.Run(14)
 		return got
 	}

@@ -85,21 +85,13 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 	if nB == 0 {
 		return make([]bool, nA), systolic.Stats{}, nil
 	}
-	m := len(a[0])
-	sched, err := comparison.NewSchedule(nA, nB, m)
+	m, err := comparison.CheckWidths(a, b, nil)
 	if err != nil {
 		return nil, systolic.Stats{}, err
 	}
-
-	for _, t := range a {
-		if len(t) != m {
-			return nil, systolic.Stats{}, fmt.Errorf("intersect: ragged tuple widths in A")
-		}
-	}
-	for _, t := range b {
-		if len(t) != m {
-			return nil, systolic.Stats{}, fmt.Errorf("intersect: tuple width mismatch between relations")
-		}
+	sched, err := comparison.NewSchedule(nA, nB, m)
+	if err != nil {
+		return nil, systolic.Stats{}, err
 	}
 
 	// Columns 0..m-1: comparison processors. Column m: accumulation.
@@ -150,7 +142,6 @@ func RunAccumulatedWrap(a, b []relation.Tuple, init comparison.InitFunc, tracer 
 		return nil, systolic.Stats{}, err
 	}
 
-	grid.Reset()
 	grid.Run(accumExitPulse(sched, nA-1) + 1)
 	if collectErr != nil {
 		return nil, systolic.Stats{}, collectErr

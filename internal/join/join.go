@@ -14,7 +14,11 @@
 // one processor column per join column with the partial result propagated
 // rightward "in essentially the same way as in the intersection array", and
 // non-equi-joins (§6.3.2) preload a different comparison operator into the
-// processors.
+// processors. That array is §3.2's two-dimensional comparison array with
+// one operator per column, so this package builds no grid of its own: RunT
+// is comparison.Run2D on the key tuples. What is join-specific lives here —
+// the Spec, its validation and result layout, and the host-side
+// materialisation.
 package join
 
 import (
@@ -142,109 +146,15 @@ type Result struct {
 
 // RunT runs the join array on the already-projected key tuples (one tuple
 // of join-column values per input tuple), producing the matrix T. ops
-// holds the per-column comparison operator.
+// holds the per-column comparison operator. The join array is the
+// comparison array of §3.2 with one θ-processor column per join column, so
+// RunT is comparison.Run2D: the same grid, feeds, drain and schedule check.
 func RunT(aKeys, bKeys []relation.Tuple, ops []cells.Op) (*comparison.Matrix, systolic.Stats, error) {
-	return RunTWrap(aKeys, bKeys, ops, nil)
-}
-
-// ReferenceT computes the join match matrix by direct software evaluation
-// — the specification RunT is verified against (and the host side of the
-// fault layer's checksum lane). Key widths must already satisfy CheckKeys;
-// callers that accept external tuple lists (the §8 tiler, the backends)
-// validate first, so ReferenceT never indexes a short tuple.
-func ReferenceT(aKeys, bKeys []relation.Tuple, ops []cells.Op) *comparison.Matrix {
-	t := comparison.NewMatrix(len(aKeys), len(bKeys))
-	for i, ak := range aKeys {
-		for j, bk := range bKeys {
-			match := true
-			for c, op := range ops {
-				if !op.Apply(ak[c], bk[c]) {
-					match = false
-					break
-				}
-			}
-			t.Bits[i][j] = match
-		}
-	}
-	return t
-}
-
-// CheckKeys validates key-tuple lists against the operator list the way
-// the intersection driver validates its inputs (explicit rejection of
-// ragged widths rather than a panic downstream): every tuple of both lists
-// must be exactly len(ops) wide. It is exported so drivers that evaluate
-// keys outside RunT — the §8 tiler's host-reference lane, alternative
-// backends — can reject bad input before any indexing happens.
-func CheckKeys(aKeys, bKeys []relation.Tuple, ops []cells.Op) error {
-	w := len(ops)
-	for _, t := range aKeys {
-		if len(t) != w {
-			return fmt.Errorf("join: key tuple width %d != %d operators", len(t), w)
-		}
-	}
-	for _, t := range bKeys {
-		if len(t) != w {
-			return fmt.Errorf("join: key tuple width %d != %d operators", len(t), w)
-		}
-	}
-	return nil
-}
-
-// RunTWrap is RunT with an optional cell wrapper applied to every
-// processor (the fault layer's injection hook); a nil wrap behaves exactly
-// like RunT.
-func RunTWrap(aKeys, bKeys []relation.Tuple, ops []cells.Op, wrap systolic.Wrap) (*comparison.Matrix, systolic.Stats, error) {
-	nA, nB := len(aKeys), len(bKeys)
-	if nA == 0 || nB == 0 {
-		return comparison.NewMatrix(nA, nB), systolic.Stats{}, nil
-	}
-	w := len(ops)
-	if err := CheckKeys(aKeys, bKeys, ops); err != nil {
-		return nil, systolic.Stats{}, err
-	}
-	sched, err := comparison.NewSchedule(nA, nB, w)
+	res, err := comparison.Run2D(aKeys, bKeys, ops, nil, nil)
 	if err != nil {
 		return nil, systolic.Stats{}, err
 	}
-	grid, err := systolic.NewGrid(sched.Rows, w, systolic.BuildWith(func(_, c int) systolic.Cell {
-		return cells.Theta{Op: ops[c]}
-	}, wrap))
-	if err != nil {
-		return nil, systolic.Stats{}, err
-	}
-	defer grid.Release()
-	if err := grid.Feed(sched.Ports(aKeys, bKeys, nil)...); err != nil {
-		return nil, systolic.Stats{}, err
-	}
-	t := comparison.NewMatrix(nA, nB)
-	seen := 0
-	var collectErr error
-	for r := 0; r < sched.Rows; r++ {
-		r := r
-		if err := grid.Drain(systolic.East, r, func(p int, tok systolic.Token) {
-			if !tok.HasFlag || collectErr != nil {
-				return
-			}
-			i, j, ok := sched.PairAt(r, p-(w-1))
-			if !ok {
-				collectErr = fmt.Errorf("join: unexpected t at row %d pulse %d", r, p)
-				return
-			}
-			t.Bits[i][j] = tok.Flag
-			seen++
-		}); err != nil {
-			return nil, systolic.Stats{}, err
-		}
-	}
-	grid.Reset()
-	grid.Run(sched.TotalPulses())
-	if collectErr != nil {
-		return nil, systolic.Stats{}, collectErr
-	}
-	if seen != nA*nB {
-		return nil, systolic.Stats{}, fmt.Errorf("join: collected %d of %d match bits", seen, nA*nB)
-	}
-	return t, grid.Stats(), nil
+	return res.T, res.Stats, nil
 }
 
 // Keys projects every tuple of r onto the given columns, producing the key

@@ -152,7 +152,7 @@ func (t Tiled) Join(a, b *relation.Relation, spec join.Spec) (*relation.Relation
 	if err := spec.Validate(a, b); err != nil {
 		return nil, Cost{}, err
 	}
-	tm, st, err := t.Tiler.JoinT(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), spec.Ops)
+	tm, st, err := t.Tiler.T(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), spec.Ops, nil)
 	if err != nil {
 		return nil, Cost{}, err
 	}

@@ -59,8 +59,6 @@ func (c *cell) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	}
 }
 
-func (c *cell) Reset() { c.held = systolic.Empty }
-
 // EveryPulse implements systolic.Visited: the result register releases
 // what it held on a pulse whose inputs may be idle.
 func (c *cell) EveryPulse() bool { return true }
@@ -119,7 +117,6 @@ func Match(pattern, text []relation.Element) ([]bool, systolic.Stats, error) {
 	}); err != nil {
 		return nil, systolic.Stats{}, err
 	}
-	grid.Reset()
 	grid.Run(nAlign + 2*L)
 	if collectErr != nil {
 		return nil, systolic.Stats{}, collectErr

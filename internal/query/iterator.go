@@ -516,7 +516,7 @@ func (m *membershipIter) Close() {
 // joinIter streams the probe (A) side of a join against a materialized
 // build (B) side — the breaker. Equi-joins probe a hash table on B's
 // join key; θ-joins fall back to a per-probe scan of B applying the
-// comparison operators cell-for-cell like join.ReferenceT. Output rows
+// comparison operators cell-for-cell like comparison.ReferenceT. Output rows
 // are the probe tuple followed by B's kept columns (join.Layout's bKeep),
 // in join.Materialize's row-major emission order.
 type joinIter struct {

@@ -23,7 +23,6 @@ func TestSteppingAllocatesNothing(t *testing.T) {
 			if traced {
 				g.SetTracer(tracerFunc(func(Snapshot) {}))
 			}
-			g.Reset()
 			g.Run(4)
 			allocs := testing.AllocsPerRun(10, func() { g.Run(4) })
 			if allocs != 0 {
@@ -35,6 +34,7 @@ func TestSteppingAllocatesNothing(t *testing.T) {
 			if st := g.Stats(); st.ActiveSteps == 0 || st.Pulses != 48 {
 				t.Errorf("%s (traced %v): stats %+v, want 48 pulses with work", tc.name, traced, st)
 			}
+			g.Release()
 		}
 	}
 
@@ -60,7 +60,6 @@ func TestSteppingAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen = 0
-		g.Reset()
 		g.Run(4 * n)
 		g.Release()
 		if want < 0 {

@@ -28,7 +28,6 @@ func (compareCell) Step(in *Inputs, out *Outputs) {
 		out.E = t
 	}
 }
-func (compareCell) Reset() {}
 
 // accumulateCell duplicates the accumulation processor of §4.2
 // (cells.Accumulate) for the same reason.
@@ -46,7 +45,6 @@ func (accumulateCell) Step(in *Inputs, out *Outputs) {
 		out.S = in.W
 	}
 }
-func (accumulateCell) Reset() {}
 
 // buildComparisonGrid wires comparisonProblem's grid, whose results
 // leave through sink: from the east edge, or, with accumulate set, from
@@ -134,7 +132,6 @@ func TestConcurrentParallelGridsWithTracing(t *testing.T) {
 	const n, m, pulses, runs = 8, 2, 40, 4
 	var aloneRes []bool
 	alone := buildComparisonGrid(t, n, m, false, collect(&aloneRes))
-	alone.Reset()
 	alone.Run(pulses)
 	aloneStats := alone.Stats()
 	alone.Release()
@@ -192,7 +189,6 @@ func runTracedAlone(n, m, pulses int, aloneStats Stats, aloneRes []bool) error {
 		lastPulse = s.Pulse
 		traced++
 	}))
-	g.Reset()
 	g.Run(pulses)
 	if traced != pulses || lastPulse != pulses-1 {
 		return fmt.Errorf("traced %d pulses (last %d), want %d", traced, lastPulse, pulses)

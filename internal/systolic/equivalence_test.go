@@ -17,7 +17,6 @@ import (
 	"systolicdb/internal/comparison"
 	"systolicdb/internal/division"
 	"systolicdb/internal/intersect"
-	"systolicdb/internal/join"
 	"systolicdb/internal/patternmatch"
 	"systolicdb/internal/relation"
 	"systolicdb/internal/systolic"
@@ -119,11 +118,6 @@ func (c *countingCell) Step(in *systolic.Inputs, out *systolic.Outputs) {
 	c.pulse++
 }
 
-func (c *countingCell) Reset() {
-	c.inner.Reset()
-	c.pulse = 0
-}
-
 func (c *countingCell) EveryPulse() bool { return true }
 
 // driverCase is one random shape of one array driver: the rows x cols
@@ -192,7 +186,7 @@ func driverCases() []driverCase {
 		a, b, init := randTuples(rng, nA, m, 3), randTuples(rng, nB, m, 3), randInit(rng)
 		add(driverCase{name: fmt.Sprintf("Run2D/%d/%dx%dx%d", n, nA, nB, m), rows: nA + nB - 1, cols: m, traced: true, wrapped: true,
 			run: func(tr systolic.Tracer, wrap systolic.Wrap) (string, systolic.Stats) {
-				res, err := comparison.Run2DWrap(a, b, init, tr, wrap)
+				res, err := comparison.Run2DWrap(a, b, nil, init, tr, wrap)
 				if err != nil {
 					return outcome(nil, err), systolic.Stats{}
 				}
@@ -276,11 +270,11 @@ func driverCases() []driverCase {
 		}
 		add(driverCase{name: fmt.Sprintf("Join/%d/%dx%dx%d", n, nA, nB, w), rows: nA + nB - 1, cols: w, wrapped: true,
 			run: func(_ systolic.Tracer, wrap systolic.Wrap) (string, systolic.Stats) {
-				t, st, err := join.RunTWrap(a, b, ops, wrap)
+				res, err := comparison.Run2DWrap(a, b, ops, nil, nil, wrap)
 				if err != nil {
 					return outcome(nil, err), systolic.Stats{}
 				}
-				return matrixString(t), st
+				return matrixString(res.T), res.Stats
 			}})
 	}
 	rng = rand.New(rand.NewSource(8))
@@ -493,7 +487,6 @@ func (c *soilCell) Step(_ *systolic.Inputs, out *systolic.Outputs) {
 	t := systolic.Token{Val: relation.Element(*c.pulse), HasVal: true, Flag: true, HasFlag: true}
 	out.N, out.S, out.E, out.W = t, t, t, t
 }
-func (c *soilCell) Reset()           {}
 func (c *soilCell) EveryPulse() bool { return c.every }
 func (c *soilCell) Clock(pulse *int) { c.pulse = pulse }
 

@@ -20,7 +20,6 @@ type turnCell struct{}
 func (turnCell) Step(in *Inputs, out *Outputs) {
 	out.E, out.S, out.W, out.N = in.N, in.E, in.S, in.W
 }
-func (turnCell) Reset() {}
 
 // mixCell folds every present input into one token sent east and south.
 type mixCell struct{}
@@ -39,7 +38,6 @@ func (mixCell) Step(in *Inputs, out *Outputs) {
 	}
 	out.E, out.S = t, t
 }
-func (mixCell) Reset() {}
 
 // tallyCell counts the pulses it had work and reports the count north,
 // passing its west input east.
@@ -53,7 +51,6 @@ func (c *tallyCell) Step(in *Inputs, out *Outputs) {
 	out.N = ValToken(relation.Element(c.n), Tag{})
 	out.E = in.W
 }
-func (c *tallyCell) Reset() { c.n = 0 }
 
 // holdCell is the half-speed register of the pattern-match chip: it emits
 // east the token it latched from the west one pulse earlier, so it emits
@@ -64,7 +61,6 @@ func (c *holdCell) Step(in *Inputs, out *Outputs) {
 	out.E, c.held = c.held, in.W
 	out.S = in.N
 }
-func (c *holdCell) Reset()           { c.held = Empty }
 func (c *holdCell) EveryPulse() bool { return true }
 
 // pulseCounter is the identity wrap of the dense reference: it steps its
@@ -79,7 +75,6 @@ func (c *pulseCounter) Step(in *Inputs, out *Outputs) {
 	c.inner.Step(in, out)
 	c.pulse++
 }
-func (c *pulseCounter) Reset()           { c.inner.Reset(); c.pulse = 0 }
 func (c *pulseCounter) EveryPulse() bool { return true }
 
 // program is one random grid: its shape, a cell kind per cell, the feeds
@@ -208,8 +203,8 @@ func (p program) run(t testing.TB, dense bool) (Stats, []string, []delivery) {
 		}
 		snaps = append(snaps, sb.String())
 	}))
-	// No Reset: a grid from NewGrid starts idle, a released one too. Two
-	// calls: the grid's state carries across Run calls.
+	// A grid from NewGrid starts idle, a released one too. Two calls: the
+	// grid's state carries across Run calls.
 	g.Run(p.pulses / 2)
 	g.Run(p.pulses - p.pulses/2)
 	return g.Stats(), snaps, log

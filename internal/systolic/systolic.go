@@ -146,13 +146,12 @@ type Outputs struct {
 // point into grid-owned planes that the next pulse overwrites, and that
 // Release hands to the next grid, so Step must not retain either pointer.
 // The grid steps a cell only at a pulse where one of its input lines
-// carries a token, unless it is Visited every pulse. Reset restores the
-// power-on register state, allowing Grid.Reset to rerun a grid. A cell
-// belongs to the grid NewGrid built it for: Release drops it, and the
-// next NewGrid builds its own cells.
+// carries a token, unless it is Visited every pulse. A cell belongs to the
+// one run of the grid NewGrid built it for, and starts that run in its
+// power-on state: Release drops it, and the next NewGrid builds its own
+// cells.
 type Cell interface {
 	Step(in *Inputs, out *Outputs)
-	Reset()
 }
 
 // Visited is implemented by a cell that may present a token with idle
@@ -170,8 +169,8 @@ type Visited interface {
 // Clocked is implemented by a cell that needs the number of the pulse it
 // steps at, as the fault layer's wrapper does to decide whether to fire.
 // NewGrid hands such a cell the grid's pulse counter once: during Step it
-// reads the current pulse, and Reset restarts it at 0. The cell must not
-// write it.
+// reads the current pulse, 0 at the grid's first. The cell must not write
+// it.
 type Clocked interface {
 	Clock(pulse *int)
 }
@@ -422,7 +421,8 @@ func (g *Grid) fit(rows, cols int) {
 
 // Release gives the grid back for a later NewGrid to reuse, as the one
 // physical array of §8 is fed again for each sub-problem. It idles every
-// wire and drops the cells, feeders, sinks and tracer, so a released grid
+// wire, port token, mark and visit list, disarms the calendar, zeroes the
+// stats and drops the cells, feeders, sinks and tracer, so a released grid
 // holds nothing of its run. After Release the caller must not use the
 // grid or any Snapshot's Latched views; a driver reads Stats first (a
 // deferred Release runs after the return values are read). A second
@@ -431,7 +431,14 @@ func (g *Grid) Release() {
 	if g.free {
 		return
 	}
-	g.idle()
+	clear(g.ins)
+	clear(g.prev)
+	clear(g.outs)
+	clear(g.mark)
+	clear(g.bound)
+	g.fed, g.drained = g.fed[:0], g.drained[:0]
+	g.visit, g.next, g.last = g.visit[:0], g.next[:0], g.last[:0]
+	g.cal.armed = false
 	clear(g.cells)
 	clear(g.feeds)
 	clear(g.sinks)
@@ -504,33 +511,11 @@ func (g *Grid) SetTracer(t Tracer) {
 	g.trace = t
 }
 
-// Reset clears all wires and statistics and resets every cell's registers.
-func (g *Grid) Reset() {
-	for _, cell := range g.cells {
-		cell.Reset()
-	}
-	g.idle()
-	g.stats = Stats{Cells: g.rows * g.cols}
-}
-
-// idle clears every wire, port token, schedule mark and visit list, and
-// disarms the calendar.
-func (g *Grid) idle() {
-	clear(g.ins)
-	clear(g.prev)
-	clear(g.outs)
-	clear(g.mark)
-	clear(g.bound)
-	g.fed, g.drained = g.fed[:0], g.drained[:0]
-	g.visit, g.next, g.last = g.visit[:0], g.next[:0], g.last[:0]
-	g.cal.armed = false
-}
-
 // Stats returns the accumulated run statistics.
 func (g *Grid) Stats() Stats { return g.stats }
 
 // Run advances the grid by the given number of pulses. It may be called
-// repeatedly; pulse numbering continues across calls until Reset. Every
+// repeatedly; pulse numbering continues across calls. Every
 // call records its pulse, cell-step and host wall-clock cost into the
 // obs.Default metrics registry.
 func (g *Grid) Run(pulses int) {

@@ -24,7 +24,6 @@ func (passCell) Step(in *Inputs, out *Outputs) {
 		out.W = in.E
 	}
 }
-func (passCell) Reset() {}
 
 // countCell counts how many times it stepped with work present.
 type countCell struct{ active int }
@@ -34,7 +33,6 @@ func (c *countCell) Step(in *Inputs, _ *Outputs) {
 		c.active++
 	}
 }
-func (c *countCell) Reset() { c.active = 0 }
 
 func TestTokenString(t *testing.T) {
 	cases := []struct {
@@ -209,7 +207,6 @@ func TestTokenTraversalLatency(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	g.Reset()
 	g.Run(rows + 2)
 	if gotPulse != rows-1 {
 		t.Errorf("token exited at pulse %d, want %d", gotPulse, rows-1)
@@ -242,7 +239,6 @@ func TestCounterFlowTokensPass(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	g.Reset()
 	g.Run(rows + 1)
 	if gotSouth != 1 || gotNorth != 2 {
 		t.Errorf("counter-flow results: south=%d north=%d, want 1 and 2", gotSouth, gotNorth)
@@ -260,7 +256,6 @@ func TestFeedBetweenRuns(t *testing.T) {
 	if err := g.Drain(East, 0, func(p int, tok Token) { got = append(got, p, int(tok.Val)) }); err != nil {
 		t.Fatal(err)
 	}
-	g.Reset()
 	g.Run(4)
 	if err := g.Feed(Port{Side: West, Window: Window{First: 1, Stride: 3, Count: 3},
 		Feed: func(p int) Token { return ValToken(relation.Element(p), Tag{}) }}); err != nil {
@@ -281,7 +276,6 @@ func TestStatsAccounting(t *testing.T) {
 	if err := g.Feed(once(North, 0, ValToken(5, Tag{}))); err != nil {
 		t.Fatal(err)
 	}
-	g.Reset()
 	g.Run(3)
 	st := g.Stats()
 	if st.Pulses != 3 || st.Cells != 4 || st.CellSteps != 12 {
@@ -299,23 +293,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	g, err := NewGrid(1, 1, func(_, _ int) Cell { return &countCell{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Reset()
-	g.Run(5)
-	g.Reset()
-	if st := g.Stats(); st.Pulses != 0 || st.ActiveSteps != 0 {
-		t.Errorf("Reset left stats %+v", st)
-	}
-	c := g.cells[0].(*countCell)
-	if c.active != 0 {
-		t.Error("Reset did not reset the cell")
-	}
-}
-
 func TestTracerObservesEveryPulse(t *testing.T) {
 	g, err := NewGrid(2, 2, func(_, _ int) Cell { return passCell{} })
 	if err != nil {
@@ -328,7 +305,6 @@ func TestTracerObservesEveryPulse(t *testing.T) {
 			t.Errorf("snapshot dims %dx%d", s.Rows, s.Cols)
 		}
 	}))
-	g.Reset()
 	g.Run(3)
 	if len(pulses) != 3 || pulses[0] != 0 || pulses[2] != 2 {
 		t.Errorf("tracer pulses = %v", pulses)

@@ -14,7 +14,7 @@ func record(t *testing.T) *Recorder {
 	rec := &Recorder{}
 	a := []relation.Tuple{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 	b := []relation.Tuple{{4, 5, 6}, {1, 2, 3}, {9, 9, 9}}
-	if _, err := comparison.Run2D(a, b, nil, rec); err != nil {
+	if _, err := comparison.Run2D(a, b, nil, nil, rec); err != nil {
 		t.Fatal(err)
 	}
 	return rec
@@ -86,7 +86,7 @@ func TestFigure34DataMovement(t *testing.T) {
 	rec := &Recorder{}
 	a := []relation.Tuple{{11, 12, 13}, {21, 22, 23}, {31, 32, 33}}
 	b := []relation.Tuple{{41, 42, 43}, {11, 12, 13}, {21, 22, 23}}
-	res, err := comparison.Run2D(a, b, nil, rec)
+	res, err := comparison.Run2D(a, b, nil, nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

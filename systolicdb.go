@@ -321,7 +321,7 @@ func (d *Device) Join(a, b *Relation, spec JoinSpec) (*Result, error) {
 	if err := spec.Validate(a, b); err != nil {
 		return nil, err
 	}
-	t, st, err := d.tiler.JoinT(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), spec.Ops)
+	t, st, err := d.tiler.T(join.Keys(a, spec.ACols), join.Keys(b, spec.BCols), spec.Ops, nil)
 	if err != nil {
 		return nil, err
 	}
